@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 ADDRESS_BITS = 128
 _FULL_MASK = (1 << ADDRESS_BITS) - 1
+# _MASKS[n] keeps the top n address bits of a /n prefix.
+_MASKS = tuple(_FULL_MASK ^ ((1 << (ADDRESS_BITS - n)) - 1) for n in range(ADDRESS_BITS + 1))
 
 
 class DuplicateInstall(Exception):
@@ -44,17 +46,14 @@ class EidPrefix:
 
     @property
     def mask(self) -> int:
-        if self.prefix_len == 0:
-            return 0
-        return _FULL_MASK ^ ((1 << (ADDRESS_BITS - self.prefix_len)) - 1)
+        return _MASKS[self.prefix_len]
 
     @classmethod
     def of(cls, address: int, prefix_len: int) -> "EidPrefix":
         """Build a prefix, zeroing any host bits of `address`."""
-        if prefix_len == 0:
-            return cls(0, 0)
-        mask = _FULL_MASK ^ ((1 << (ADDRESS_BITS - prefix_len)) - 1)
-        return cls(address & mask, prefix_len)
+        if 0 <= prefix_len <= ADDRESS_BITS:
+            address &= _MASKS[prefix_len]
+        return cls(address, prefix_len)  # rejects an out-of-range prefix_len
 
     @classmethod
     def host(cls, address: int) -> "EidPrefix":
@@ -146,9 +145,7 @@ class MapCache:
 
     def _match(self, dst: int) -> MapCacheEntry | None:
         for plen in self._lens_desc:
-            bucket = self._by_len[plen]
-            masked = 0 if plen == 0 else dst & (_FULL_MASK ^ ((1 << (ADDRESS_BITS - plen)) - 1))
-            prefix = bucket.get(masked)
+            prefix = self._by_len[plen].get(dst & _MASKS[plen])
             if prefix is not None:
                 return self._entries[prefix]
         return None
@@ -167,15 +164,15 @@ class MapCache:
             self.trace.append(f"{now} lookup {dst:#x} hit -")
         return entry.locators
 
-    def _lru_victim(self) -> EidPrefix:
-        return min(self._entries.values(),
-                   key=lambda e: (e.last_used, e.installed_at, e.prefix)).prefix
-
-    def _lfu_victim(self) -> EidPrefix:
-        # Least hits; among equals the least-recently-used goes, then the
-        # oldest install, then the smallest prefix for a total order.
-        return min(self._entries.values(),
-                   key=lambda e: (e.hit_count, e.last_used, e.installed_at, e.prefix)).prefix
+    def _victim(self) -> EidPrefix:
+        # Least-recently-used goes, then the oldest install, then the smallest
+        # prefix for a total order; under lfu-aging only the entries with the
+        # fewest hits compete.
+        entries = self._entries.values()
+        if self.policy == "lfu-aging":
+            fewest = min(e.hit_count for e in entries)
+            entries = [e for e in entries if e.hit_count == fewest]
+        return min(entries, key=lambda e: (e.last_used, e.installed_at, e.prefix)).prefix
 
     def _remove(self, prefix: EidPrefix) -> None:
         del self._entries[prefix]
@@ -200,7 +197,7 @@ class MapCache:
         self._catch_up_aging(now)
         evicted: EidPrefix | None = None
         if len(self._entries) >= self.capacity:
-            evicted = self._lru_victim() if self.policy == "lru" else self._lfu_victim()
+            evicted = self._victim()
             self._remove(evicted)
         entry = MapCacheEntry(prefix, locators, hit_count=0,
                               last_used=now, installed_at=now)

@@ -16,14 +16,13 @@ Exit codes: 0 on success, 1 for invalid configuration, 2 for I/O failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 from .cms import SketchDims
-from .experiment import (AttackConfig, DEFAULT_SEEDS, InvalidConfig, IoFailure,
-                         SweepConfig, attack_csv, attack_summary_csv, dos_defaults,
+from .experiment import (DEFAULT_SEEDS, InvalidConfig, IoFailure, SweepConfig,
+                         attack_csv, attack_summary_csv, config_hash, dos_defaults,
                          emit_outputs, overflow_defaults, run_attack, run_sweep,
                          scan_defaults)
 from .limiter import LimiterConfig
@@ -54,8 +53,13 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
 
 
 def _convert(default, text: str, key: str):
-    """Parse `text` into the same shape as the field's default value."""
+    """Parse `text` into the same shape as the field's default value.
+
+    A field whose default is None takes "none" or a float.
+    """
     try:
+        if default is None:
+            return None if text.lower() == "none" else float(text)
         if isinstance(default, bool):
             lowered = text.lower()
             if lowered in ("true", "1", "yes"):
@@ -141,21 +145,11 @@ def _cmd_attack(args) -> int:
 
 
 def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
-    limiter = LimiterConfig(backend="cms", sketch_dims=SketchDims(1000, 4))
-    limiter_keys = {k for k in mapping if k.startswith("limiter.")}
-    if limiter_keys:
-        dims_w = int(mapping.pop("limiter.w", limiter.sketch_dims.width))
-        dims_d = int(mapping.pop("limiter.d", limiter.sketch_dims.depth))
-        limiter = replace(limiter, sketch_dims=SketchDims(dims_w, dims_d))
-        limiter = _apply_overrides(limiter, mapping, "limiter",
-                                   frozen_keys=("sketch_dims", "sketch_params"))
-    config = XtrConfig(limiter=limiter)
-    if "xtr.pending_timeout" in mapping:
-        text = mapping.pop("xtr.pending_timeout")
-        config = replace(config, pending_timeout=None if text.lower() == "none" else float(text))
-    return _apply_overrides(config, mapping, "xtr",
-                            frozen_keys=("limiter", "reply_prefix_for", "source_key",
-                                         "pending_timeout"))
+    dims = SketchDims(int(mapping.pop("limiter.w", 1000)), int(mapping.pop("limiter.d", 4)))
+    limiter = _apply_overrides(LimiterConfig(backend="cms", sketch_dims=dims), mapping,
+                               "limiter", frozen_keys=("sketch_dims", "sketch_params"))
+    return _apply_overrides(XtrConfig(limiter=limiter), mapping, "xtr",
+                            frozen_keys=("limiter", "reply_prefix_for", "source_key"))
 
 
 def _cmd_replay(args) -> int:
@@ -172,7 +166,7 @@ def _cmd_replay(args) -> int:
     seed = args.seed if args.seed is not None else 0
     xtr = Xtr(config, seed=seed)
     metrics = xtr.run(events)
-    digest = hashlib.sha256(repr(config).encode()).hexdigest()[:12]
+    digest = config_hash(config)
     row = metrics.as_row()
     csv_text = ("seed,config_hash," + ",".join(row) + "\n"
                 + f"{seed},{digest}," + ",".join(str(v) for v in row.values()) + "\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +19,18 @@ import numpy as np
 # uint64 arithmetic. Keys are folded into [0, p) before hashing.
 _HASH_PRIME = (1 << 31) - 1
 
-_MAGIC = b"CMS1"
-_HEADER = struct.Struct("<IIIQ")  # width, depth, cell_width_bytes, seed
-
 _CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 class InvalidParams(ValueError):
     """Raised for sketch parameters outside their documented domain."""
+
+
+def cell_max(cell_width_bytes: int) -> int:
+    """Largest count a cell of this many bytes holds; it saturates there."""
+    if cell_width_bytes not in _CELL_DTYPES:
+        raise InvalidParams(f"cell width must be one of {sorted(_CELL_DTYPES)} bytes")
+    return (1 << (8 * cell_width_bytes)) - 1
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,10 @@ class CountMinSketch:
     """
 
     def __init__(self, dims: SketchDims, *, seed: int = 0, cell_width_bytes: int = 2):
-        if cell_width_bytes not in _CELL_DTYPES:
-            raise InvalidParams(f"cell width must be one of {sorted(_CELL_DTYPES)} bytes")
+        self.cell_max = cell_max(cell_width_bytes)
         self.dims = dims
         self.seed = seed
         self.cell_width_bytes = cell_width_bytes
-        self.cell_max = (1 << (8 * cell_width_bytes)) - 1
         self._cells = np.zeros((dims.depth, dims.width), dtype=_CELL_DTYPES[cell_width_bytes])
         coeffs = [_row_coefficients(seed, r) for r in range(dims.depth)]
         self._a = [c[0] for c in coeffs]
@@ -181,25 +182,3 @@ class CountMinSketch:
     def reset(self) -> None:
         """Zero every cell; hash functions (and future placements) are kept."""
         self._cells[:] = 0
-
-    def to_bytes(self) -> bytes:
-        """Flat snapshot: 'CMS1', width/depth/cell-width/seed, row-major cells."""
-        header = _MAGIC + _HEADER.pack(self.dims.width, self.dims.depth,
-                                       self.cell_width_bytes, self.seed)
-        dtype = self._cells.dtype.newbyteorder("<")
-        return header + self._cells.astype(dtype, copy=False).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CountMinSketch":
-        if blob[:4] != _MAGIC:
-            raise ValueError("bad magic; not a sketch snapshot")
-        width, depth, cell_width, seed = _HEADER.unpack_from(blob, 4)
-        sketch = cls(SketchDims(width, depth), seed=seed, cell_width_bytes=cell_width)
-        body = blob[4 + _HEADER.size:]
-        expected = width * depth * cell_width
-        if len(body) != expected:
-            raise ValueError(f"snapshot body is {len(body)} bytes, expected {expected}")
-        dtype = np.dtype(_CELL_DTYPES[cell_width]).newbyteorder("<")
-        cells = np.frombuffer(body, dtype=dtype).reshape(depth, width)
-        sketch._cells = cells.astype(sketch._cells.dtype)
-        return sketch

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .cms import CountMinSketch, SketchDims
+from .cms import CountMinSketch, SketchDims, cell_max
 from .limiter import LimiterConfig
 from .workloads import (PopulationProfile, BackgroundProfile, ScanProfile, Role,
                         gen_dos_stream, gen_miss_counts, gen_scan_stream, scan_prefixes)
@@ -70,6 +68,11 @@ class SweepConfig:
             raise InvalidConfig("w_start must be >= 1 and w_step >= 0")
         if self.threshold < 1:
             raise InvalidConfig("threshold must be >= 1")
+        # The sweep flags on estimate > threshold, which saturated cells
+        # cannot reach once the threshold is at the cell cap.
+        if self.threshold >= cell_max(self.cell_width_bytes):
+            raise InvalidConfig(f"threshold {self.threshold} is unreachable with "
+                                f"{self.cell_width_bytes}-byte cells")
         if self.depth_phase not in ("even", "odd"):
             raise InvalidConfig("depth_phase must be 'even' or 'odd'")
         if not self.seeds:
@@ -237,17 +240,12 @@ def _attack_xtr_config(config: AttackConfig, *, defended: bool) -> XtrConfig:
     limiter = LimiterConfig(threshold=config.threshold, period=config.limiter_period,
                             backend=config.limiter_backend,
                             sketch_dims=SketchDims(config.limiter_w, config.limiter_d))
-    if config.scenario == "scan":
-        policy = "lfu-aging" if defended else "lru"
-        return XtrConfig(cache_capacity=config.cache_capacity, cache_policy=policy,
-                         age_interval=config.age_interval, age_mode=config.age_mode,
-                         source_limiter_enabled=False, limiter=limiter,
-                         dest_budget=config.dest_budget, dest_period=config.dest_period,
-                         pending_capacity=config.pending_capacity,
-                         reply_latency=config.reply_latency)
-    return XtrConfig(cache_capacity=config.cache_capacity, cache_policy=config.cache_policy,
+    # In the scan scenario the defence is the aging cache, not the limiter.
+    scan = config.scenario == "scan"
+    policy = ("lfu-aging" if defended else "lru") if scan else config.cache_policy
+    return XtrConfig(cache_capacity=config.cache_capacity, cache_policy=policy,
                      age_interval=config.age_interval, age_mode=config.age_mode,
-                     source_limiter_enabled=defended, limiter=limiter,
+                     source_limiter_enabled=defended and not scan, limiter=limiter,
                      dest_budget=config.dest_budget, dest_period=config.dest_period,
                      pending_capacity=config.pending_capacity,
                      reply_latency=config.reply_latency)
@@ -279,7 +277,8 @@ def _defense_labels(scenario: str) -> tuple[str, str]:
     return "limiter_on", "limiter_off"
 
 
-def config_hash(config: AttackConfig) -> str:
+def config_hash(config: object) -> str:
+    """Short digest of the config's repr, written beside every output row."""
     return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
 
 
@@ -392,26 +391,14 @@ for fraction in fractions:
 '''
 
 
-def emit_outputs(rows: Sequence[SweepRow], out_dir: Path | str,
-                 formats: Sequence[str] = ("csv", "plot_script")) -> list[Path]:
-    """Write sweep outputs; returns the created paths.
-
-    "csv" writes sweep.csv; "plot_script" writes plot_sweep.py next to it.
-    """
+def emit_outputs(rows: Sequence[SweepRow], out_dir: Path | str) -> list[Path]:
+    """Write sweep.csv and plot_sweep.py next to it; returns their paths."""
     out_dir = Path(out_dir)
-    written = []
+    csv_path, script_path = out_dir / "sweep.csv", out_dir / "plot_sweep.py"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for fmt in formats:
-            if fmt == "csv":
-                path = out_dir / "sweep.csv"
-                path.write_text(sweep_csv(rows))
-            elif fmt == "plot_script":
-                path = out_dir / "plot_sweep.py"
-                path.write_text(_PLOT_SCRIPT.format(csv_name="sweep.csv"))
-            else:
-                raise InvalidConfig(f"unknown output format {fmt!r}")
-            written.append(path)
+        csv_path.write_text(sweep_csv(rows))
+        script_path.write_text(_PLOT_SCRIPT.format(csv_name=csv_path.name))
     except OSError as exc:
         raise IoFailure(f"cannot write outputs under {out_dir}: {exc}") from exc
-    return written
+    return [csv_path, script_path]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cms import CountMinSketch, SketchDims, SketchParams, dims_from_params
+from .cms import CountMinSketch, SketchDims, SketchParams, cell_max, dims_from_params
 
 
 class Decision(enum.Enum):
@@ -44,8 +44,31 @@ class LimiterConfig:
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.backend not in ("exact", "cms"):
             raise ValueError(f"backend must be 'exact' or 'cms', got {self.backend!r}")
-        if self.backend == "cms" and self.sketch_dims is None and self.sketch_params is None:
-            raise ValueError("cms backend needs sketch_dims or sketch_params")
+        if self.backend == "cms":
+            if self.sketch_dims is None and self.sketch_params is None:
+                raise ValueError("cms backend needs sketch_dims or sketch_params")
+            # Cells saturate at the cap, so a threshold the capped count can
+            # never cross would switch the defence off without a word.
+            cap = cell_max(self.cell_width_bytes)
+            if self.threshold > (cap - 1 if self.strict_threshold else cap):
+                raise ValueError(f"threshold {self.threshold} is unreachable: "
+                                 f"{self.cell_width_bytes}-byte cells saturate at {cap}")
+
+
+class _TumblingWindow:
+    """Window of length `period` aligned to `start`; see the module docstring."""
+
+    def __init__(self, period: float, start: float):
+        self.period = period
+        self._start = start
+        self._period_start = start
+
+    def rolled(self, now: float) -> bool:
+        """Advance to the window containing `now`; True when a boundary was crossed."""
+        if now - self._period_start >= self.period:
+            self._period_start = self._start + ((now - self._start) // self.period) * self.period
+            return True
+        return False
 
 
 class SourceRateLimiter:
@@ -58,8 +81,7 @@ class SourceRateLimiter:
 
     def __init__(self, config: LimiterConfig, *, seed: int = 0, start: float = 0.0):
         self.config = config
-        self._start = start
-        self._period_start = start
+        self._window = _TumblingWindow(config.period, start)
         if config.backend == "cms":
             dims = config.sketch_dims or dims_from_params(config.sketch_params)
             self._sketch: CountMinSketch | None = CountMinSketch(
@@ -68,15 +90,6 @@ class SourceRateLimiter:
         else:
             self._sketch = None
             self._table = {}
-
-    def _roll_window(self, now: float) -> None:
-        if now - self._period_start >= self.config.period:
-            elapsed = now - self._start
-            self._period_start = self._start + (elapsed // self.config.period) * self.config.period
-            if self._sketch is not None:
-                self._sketch.reset()
-            else:
-                self._table.clear()
 
     def current_count(self, source: int) -> int:
         if self._sketch is not None:
@@ -88,7 +101,11 @@ class SourceRateLimiter:
 
         Every miss is counted, including the ones this call drops.
         """
-        self._roll_window(now)
+        if self._window.rolled(now):
+            if self._sketch is not None:
+                self._sketch.reset()
+            else:
+                self._table.clear()
         if self._sketch is not None:
             self._sketch.increment(source)
         else:
@@ -122,21 +139,15 @@ class DestRateLimiter:
         self.budget = budget
         self.period = period
         self.mode = mode
-        self._start = start
-        self._period_start = start
+        self._window = _TumblingWindow(period, start)
         self._used = 0
         self._used_by_dest: dict[object, int] = {}
 
-    def _roll_window(self, now: float) -> None:
-        if now - self._period_start >= self.period:
-            elapsed = now - self._start
-            self._period_start = self._start + (elapsed // self.period) * self.period
-            self._used = 0
-            self._used_by_dest.clear()
-
     def consume(self, now: float, dest: object = None) -> Decision:
         """Take one unit of budget if any is left this period."""
-        self._roll_window(now)
+        if self._window.rolled(now):
+            self._used = 0
+            self._used_by_dest.clear()
         if self.mode == "per_prefix":
             used = self._used_by_dest.get(dest, 0)
             if used < self.budget:

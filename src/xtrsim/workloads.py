@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -69,33 +69,16 @@ class PopulationProfile:
         return round(self.n_nodes * self.attacker_fraction)
 
 
+@dataclass(frozen=True)
 class MissCounts:
-    """Per-source true miss counts with roles; maps source -> (count, role).
+    """Per-source true miss counts and roles, as parallel arrays.
 
-    Sources are the node indices 0..n-1. Array views (sources, counts,
-    attacker_mask) are exposed for bulk sketch feeding.
+    Sources are the node indices 0..n-1; attacker_mask marks the attackers.
     """
 
-    def __init__(self, sources: np.ndarray, counts: np.ndarray, attacker_mask: np.ndarray):
-        self.sources = sources
-        self.counts = counts
-        self.attacker_mask = attacker_mask
-
-    def __len__(self) -> int:
-        return len(self.sources)
-
-    def __getitem__(self, source: int) -> tuple[int, Role]:
-        count = int(self.counts[source])
-        role = Role.ATTACKER if self.attacker_mask[source] else Role.LEGIT
-        return count, role
-
-    def items(self) -> Iterator[tuple[int, tuple[int, Role]]]:
-        for source in self.sources:
-            yield int(source), self[int(source)]
-
-    @property
-    def n_attackers(self) -> int:
-        return int(self.attacker_mask.sum())
+    sources: np.ndarray
+    counts: np.ndarray
+    attacker_mask: np.ndarray
 
 
 def gen_miss_counts(profile: PopulationProfile) -> MissCounts:
@@ -142,11 +125,10 @@ def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated
     base = _DOS_STRATEGY_BASES[dest_strategy]
     events: list[PacketEvent] = []
     fresh = 0
-    for source in draw.sources:
-        source = int(source)
-        count, role = draw[source]
+    for source, count, is_attacker in zip(draw.sources.tolist(), draw.counts.tolist(),
+                                          draw.attacker_mask.tolist()):
         times = rng.uniform(0.0, duration, size=count)
-        if role is Role.ATTACKER:
+        if is_attacker:
             if attacker_timing == "burst":
                 times = times * 0.1
             for t in times:

@@ -22,7 +22,7 @@ from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import PacketEvent, Role
 
 
-class TimeRegression(Exception):
+class TimeRegression(ValueError):
     """A packet event arrived with a timestamp earlier than one already processed."""
 
 

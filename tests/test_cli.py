@@ -153,6 +153,26 @@ def test_malformed_trace_fails_with_1(tmp_path):
     assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_unsorted_trace_fails_with_1_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "unsorted.txt"
+    bad.write_text("0.2 0x1 0x2 legit\n0.1 0x1 0x3 legit\n")
+    assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_replay_pending_timeout_takes_none_or_a_float(tmp_path, capsys):
+    trace, _ = make_trace(tmp_path)
+    for text in ("none", "None", "0.05"):
+        conf = write_conf(tmp_path, f"xtr.pending_timeout={text}\n")
+        assert main(["replay", trace, "--config", conf,
+                     "--out", str(tmp_path / "o")]) == 0
+    conf = write_conf(tmp_path, "xtr.pending_timeout=soon\n")
+    assert main(["replay", trace, "--config", conf, "--out", str(tmp_path / "o")]) == 1
+    assert "bad value for xtr.pending_timeout" in capsys.readouterr().err
+
+
 def test_unwritable_out_dir_fails_with_2(tmp_path):
     conf = write_conf(tmp_path, SWEEP_CONF)
     blocker = tmp_path / "flat"

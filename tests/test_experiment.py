@@ -73,6 +73,16 @@ def test_sweep_config_validation():
         SweepConfig(w_start=0)
 
 
+def test_sweep_threshold_must_stay_below_the_cell_cap():
+    # The sweep flags on estimate > threshold; estimates cap at the cell max.
+    assert SweepConfig(threshold=65534).threshold == 65534
+    with pytest.raises(InvalidConfig):
+        SweepConfig(threshold=65535)
+    assert SweepConfig(threshold=254, cell_width_bytes=1).threshold == 254
+    with pytest.raises(InvalidConfig):
+        SweepConfig(threshold=255, cell_width_bytes=1)
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_covers_grid_and_sorts_rows():
@@ -93,10 +103,10 @@ def test_sweep_rates_match_a_scalar_recount():
         draw = gen_miss_counts(profile)
         for row in (r for r in rows if r.seed == seed):
             sketch = CountMinSketch(SketchDims(row.w, row.d), seed=seed)
-            for source, (count, _) in draw.items():
+            for source, count in zip(draw.sources.tolist(), draw.counts.tolist()):
                 sketch.increment(source, count)
             fp = fn = 0
-            for source, (count, role) in draw.items():
+            for source, count in zip(draw.sources.tolist(), draw.counts.tolist()):
                 flagged = sketch.estimate(source) > 50
                 if flagged and not draw.attacker_mask[source]:
                     fp += 1
@@ -235,11 +245,6 @@ def test_emitted_plot_script_renders_one_png_per_fraction(tmp_path):
     assert proc.returncode == 0, proc.stderr
     pngs = sorted(p.name for p in tmp_path.glob("*.png"))
     assert pngs == ["fp_vs_size_frac0.1.png"]
-
-
-def test_emit_outputs_rejects_unknown_format(tmp_path):
-    with pytest.raises(InvalidConfig):
-        emit_outputs([], tmp_path, formats=("csv", "xlsx"))
 
 
 def test_emit_outputs_wraps_os_errors(tmp_path):

@@ -98,6 +98,32 @@ def test_cms_backend_requires_sizing():
         LimiterConfig(period=0.0)
 
 
+def test_cms_threshold_must_be_reachable_under_the_cell_cap():
+    dims = SketchDims(64, 2)
+    # 1-byte cells cap at 255: strict flags on count > threshold, so 254 is
+    # the largest threshold a capped estimate still crosses.
+    limiter = make_limiter(backend="cms", sketch_dims=dims, cell_width_bytes=1,
+                           threshold=254)
+    decisions = [limiter.on_miss(5, 0.0) for _ in range(5000)]
+    assert decisions[:254] == [Decision.ALLOW] * 254
+    assert set(decisions[254:]) == {Decision.DROP}
+    with pytest.raises(ValueError):
+        LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1, threshold=255)
+    with pytest.raises(ValueError):
+        LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1, threshold=300)
+    # non-strict flags at count >= threshold, so the cap itself is reachable
+    assert LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1,
+                         threshold=255, strict_threshold=False).threshold == 255
+    with pytest.raises(ValueError):
+        LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1,
+                      threshold=256, strict_threshold=False)
+    for width in (0, 3):
+        with pytest.raises(ValueError):
+            LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=width)
+    # the exact backend has no cells, so the cell width does not bound it
+    assert LimiterConfig(cell_width_bytes=1, threshold=300).threshold == 300
+
+
 def test_dest_budget_allows_then_drops():
     limiter = DestRateLimiter(3, 1.0)
     got = [limiter.consume(0.1) for _ in range(5)]

@@ -63,8 +63,8 @@ def test_population_validation():
 def test_miss_counts_respect_role_ranges():
     profile = PopulationProfile(2000, 0.1, seed=7)
     draw = gen_miss_counts(profile)
-    assert len(draw) == 2000
-    assert draw.n_attackers == 200
+    assert len(draw.sources) == 2000
+    assert int(draw.attacker_mask.sum()) == 200
     attackers = draw.counts[draw.attacker_mask]
     legit = draw.counts[~draw.attacker_mask]
     assert attackers.min() >= 1000 and attackers.max() <= 10000
@@ -78,18 +78,6 @@ def test_miss_count_ranges_are_inclusive():
     draw = gen_miss_counts(profile)
     assert set(draw.counts[draw.attacker_mask]) == {7}
     assert set(draw.counts[~draw.attacker_mask]) == {3}
-
-
-def test_miss_counts_mapping_view_agrees_with_arrays():
-    draw = gen_miss_counts(PopulationProfile(50, 0.2, seed=5))
-    seen = dict()
-    for source, (count, role) in draw.items():
-        seen[source] = (count, role)
-    assert len(seen) == 50
-    for source in range(50):
-        count, role = draw[source]
-        assert seen[source] == (count, role)
-        assert (role is Role.ATTACKER) == bool(draw.attacker_mask[source])
 
 
 def test_miss_counts_deterministic_per_seed():
@@ -112,11 +100,10 @@ def test_dos_stream_emits_exactly_the_drawn_counts():
     events = gen_dos_stream(DOS_PROFILE)
     assert len(events) == int(draw.counts.sum())
     per_source = collections.Counter(e.src for e in events)
-    for source, (count, _) in draw.items():
-        assert per_source[source] == count
+    for source, count in zip(draw.sources, draw.counts):
+        assert per_source[int(source)] == count
     for e in events:
-        _, role = draw[e.src]
-        assert e.role is role
+        assert (e.role is Role.ATTACKER) == bool(draw.attacker_mask[e.src])
 
 
 def test_dos_attacker_destinations_are_all_fresh():
