@@ -84,7 +84,7 @@ class MapCacheEntry:
 class _LfuAgingState:
     interval: float
     mode: str  # "halve" or "zero"
-    last_aged: float
+    last_aged: float = 0.0
 
 
 class MapCache:
@@ -96,7 +96,7 @@ class MapCache:
 
     def __init__(self, capacity: int, policy: str = "lru", *,
                  age_interval: float | None = None, age_mode: str = "halve",
-                 start: float = 0.0, record_trace: bool = False):
+                 record_trace: bool = False):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if policy not in ("lru", "lfu-aging"):
@@ -109,7 +109,7 @@ class MapCache:
                 raise ValueError("lfu-aging needs a positive age_interval")
             if age_mode not in ("halve", "zero"):
                 raise ValueError(f"age_mode must be 'halve' or 'zero', got {age_mode!r}")
-            self._aging = _LfuAgingState(age_interval, age_mode, start)
+            self._aging = _LfuAgingState(age_interval, age_mode)
         self._entries: dict[EidPrefix, MapCacheEntry] = {}
         # Length-bucketed index for longest-prefix match.
         self._by_len: dict[int, dict[int, EidPrefix]] = {}

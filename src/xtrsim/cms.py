@@ -126,11 +126,6 @@ class CountMinSketch:
         self._a = [c[0] for c in coeffs]
         self._b = [c[1] for c in coeffs]
 
-    @classmethod
-    def from_params(cls, params: SketchParams, *, seed: int = 0,
-                    cell_width_bytes: int = 2) -> "CountMinSketch":
-        return cls(dims_from_params(params), seed=seed, cell_width_bytes=cell_width_bytes)
-
     @property
     def memory_bytes(self) -> int:
         return self.dims.memory_bytes(self.cell_width_bytes)

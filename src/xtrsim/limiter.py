@@ -1,6 +1,6 @@
 """Per-source and per-destination admission control for map-cache misses.
 
-Both limiters count inside tumbling windows aligned to the simulation start:
+Both limiters count inside tumbling windows aligned to time zero:
 when a window of length `period` has fully elapsed, all counters reset and
 the window advances to the boundary containing `now`. Nothing decays within
 a window.
@@ -56,17 +56,16 @@ class LimiterConfig:
 
 
 class _TumblingWindow:
-    """Window of length `period` aligned to `start`; see the module docstring."""
+    """Window of length `period` aligned to time zero; see the module docstring."""
 
-    def __init__(self, period: float, start: float):
+    def __init__(self, period: float):
         self.period = period
-        self._start = start
-        self._period_start = start
+        self._period_start = 0.0
 
     def rolled(self, now: float) -> bool:
         """Advance to the window containing `now`; True when a boundary was crossed."""
         if now - self._period_start >= self.period:
-            self._period_start = self._start + ((now - self._start) // self.period) * self.period
+            self._period_start = (now // self.period) * self.period
             return True
         return False
 
@@ -79,9 +78,9 @@ class SourceRateLimiter:
     converse can fail (false positives), never the reverse.
     """
 
-    def __init__(self, config: LimiterConfig, *, seed: int = 0, start: float = 0.0):
+    def __init__(self, config: LimiterConfig, *, seed: int = 0):
         self.config = config
-        self._window = _TumblingWindow(config.period, start)
+        self._window = _TumblingWindow(config.period)
         if config.backend == "cms":
             dims = config.sketch_dims or dims_from_params(config.sketch_params)
             self._sketch: CountMinSketch | None = CountMinSketch(
@@ -128,8 +127,7 @@ class DestRateLimiter:
     each destination key its own budget instead.
     """
 
-    def __init__(self, budget: int, period: float, *, mode: str = "shared",
-                 start: float = 0.0):
+    def __init__(self, budget: int, period: float, *, mode: str = "shared"):
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         if period <= 0:
@@ -139,7 +137,7 @@ class DestRateLimiter:
         self.budget = budget
         self.period = period
         self.mode = mode
-        self._window = _TumblingWindow(period, start)
+        self._window = _TumblingWindow(period)
         self._used = 0
         self._used_by_dest: dict[object, int] = {}
 

@@ -106,8 +106,7 @@ _DOS_STRATEGY_BASES = {
 
 def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated", *,
                    duration: float = 1.0, popular_pool: int = 50,
-                   attacker_timing: str = "uniform",
-                   non_popular_universe: int = 1 << 32) -> list[PacketEvent]:
+                   attacker_timing: str = "uniform") -> list[PacketEvent]:
     """Miss-flood stream: attackers spray never-before-seen destinations.
 
     Every attacker emits exactly its drawn miss count, each packet to a fresh
@@ -123,6 +122,8 @@ def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated
     draw = gen_miss_counts(profile)
     rng = np.random.default_rng(profile.seed + 1)
     base = _DOS_STRATEGY_BASES[dest_strategy]
+    if dest_strategy == "non_popular":
+        base += popular_pool  # non-popular indices start after the pool's
     events: list[PacketEvent] = []
     fresh = 0
     for source, count, is_attacker in zip(draw.sources.tolist(), draw.counts.tolist(),
@@ -132,14 +133,8 @@ def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated
             if attacker_timing == "burst":
                 times = times * 0.1
             for t in times:
-                if dest_strategy == "non_popular":
-                    # Walk the non-popular index space without repeats until
-                    # it is exhausted, then wrap.
-                    dst = base + popular_pool + (fresh % (non_popular_universe - popular_pool))
-                else:
-                    dst = base + fresh
+                events.append(PacketEvent(float(t), source, base + fresh, Role.ATTACKER))
                 fresh += 1
-                events.append(PacketEvent(float(t), source, dst, Role.ATTACKER))
         else:
             pool_picks = rng.integers(0, popular_pool, size=count)
             for t, pick in zip(times, pool_picks):

@@ -5,13 +5,14 @@ miss path: pending-request dedup per prefix, the per-source limiter, the
 destination budget, then a Map-Request with a fresh nonce. The mapping system
 answers after a fixed latency (unless loss is injected) and the reply installs
 the mapping. Replies scheduled at time t are delivered before a data packet
-carrying the same timestamp.
+carrying the same timestamp. Simulated time starts at 0: the limiter windows
+and LFU aging intervals are aligned to it.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
+import operator
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
@@ -224,42 +225,31 @@ def prefix_table_mapper(prefixes: Iterable[EidPrefix]) -> Callable[[int], EidPre
 class Xtr:
     """One simulated xTR: map-cache, limiters, pending table, reply scheduling."""
 
-    def __init__(self, config: XtrConfig, *, seed: int = 0, start: float = 0.0):
+    def __init__(self, config: XtrConfig, *, seed: int = 0):
         self.config = config
         self.metrics = XtrMetrics()
-        age_kwargs = {}
-        if config.cache_policy == "lfu-aging":
-            age_kwargs = {"age_interval": config.age_interval, "age_mode": config.age_mode}
         self.cache = MapCache(config.cache_capacity, config.cache_policy,
-                              start=start, record_trace=config.record_cache_trace,
-                              **age_kwargs)
+                              age_interval=config.age_interval, age_mode=config.age_mode,
+                              record_trace=config.record_cache_trace)
         self.source_limiter: SourceRateLimiter | None = None
         if config.source_limiter_enabled:
-            self.source_limiter = SourceRateLimiter(config.limiter, seed=seed, start=start)
+            self.source_limiter = SourceRateLimiter(config.limiter, seed=seed)
         self.dest_limiter = DestRateLimiter(config.dest_budget, config.dest_period,
-                                            mode=config.dest_mode, start=start)
+                                            mode=config.dest_mode)
+        self._reply_prefix = config.reply_prefix_for or EidPrefix.host
+        self._source_key = config.source_key or operator.attrgetter("src")
         self.pending = PendingRequestTable(config.pending_capacity, seed=seed)
         # Admitted Map-Requests per (source key, limiter period index), kept
         # for audits of the per-period admission cap.
         self.admitted_by_source_period: dict[tuple[int, int], int] = defaultdict(int)
         self._loss_rng = random.Random(f"loss-{seed}")
-        self._reply_queue: list[tuple[float, int, int]] = []
-        self._reply_seq = 0
-        self._start = start
-        self._last_time = start
-
-    def _reply_prefix(self, dst: int) -> EidPrefix:
-        if self.config.reply_prefix_for is not None:
-            return self.config.reply_prefix_for(dst)
-        return EidPrefix.host(dst)
-
-    def _source_key(self, event: PacketEvent) -> int:
-        if self.config.source_key is not None:
-            return self.config.source_key(event)
-        return event.src
-
-    def _period_index(self, now: float) -> int:
-        return int((now - self._start) // self.config.limiter.period)
+        # (due, nonce) in send order. `step` schedules each reply at
+        # now + reply_latency with a fixed latency, and TimeRegression stops
+        # the clock going back, so due times arrive in nondecreasing order
+        # and a FIFO pops them exactly as a (due, send sequence) heap would;
+        # PendingRequestTable._issue_order relies on the same fact.
+        self._reply_queue: deque[tuple[float, int]] = deque()
+        self._last_time = 0.0
 
     def _expire_pending(self, now: float) -> None:
         for entry in self.pending.expire_due(now, self.config.effective_pending_timeout):
@@ -286,7 +276,7 @@ class Xtr:
 
     def _deliver_due_replies(self, upto: float) -> None:
         while self._reply_queue and self._reply_queue[0][0] <= upto:
-            reply_time, _, nonce = heapq.heappop(self._reply_queue)
+            reply_time, nonce = self._reply_queue.popleft()
             self._expire_pending(reply_time)
             self.deliver_reply(nonce, reply_time)
 
@@ -309,8 +299,9 @@ class Xtr:
             metrics.suppressed_while_pending.bump(event.role)
             return StepOutcome.SUPPRESSED_ALREADY_PENDING
 
+        source = self._source_key(event)
         if self.source_limiter is not None:
-            if self.source_limiter.on_miss(self._source_key(event), now) is Decision.DROP:
+            if self.source_limiter.on_miss(source, now) is Decision.DROP:
                 metrics.dropped_by_source_limiter.bump(event.role)
                 return StepOutcome.SUPPRESSED_SOURCE_LIMITED
 
@@ -324,11 +315,9 @@ class Xtr:
 
         nonce = self.pending.insert(prefix, now, event.role)
         metrics.map_requests_sent.bump(event.role)
-        self.admitted_by_source_period[(self._source_key(event), self._period_index(now))] += 1
+        self.admitted_by_source_period[(source, int(now // self.config.limiter.period))] += 1
         if self.config.reply_loss == 0.0 or self._loss_rng.random() >= self.config.reply_loss:
-            heapq.heappush(self._reply_queue,
-                           (now + self.config.reply_latency, self._reply_seq, nonce))
-            self._reply_seq += 1
+            self._reply_queue.append((now + self.config.reply_latency, nonce))
         return StepOutcome.MISS_PENDING_REQUEST
 
     def run(self, events: Iterable[PacketEvent]) -> XtrMetrics:

@@ -20,13 +20,12 @@ class RefRecord:
 
 
 class ReferenceCache:
-    def __init__(self, capacity, policy="lru", age_interval=None,
-                 age_mode="halve", start=0.0):
+    def __init__(self, capacity, policy="lru", age_interval=None, age_mode="halve"):
         self.capacity = capacity
         self.policy = policy
         self.age_interval = age_interval
         self.age_mode = age_mode
-        self.last_aged = start
+        self.last_aged = 0.0
         self.records = []
 
     def _age(self, now):

@@ -210,16 +210,6 @@ def test_pure_miss_lookup_does_not_trigger_aging():
     assert cache.get(A).hit_count == 0
 
 
-def test_aging_boundary_is_aligned_to_start():
-    cache = MapCache(2, policy="lfu-aging", age_interval=1.0, start=10.0)
-    cache.install(A, (1,), 10.0)
-    cache.lookup(0xA, 10.5)
-    cache.age(10.9)  # still inside the first interval
-    assert cache.get(A).hit_count == 1
-    cache.age(11.0)
-    assert cache.get(A).hit_count == 0
-
-
 # ------------------------------------------------------------------- errors
 
 def test_duplicate_install_raises():

@@ -127,9 +127,11 @@ def test_unknown_config_key_fails_with_1(tmp_path, capsys):
 
 
 def test_bad_config_value_fails_with_1(tmp_path, capsys):
-    conf = write_conf(tmp_path, "sweep.iterations=abc\n")
-    assert main(["sweep", "--config", conf, "--out", str(tmp_path / "o")]) == 1
-    assert "bad value for sweep.iterations" in capsys.readouterr().err
+    trace, _ = make_trace(tmp_path)
+    for command, key in ((["sweep"], "sweep.iterations"), (["replay", trace], "limiter.w")):
+        conf = write_conf(tmp_path, f"{key}=abc\n")
+        assert main([*command, "--config", conf, "--out", str(tmp_path / "o")]) == 1
+        assert f"bad value for {key}" in capsys.readouterr().err
 
 
 def test_malformed_config_line_fails_with_1(tmp_path):

@@ -20,7 +20,8 @@ from xtrsim.experiment import (AttackConfig, SweepConfig, attack_csv, dos_defaul
                                overflow_defaults, run_attack, run_sweep, scan_defaults,
                                sweep_csv)
 from xtrsim.limiter import LimiterConfig
-from xtrsim.workloads import PopulationProfile, gen_dos_stream, write_trace
+from xtrsim.workloads import (POPULAR_DST_BASE, UNALLOCATED_DST_BASE, PopulationProfile,
+                              gen_dos_stream, write_trace)
 from xtrsim.xtr import XtrConfig
 
 
@@ -75,16 +76,60 @@ limiter.period=0.25
 """
 
 
-def test_replay_outputs_digest(tmp_path):
-    profile = PopulationProfile(12, 0.25, attacker_miss_range=(100, 200), seed=6)
+def replay(tmp_path, trace_text: str, conf_text: str, seed: int) -> tuple[str, str]:
+    """Run `xtrsim replay`; return its metrics CSV and its cache trace."""
     trace = tmp_path / "trace.txt"
-    trace.write_text(write_trace(gen_dos_stream(profile, duration=0.5)))
+    trace.write_text(trace_text)
     conf = tmp_path / "router.conf"
-    conf.write_text(REPLAY_CONF)
+    conf.write_text(conf_text)
     out = tmp_path / "out"
     assert main(["replay", str(trace), "--config", str(conf), "--out", str(out),
-                 "--seed", "2"]) == 0
-    assert sha((out / "replay_metrics.csv").read_text()) == \
+                 "--seed", str(seed)]) == 0
+    return (out / "replay_metrics.csv").read_text(), (out / "cache_trace.txt").read_text()
+
+
+def test_replay_outputs_digest(tmp_path):
+    profile = PopulationProfile(12, 0.25, attacker_miss_range=(100, 200), seed=6)
+    metrics, cache_trace = replay(tmp_path, write_trace(gen_dos_stream(profile, duration=0.5)),
+                                  REPLAY_CONF, seed=2)
+    assert sha(metrics) == \
         "fea272677392d8edf0673f3055a53ecb3eb8ecd8deee5723035d331a65de92b3"
-    assert sha((out / "cache_trace.txt").read_text()) == \
+    assert sha(cache_trace) == \
         "a815078f15897449c1079068a791612d3d3bf90baf1bd70edc8f3f799fe7fee7"
+
+
+SAME_TIME_CONF = """\
+xtr.cache_capacity=8
+xtr.record_cache_trace=true
+xtr.reply_loss=0.3
+limiter.threshold=10
+limiter.w=64
+limiter.d=2
+"""
+
+
+def same_time_trace() -> str:
+    """Four packets per timestamp, from two flooding attackers and two legit sources.
+
+    Attackers always send to fresh destinations; the legit sources cycle a
+    pool of 12 destinations every 0.06 s, longer than the 0.04 s default
+    reply latency. So the replies sent at one timestamp fall due together,
+    and the cache trace records their installs in send order.
+    """
+    lines = []
+    for tick in range(25):
+        for k in range(4):
+            n = tick * 2 + k
+            if k < 2:
+                src, dst, role = 0xA1 + k, UNALLOCATED_DST_BASE + n, "attacker"
+            else:
+                src, dst, role = 0x10 + n % 6, POPULAR_DST_BASE + n % 12, "legit"
+            lines.append(f"{tick / 100!r} {src:#x} {dst:#x} {role}\n")
+    return "".join(lines)
+
+
+def test_same_time_replies_replay_digest(tmp_path):
+    # Lost replies, a full cache and limiter drops on one same-time stream.
+    metrics, cache_trace = replay(tmp_path, same_time_trace(), SAME_TIME_CONF, seed=3)
+    assert sha(metrics) == "29d5fbc6293aeeb96b37b85b0dca27dade7500576b2149eac1ed252cad466ac8"
+    assert sha(cache_trace) == "d7719bf71e890c2546434dc1ae071a347daeaae4ceb8eea51b406ca7ae4cb7a8"

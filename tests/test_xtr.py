@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtrsim.cache import EidPrefix
 from xtrsim.limiter import LimiterConfig
@@ -189,6 +191,34 @@ def test_reply_loss_is_deterministic_and_accounted():
     # Every request ends consumed, timed out, or still pending.
     assert (m1.map_replies_received.legit + m1.pending_timeouts.legit
             + len(x1.pending)) == 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(ticks=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+       latency=st.sampled_from([0.005, 0.01, 0.02, 0.04]),
+       loss=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 3))
+def test_replies_install_in_send_order(ticks, latency, loss, seed):
+    # Nondecreasing times with repeats, each packet to its own destination.
+    events = [pkt(tick / 100, 1, 0xD00 + i) for i, tick in enumerate(sorted(ticks))]
+    x = Xtr(mk_config(cache_capacity=4, reply_latency=latency, reply_loss=loss,
+                      record_cache_trace=True), seed=seed)
+    sent = []
+    step = x.step
+
+    def recording_step(event):
+        outcome = step(event)
+        if outcome is StepOutcome.MISS_PENDING_REQUEST:
+            sent.append(str(EidPrefix.host(event.dst)))
+        return outcome
+
+    x.step = recording_step
+    x.run(events)
+    installed = [line.split()[2] for line in x.cache.trace if " install " in line]
+    assert sent == [str(EidPrefix.host(e.dst)) for e in events]
+    kept = set(installed)  # lost replies install nothing
+    assert installed == [prefix for prefix in sent if prefix in kept]
+    if loss == 0.0:
+        assert installed == sent
 
 
 def test_config_validation_and_timeout_default():
