@@ -1,23 +1,32 @@
 """Count-Min Sketch with saturating fixed-width counters.
 
 The sketch keeps a depth x width matrix of small counters. Every row owns a
-hash function from a pairwise-independent family; an update touches one cell
-per row and a point query returns the minimum over the touched cells, so the
-estimate can only ever overshoot the true count.
+hash function drawn from a universal family over keys of up to 150 bits (so
+every 128-bit address): the key is split into 30-bit limbs x_i and hashed as
+(b + sum a_i*x_i) mod p, then mod width (Carter & Wegman 1979). Two distinct
+keys share a row's cell with probability about 1/width, whatever the keys.
+An update touches one cell per row and a point query returns the minimum
+over the touched cells, so the estimate can only ever overshoot the true
+count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-# Modulus of the per-row universal hash ((a*x + b) mod p) mod width. A 31-bit
-# Mersenne prime keeps a*x + b under 2**62 so the vectorized path stays inside
-# uint64 arithmetic. Keys are folded into [0, p) before hashing.
+# Modulus of the per-row hash (b + sum a_i*x_i) mod p over 30-bit limbs x_i.
+# With a 31-bit Mersenne prime every term a_i*x_i plus a reduced partial sum
+# stays under 2**62, so the vector path runs in int64 arithmetic when it
+# reduces after each term.
 _HASH_PRIME = (1 << 31) - 1
+_LIMB_BITS = 30
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_KEY_LIMBS = 5  # keys below 2**150, which holds every 128-bit address
 
 _CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
@@ -89,23 +98,61 @@ def dims_from_params(params: SketchParams) -> SketchDims:
     return SketchDims(width, depth)
 
 
-def _row_coefficients(seed: int, row: int) -> tuple[int, int]:
-    """Deterministic (a, b) draw for one row's universal hash."""
+def _row_coefficients(seed: int, row: int) -> tuple[int, tuple[int, ...]]:
+    """Deterministic (b, (a_0, ..., a_4)) draw for one row's hash.
+
+    a_0 and b are drawn first, so a key below 2**30 (every node index the
+    scenarios use) hashes to (a_0*x + b) mod p, and pinned outputs keep their
+    bytes.
+    """
     rng = random.Random(f"cms-{seed}-{row}")
-    a = rng.randrange(1, _HASH_PRIME)
+    a0 = rng.randrange(1, _HASH_PRIME)
     b = rng.randrange(_HASH_PRIME)
-    return a, b
+    return b, (a0, *(rng.randrange(1, _HASH_PRIME) for _ in range(_KEY_LIMBS - 1)))
 
 
-def _key_to_int(key: int | bytes) -> int:
-    """Fold a key into the hash domain [0, prime).
+def _limbs(key: int | bytes) -> list[int]:
+    """Little-endian 30-bit limbs of a key, without trailing zero limbs.
 
     Byte keys hash by their canonical big-endian integer value, so a 128-bit
     address and its 16-byte encoding land in the same cells.
     """
     if isinstance(key, bytes):
         key = int.from_bytes(key, "big")
-    return key % _HASH_PRIME
+    else:
+        try:
+            key = operator.index(key)
+        except TypeError:
+            raise ValueError(f"key must be an integer or bytes, got {key!r}") from None
+    if key < 0 or key >> (_LIMB_BITS * _KEY_LIMBS):
+        raise ValueError(f"key must be in [0, 2**{_LIMB_BITS * _KEY_LIMBS}), got {key}")
+    limbs = []
+    while key:
+        limbs.append(key & _LIMB_MASK)
+        key >>= _LIMB_BITS
+    return limbs
+
+
+def _vector_limbs(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(limb index, int64 limb array) for limb 0 and every upper limb that is
+    not all zero.
+
+    Leaving out an all-zero limb is exact: it adds a_i*0 to every hash.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        raise ValueError(f"keys must be an integer array, got dtype {keys.dtype}")
+    if keys.size and keys.min() < 0:
+        raise ValueError("keys must be non-negative")
+    if not keys.size or keys.max() <= _LIMB_MASK:
+        return [(0, keys.astype(np.int64, copy=False))]
+    wide = keys.astype(np.uint64, copy=False)
+    limbs = []
+    for i, shift in enumerate(range(0, 64, _LIMB_BITS)):
+        limb = ((wide >> np.uint64(shift)) & np.uint64(_LIMB_MASK)).astype(np.int64)
+        if i == 0 or limb.any():
+            limbs.append((i, limb))
+    return limbs
 
 
 class CountMinSketch:
@@ -122,56 +169,91 @@ class CountMinSketch:
         self.seed = seed
         self.cell_width_bytes = cell_width_bytes
         self._cells = np.zeros((dims.depth, dims.width), dtype=_CELL_DTYPES[cell_width_bytes])
-        coeffs = [_row_coefficients(seed, r) for r in range(dims.depth)]
-        self._a = [c[0] for c in coeffs]
-        self._b = [c[1] for c in coeffs]
+        # Scalar updates read and write the same cells through a flat
+        # memoryview, which skips numpy's boxing of each item.
+        self._flat = memoryview(self._cells.reshape(-1))
+        self._rows = [_row_coefficients(seed, r) for r in range(dims.depth)]
 
     @property
     def memory_bytes(self) -> int:
         return self.dims.memory_bytes(self.cell_width_bytes)
 
-    def _index(self, row: int, key_int: int) -> int:
-        return ((self._a[row] * key_int + self._b[row]) % _HASH_PRIME) % self.dims.width
+    def _slots(self, key: int | bytes) -> list[int]:
+        """Flat index of the key's cell in every row.
 
-    def increment(self, key: int | bytes, amount: int = 1) -> None:
-        """Add amount (>= 1) to the key's cell in every row, saturating."""
+        Python ints do not overflow, so the scalar path sums every term before
+        its one reduction mod p; the vector path reduces after each term and
+        gets the same value.
+        """
+        limbs = _limbs(key)
+        width = self.dims.width
+        return [row * width + (b + sum(map(operator.mul, coeffs, limbs))) % _HASH_PRIME % width
+                for row, (b, coeffs) in enumerate(self._rows)]
+
+    def increment(self, key: int | bytes, amount: int = 1) -> int:
+        """Add amount (>= 1) to the key's cell in every row, saturating.
+
+        Returns the key's estimate after the update, the value estimate()
+        would now give.
+        """
         if amount < 1:
             raise ValueError(f"amount must be >= 1, got {amount}")
-        x = _key_to_int(key)
-        for row in range(self.dims.depth):
-            col = self._index(row, x)
-            self._cells[row, col] = min(int(self._cells[row, col]) + amount, self.cell_max)
+        est = self.cell_max
+        for slot in self._slots(key):
+            value = min(self._flat[slot] + amount, self.cell_max)
+            self._flat[slot] = value
+            est = min(est, value)
+        return est
 
     def estimate(self, key: int | bytes) -> int:
         """Point estimate: minimum of the key's cells, never below the true count."""
-        x = _key_to_int(key)
-        return min(int(self._cells[row, self._index(row, x)])
-                   for row in range(self.dims.depth))
+        return min([self._flat[slot] for slot in self._slots(key)])
 
-    def _indices_vec(self, row: int, keys: np.ndarray) -> np.ndarray:
-        folded = keys.astype(np.uint64) % _HASH_PRIME
-        return ((self._a[row] * folded + self._b[row]) % _HASH_PRIME) % self.dims.width
+    def _columns(self, row: int, limbs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+        """The row's column for every key, from the keys' limbs."""
+        b, coeffs = self._rows[row]
+        h = b
+        for i, x in limbs:
+            term = coeffs[i] * x
+            term += h
+            term %= _HASH_PRIME
+            h = term
+        h %= self.dims.width
+        return h
 
-    def add_counts(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Vectorized bulk increment; same placement as repeated increment()."""
+    def add_counts(self, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Vectorized bulk increment of an integer key array (keys up to 64
+        bits); same placement as repeated increment().
+
+        Returns each key's estimate after the update (int64), the values
+        estimate_many(keys) would now give. Each row's columns are hashed
+        once and serve both the update and the read.
+        """
         counts = np.asarray(counts)
         if np.any(counts < 1):
             raise ValueError("counts must all be >= 1")
+        limbs = _vector_limbs(keys)
+        # bincount sums exactly: per-cell mass stays far below 2**53.
+        weights = counts.astype(np.float64)
+        est: np.ndarray | None = None
         for row in range(self.dims.depth):
-            idx = self._indices_vec(row, keys)
-            # bincount sums exactly: per-cell mass stays far below 2**53.
-            added = np.bincount(idx, weights=counts, minlength=self.dims.width)
+            cols = self._columns(row, limbs)
+            added = np.bincount(cols, weights=weights, minlength=self.dims.width)
             merged = self._cells[row] + added
             np.minimum(merged, self.cell_max, out=merged)
             self._cells[row] = merged.astype(self._cells.dtype)
+            # Later rows never touch this one, so its cells are final here.
+            vals = self._cells[row].take(cols)
+            est = vals if est is None else np.minimum(est, vals, out=est)
+        return est.astype(np.int64)
 
     def estimate_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized point estimates for an array of integer keys."""
+        limbs = _vector_limbs(keys)
         est: np.ndarray | None = None
         for row in range(self.dims.depth):
-            vals = self._cells[row][self._indices_vec(row, keys)]
-            est = vals if est is None else np.minimum(est, vals)
-        assert est is not None
+            vals = self._cells[row].take(self._columns(row, limbs))
+            est = vals if est is None else np.minimum(est, vals, out=est)
         return est.astype(np.int64)
 
     def reset(self) -> None:

@@ -132,8 +132,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 for _, width, depth in schedule:
                     sketch = CountMinSketch(SketchDims(width, depth), seed=seed,
                                             cell_width_bytes=config.cell_width_bytes)
-                    sketch.add_counts(draw.sources, draw.counts)
-                    estimates = sketch.estimate_many(draw.sources)
+                    estimates = sketch.add_counts(draw.sources, draw.counts)
                     flagged = estimates > config.threshold
                     false_pos = int((flagged & legit_mask).sum())
                     false_neg = int((oracle_flagged & ~flagged).sum())

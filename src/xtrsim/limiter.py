@@ -106,14 +106,16 @@ class SourceRateLimiter:
             else:
                 self._table.clear()
         if self._sketch is not None:
-            self._sketch.increment(source)
+            count = self._sketch.increment(source)
         else:
-            self._table[source] = self._table.get(source, 0) + 1
-        return Decision.DROP if self.is_flagged(source) else Decision.ALLOW
+            count = self._table[source] = self._table.get(source, 0) + 1
+        return Decision.DROP if self._over_threshold(count) else Decision.ALLOW
 
     def is_flagged(self, source: int) -> bool:
         """Read-only check of the source's standing in the current period."""
-        count = self.current_count(source)
+        return self._over_threshold(self.current_count(source))
+
+    def _over_threshold(self, count: int) -> bool:
         if self.config.strict_threshold:
             return count > self.config.threshold
         return count >= self.config.threshold

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from xtrsim.cms import (CountMinSketch, InvalidParams, SketchDims, SketchParams,
@@ -206,3 +208,103 @@ def test_snapshot_golden_bytes():
     sketch.increment(1, 2)
     sketch.increment(2, 3)
     assert sketch._cells.tolist() == [[1, 0, 3, 2], [3, 0, 2, 1]]
+
+
+HASH_PRIME = (1 << 31) - 1
+
+
+def test_keys_congruent_mod_the_hash_prime_do_not_share_cells():
+    # Keys victim + i*p agreed with the victim mod p, and once hashed every
+    # row's cell with it: 2,000 of them gave a never-seen victim an estimate
+    # of 2,000, enough to flag it at a threshold of 1,000.
+    sketch = CountMinSketch(SketchDims(65536, 8), seed=3)
+    victim = 12345
+    for i in range(1, 2001):
+        sketch.increment(victim + i * HASH_PRIME)
+    assert sketch.estimate(victim) == 0
+
+
+sketch_shapes = st.tuples(st.integers(0, 2**32), st.integers(1, 300), st.integers(1, 6))
+keys_64 = st.lists(st.one_of(st.integers(0, 2**30), st.integers(0, 2**64 - 1)),
+                   min_size=1, max_size=20)
+
+
+@settings(deadline=None)
+@given(shape=sketch_shapes, keys=keys_64)
+def test_scalar_and_vector_paths_place_a_key_in_the_same_cells(shape, keys):
+    seed, width, depth = shape
+    dims = SketchDims(width, depth)
+    together = CountMinSketch(dims, seed=seed)
+    together.add_counts(np.array(keys, dtype=np.uint64), np.ones(len(keys), dtype=np.int64))
+    one_by_one = CountMinSketch(dims, seed=seed)
+    for key in keys:
+        scalar = CountMinSketch(dims, seed=seed)
+        scalar.increment(key.to_bytes(16, "big"))
+        vector = CountMinSketch(dims, seed=seed)
+        vector.add_counts(np.array([key], dtype=np.uint64), np.array([1]))
+        assert np.array_equal(scalar._cells, vector._cells)
+        assert (scalar._cells.sum(axis=1) == 1).all()
+        one_by_one.increment(key)
+    # A batch mixes keys whose upper limbs are zero with keys whose are not.
+    assert np.array_equal(together._cells, one_by_one._cells)
+    if max(keys) < 2**63:
+        signed = CountMinSketch(dims, seed=seed)
+        signed.add_counts(np.array(keys, dtype=np.int64), np.ones(len(keys), dtype=np.int64))
+        assert np.array_equal(signed._cells, one_by_one._cells)
+
+
+@settings(deadline=None)
+@given(shape=sketch_shapes, key=st.integers(0, 2**128 - 1))
+def test_a_16_byte_key_lands_where_its_integer_does(shape, key):
+    seed, width, depth = shape
+    as_bytes = CountMinSketch(SketchDims(width, depth), seed=seed)
+    as_int = CountMinSketch(SketchDims(width, depth), seed=seed)
+    as_bytes.increment(key.to_bytes(16, "big"), 3)
+    as_int.increment(key, 3)
+    assert np.array_equal(as_bytes._cells, as_int._cells)
+
+
+@settings(deadline=None)
+@given(shape=sketch_shapes, cell_width=st.sampled_from([1, 2]),
+       batch=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 200)),
+                      min_size=1, max_size=30))
+def test_add_counts_returns_the_estimates_after_the_update(shape, cell_width, batch):
+    seed, width, depth = shape
+    dims = SketchDims(width, depth)
+    keys = np.array([key for key, _ in batch], dtype=np.uint64)
+    counts = np.array([count for _, count in batch], dtype=np.int64)
+    bulk = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+    returned = bulk.add_counts(keys, counts)
+    assert returned.dtype == np.int64
+    assert np.array_equal(returned, bulk.estimate_many(keys))
+    looped = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+    for key, count in batch:
+        looped.increment(key, count)
+    assert returned.tolist() == [looped.estimate(key) for key, _ in batch]
+
+
+def test_increment_returns_the_estimate_after_the_update():
+    rng = np.random.default_rng(17)
+    sketch = CountMinSketch(SketchDims(8, 2), seed=6, cell_width_bytes=1)
+    for _ in range(400):
+        key = int(rng.integers(0, 40))
+        amount = int(rng.integers(1, 30))
+        assert sketch.increment(key, amount) == sketch.estimate(key)
+    assert sketch.estimate(0) == sketch.cell_max  # saturated on the way
+
+
+def test_keys_outside_the_hash_domain_are_rejected():
+    sketch = CountMinSketch(SketchDims(16, 2))
+    sketch.increment(2**150 - 1)
+    sketch.increment((2**128 - 1).to_bytes(16, "big"))
+    for key in (-1, 2**150, b"\x40" + bytes(18), 1.0, "7"):
+        with pytest.raises(ValueError):
+            sketch.increment(key)
+        with pytest.raises(ValueError):
+            sketch.estimate(key)
+    for keys in (np.array([3, -1]), np.array([1.0, 2.0]), np.array([True]),
+                 np.array([1, 2], dtype=object)):
+        with pytest.raises(ValueError):
+            sketch.add_counts(keys, np.ones(len(keys), dtype=np.int64))
+        with pytest.raises(ValueError):
+            sketch.estimate_many(keys)

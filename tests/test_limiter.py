@@ -78,6 +78,17 @@ def test_sketch_backend_never_misses_what_exact_catches():
             assert sketchy.is_flagged(s)
 
 
+def test_on_miss_drops_exactly_when_the_source_stands_flagged():
+    rng = np.random.default_rng(9)
+    for backend, dims in (("exact", None), ("cms", SketchDims(16, 2))):
+        for strict in (True, False):
+            limiter = SourceRateLimiter(LimiterConfig(
+                threshold=15, backend=backend, sketch_dims=dims, strict_threshold=strict), seed=3)
+            for s in rng.integers(0, 40, size=800).tolist():
+                dropped = limiter.on_miss(s, 0.0) is Decision.DROP
+                assert dropped == limiter.is_flagged(s)
+
+
 def test_heavy_source_is_flagged_under_both_backends():
     for backend, dims in (("exact", None), ("cms", SketchDims(1000, 4))):
         limiter = SourceRateLimiter(
