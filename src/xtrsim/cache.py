@@ -6,10 +6,24 @@ lazily: before any state-changing operation (a hit, an install, an explicit
 age call) the cache catches up on every full age interval that has elapsed,
 so hit attribution is identical to an eagerly-aged cache. A lookup that
 misses changes nothing.
+
+Cache time never goes back: lookup, install and age raise ValueError for a
+`now` earlier than the latest one the cache has seen, and leave the cache
+unchanged.
+
+The eviction order is the total order (last_used, installed_at, prefix), with
+hit_count in front under lfu-aging. Victims come from a min-heap that holds
+exactly one (key, prefix) item per entry. A stored key is the entry's key when
+it was pushed, and between agings an entry's key only rises (a hit raises its
+hit count and, time never going back, keeps or raises its last use), so every
+stored key is a lower bound on its entry's current key. A hit therefore
+pushes nothing; eviction re-keys stale items as it meets them at the top.
+Aging is the one step that lowers keys, so it rebuilds the heap.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 ADDRESS_BITS = 128
@@ -80,6 +94,14 @@ class MapCacheEntry:
     installed_at: float = 0.0
 
 
+def _recency_key(e: MapCacheEntry) -> tuple:
+    return (e.last_used, e.installed_at, e.prefix.address, e.prefix.prefix_len)
+
+
+def _frequency_key(e: MapCacheEntry) -> tuple:
+    return (e.hit_count, e.last_used, e.installed_at, e.prefix.address, e.prefix.prefix_len)
+
+
 @dataclass
 class _LfuAgingState:
     interval: float
@@ -104,16 +126,21 @@ class MapCache:
         self.capacity = capacity
         self.policy = policy
         self._aging: _LfuAgingState | None = None
+        self._key = _recency_key
         if policy == "lfu-aging":
             if age_interval is None or age_interval <= 0:
                 raise ValueError("lfu-aging needs a positive age_interval")
             if age_mode not in ("halve", "zero"):
                 raise ValueError(f"age_mode must be 'halve' or 'zero', got {age_mode!r}")
             self._aging = _LfuAgingState(age_interval, age_mode)
+            self._key = _frequency_key
         self._entries: dict[EidPrefix, MapCacheEntry] = {}
         # Length-bucketed index for longest-prefix match.
         self._by_len: dict[int, dict[int, EidPrefix]] = {}
         self._lens_desc: list[int] = []
+        # One (eviction key, prefix) item per entry; see the module docstring.
+        self._heap: list[tuple[tuple, EidPrefix]] = []
+        self._clock = 0.0
         self.trace: list[str] = []
         self._record_trace = record_trace
 
@@ -129,6 +156,11 @@ class MapCache:
     def entries(self) -> list[MapCacheEntry]:
         return list(self._entries.values())
 
+    def _advance(self, now: float) -> None:
+        if not now >= self._clock:  # also rejects NaN
+            raise ValueError(f"cache time must not go back: {now} after {self._clock}")
+        self._clock = now
+
     def _catch_up_aging(self, now: float) -> None:
         aging = self._aging
         if aging is None:
@@ -142,6 +174,8 @@ class MapCache:
             else:
                 entry.hit_count >>= intervals
         aging.last_aged += intervals * aging.interval
+        self._heap = [(self._key(e), e.prefix) for e in self._entries.values()]
+        heapq.heapify(self._heap)
 
     def _match(self, dst: int) -> MapCacheEntry | None:
         for plen in self._lens_desc:
@@ -152,6 +186,7 @@ class MapCache:
 
     def lookup(self, dst: int, now: float) -> tuple[int, ...] | None:
         """Longest-prefix match; a hit refreshes the entry, a miss changes nothing."""
+        self._advance(now)
         entry = self._match(dst)
         if entry is None:
             if self._record_trace:
@@ -165,14 +200,25 @@ class MapCache:
         return entry.locators
 
     def _victim(self) -> EidPrefix:
-        # Least-recently-used goes, then the oldest install, then the smallest
-        # prefix for a total order; under lfu-aging only the entries with the
-        # fewest hits compete.
-        entries = self._entries.values()
-        if self.policy == "lfu-aging":
-            fewest = min(e.hit_count for e in entries)
-            entries = [e for e in entries if e.hit_count == fewest]
-        return min(entries, key=lambda e: (e.last_used, e.installed_at, e.prefix)).prefix
+        """Pop the heap item of the entry that comes first in the eviction order.
+
+        Least-recently-used goes, then the oldest install, then the smallest
+        prefix; under lfu-aging the fewest hits go first. The heap holds one
+        item per entry, and between agings each stored key is a lower bound
+        on its entry's current key: hits only raise keys while cache time
+        never goes back (`_advance`), and aging, which lowers them, rebuilds
+        the heap. So a top item whose stored key is still current is the
+        minimum over all entries; a stale top item is re-keyed and the heap
+        is read again.
+        """
+        heap = self._heap
+        while True:
+            stored, prefix = heap[0]
+            current = self._key(self._entries[prefix])
+            if stored == current:
+                heapq.heappop(heap)
+                return prefix
+            heapq.heapreplace(heap, (current, prefix))
 
     def _remove(self, prefix: EidPrefix) -> None:
         del self._entries[prefix]
@@ -194,6 +240,7 @@ class MapCache:
         locators = tuple(locators)
         if not locators:
             raise ValueError("locators must be non-empty")
+        self._advance(now)
         self._catch_up_aging(now)
         evicted: EidPrefix | None = None
         if len(self._entries) >= self.capacity:
@@ -202,6 +249,7 @@ class MapCache:
         entry = MapCacheEntry(prefix, locators, hit_count=0,
                               last_used=now, installed_at=now)
         self._entries[prefix] = entry
+        heapq.heappush(self._heap, (self._key(entry), prefix))
         bucket = self._by_len.setdefault(prefix.prefix_len, {})
         bucket[prefix.address] = prefix
         if prefix.prefix_len not in self._lens_desc:
@@ -216,6 +264,7 @@ class MapCache:
         """Apply any pending aging now; only meaningful under lfu-aging."""
         if self._aging is None:
             raise PolicyMismatch("age() on an lru cache")
+        self._advance(now)
         self._catch_up_aging(now)
         if self._record_trace:
             self.trace.append(f"{now} age - aged -")

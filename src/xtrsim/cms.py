@@ -28,7 +28,9 @@ _LIMB_BITS = 30
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _KEY_LIMBS = 5  # keys below 2**150, which holds every 128-bit address
 
-_CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+# No 8-byte cells: the vector path merges through float64 and returns int64,
+# which is exact only for caps below 2**53.
+_CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32}
 
 
 class InvalidParams(ValueError):
@@ -233,7 +235,9 @@ class CountMinSketch:
         if np.any(counts < 1):
             raise ValueError("counts must all be >= 1")
         limbs = _vector_limbs(keys)
-        # bincount sums exactly: per-cell mass stays far below 2**53.
+        # bincount sums in float64, exactly while a cell's added mass stays
+        # below 2**53; past that the sum still exceeds every cell cap, so the
+        # clamp below gives the exact saturated value.
         weights = counts.astype(np.float64)
         est: np.ndarray | None = None
         for row in range(self.dims.depth):

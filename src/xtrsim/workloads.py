@@ -8,12 +8,13 @@ are simulated seconds.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .cache import EidPrefix
+from .cache import ADDRESS_BITS, EidPrefix
 
 # Disjoint corners of the 128-bit overlay space, so generated sources and
 # destinations can never shadow one another.
@@ -231,14 +232,42 @@ def write_trace(events: Iterable[PacketEvent]) -> str:
 
 
 def read_trace(text: str) -> list[PacketEvent]:
-    events = []
+    """Parse the 'ts src dst role' lines of write_trace; '#' lines are comments.
+
+    A bad line raises ValueError that names it: a wrong field count, a
+    timestamp that is not finite, is negative or goes back, an address
+    outside [0, 2**128), or an unknown role.
+    """
+    events: list[PacketEvent] = []
+    last = 0.0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"trace line {lineno}: expected 'ts src dst role', got {line!r}")
-        ts, src, dst, role = parts
-        events.append(PacketEvent(float(ts), int(src, 0), int(dst, 0), Role(role)))
+        try:
+            event = _parse_event(line)
+            if event.time < last:
+                raise ValueError(f"timestamp {event.time} is before the previous {last}")
+        except ValueError as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from exc
+        last = event.time
+        events.append(event)
     return events
+
+
+def _parse_event(line: str) -> PacketEvent:
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValueError(f"expected 'ts src dst role', got {line!r}")
+    ts, src, dst, role = parts
+    time = float(ts)
+    if not 0.0 <= time < math.inf:
+        raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+    return PacketEvent(time, _address(src), _address(dst), Role(role))
+
+
+def _address(text: str) -> int:
+    value = int(text, 0)
+    if not 0 <= value < 1 << ADDRESS_BITS:
+        raise ValueError(f"address {text} is outside [0, 2**{ADDRESS_BITS})")
+    return value

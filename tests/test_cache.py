@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtrsim.cache import (
     ADDRESS_BITS,
@@ -321,3 +323,71 @@ def test_random_traces_match_brute_force_reference():
         cache = MapCache(capacity, **cfg)
         ref = ReferenceCache(capacity, **cfg)
         drive_pair(cache, ref, rng, ops=400)
+
+
+# Structured addresses (a, b, c) and prefix lengths whose prefixes nest: a /32
+# holds the /112s that share its a, which hold the /128s that share their b.
+address_parts = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+cache_ops = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.3, 0.6]),  # time step, often 0
+    st.sampled_from(["install", "install", "hits", "stray", "age"]),
+    address_parts,
+    st.sampled_from([0, 32, 112, 128, 128]),
+    st.integers(0, 63),  # which installed prefix a burst of hits targets
+)
+
+
+def structured_address(a: int, b: int, c: int) -> int:
+    return (a << 96) | (b << 16) | c
+
+
+@settings(deadline=None)
+@given(capacity=st.integers(1, 16), cfg=st.sampled_from(EQUIV_CONFIGS),
+       ops=st.lists(cache_ops, min_size=20, max_size=150))
+def test_equal_time_ties_match_brute_force_reference(capacity, cfg, ops):
+    # Many entries share last_used and installed_at here, so the eviction
+    # order rests on its tie-breaks, where a stale heap key would show.
+    cache = MapCache(capacity, **cfg)
+    ref = ReferenceCache(capacity, **cfg)
+    installed: list[EidPrefix] = []
+    now = 0.0
+    for step, kind, parts, plen, pick in ops:
+        now += step
+        dst = structured_address(*parts)
+        if kind == "install":
+            prefix = EidPrefix.of(dst, plen)
+            if prefix in cache:
+                for either in (cache, ref):
+                    with pytest.raises(DuplicateInstall):
+                        either.install(prefix, (1,), now)
+                continue
+            locators = (parts[2] + 1,)
+            assert cache.install(prefix, locators, now) == ref.install(prefix, locators, now)
+            installed.append(prefix)
+        elif kind == "hits" and installed:
+            # A burst of 1-4 lookups of the first address of a prefix
+            # installed earlier, evicted or not; a longer prefix may match.
+            target = installed[pick % len(installed)].address
+            for _ in range(pick % 4 + 1):
+                assert cache.lookup(target, now) == ref.lookup(target, now)
+        elif kind == "stray":  # off the grid: a miss unless a /0 or /32 holds it
+            assert cache.lookup(dst | 1 << 80, now) == ref.lookup(dst | 1 << 80, now)
+        elif kind == "age" and cache.policy == "lfu-aging":
+            cache.age(now)
+            ref.age(now)
+        assert impl_state(cache) == ref.state()
+
+
+def test_earlier_time_is_rejected_and_changes_nothing():
+    cache = MapCache(2, policy="lfu-aging", age_interval=1.0, record_trace=True)
+    cache.install(A, (1,), 0.0)
+    cache.install(B, (2,), 0.5)
+    cache.lookup(0xA, 3.0)
+    before = (impl_state(cache), list(cache.trace))
+    for earlier in (2.5, float("nan")):
+        for call in (lambda: cache.lookup(0xA, earlier), lambda: cache.lookup(0xF, earlier),
+                     lambda: cache.install(C, (3,), earlier), lambda: cache.age(earlier)):
+            with pytest.raises(ValueError):
+                call()
+            assert (impl_state(cache), cache.trace) == before
+    assert cache.install(C, (3,), 3.0) == B  # the same time is not earlier

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from xtrsim.cli import main
 from xtrsim.workloads import PopulationProfile, gen_dos_stream, write_trace
 
@@ -160,8 +162,32 @@ def test_unsorted_trace_fails_with_1_without_traceback(tmp_path, capsys):
     bad.write_text("0.2 0x1 0x2 legit\n0.1 0x1 0x3 legit\n")
     assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error: trace line 2:")
     assert "Traceback" not in err
+
+
+BAD_TRACE_LINES = {
+    "nan-time": "nan 0x1 0x3 legit",
+    "inf-time": "inf 0x1 0x3 legit",
+    "negative-time": "-1.0 0x1 0x3 legit",
+    "negative-src": "0.3 -1 0x3 legit",
+    "src-past-128-bits": f"0.3 {1 << 128:#x} 0x3 legit",
+    "dst-past-128-bits": f"0.3 0x1 {1 << 128:#x} legit",
+    "unknown-role": "0.3 0x1 0x3 bogus",
+}
+
+
+@pytest.mark.parametrize("line", BAD_TRACE_LINES.values(), ids=BAD_TRACE_LINES.keys())
+def test_bad_trace_line_fails_with_1_naming_the_line(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"0.2 0x1 0x2 legit\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["replay", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 2: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_replay_pending_timeout_takes_none_or_a_float(tmp_path, capsys):

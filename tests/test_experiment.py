@@ -81,6 +81,8 @@ def test_sweep_threshold_must_stay_below_the_cell_cap():
     assert SweepConfig(threshold=254, cell_width_bytes=1).threshold == 254
     with pytest.raises(InvalidConfig):
         SweepConfig(threshold=255, cell_width_bytes=1)
+    with pytest.raises(ValueError):
+        SweepConfig(cell_width_bytes=8)
 
 
 # --------------------------------------------------------------------- sweep

@@ -128,7 +128,7 @@ def test_cms_threshold_must_be_reachable_under_the_cell_cap():
     with pytest.raises(ValueError):
         LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1,
                       threshold=256, strict_threshold=False)
-    for width in (0, 3):
+    for width in (0, 3, 8):
         with pytest.raises(ValueError):
             LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=width)
     # the exact backend has no cells, so the cell width does not bound it
