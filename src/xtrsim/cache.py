@@ -24,6 +24,7 @@ Aging is the one step that lowers keys, so it rebuilds the heap.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 ADDRESS_BITS = 128
@@ -79,11 +80,6 @@ class EidPrefix:
     def __str__(self) -> str:
         return f"{self.address:#x}/{self.prefix_len}"
 
-    @classmethod
-    def parse(cls, text: str) -> "EidPrefix":
-        addr, _, plen = text.partition("/")
-        return cls(int(addr, 16), int(plen))
-
 
 @dataclass
 class MapCacheEntry:
@@ -128,8 +124,8 @@ class MapCache:
         self._aging: _LfuAgingState | None = None
         self._key = _recency_key
         if policy == "lfu-aging":
-            if age_interval is None or age_interval <= 0:
-                raise ValueError("lfu-aging needs a positive age_interval")
+            if age_interval is None or not 0 < age_interval < math.inf:
+                raise ValueError(f"lfu-aging needs a finite age_interval > 0, got {age_interval}")
             if age_mode not in ("halve", "zero"):
                 raise ValueError(f"age_mode must be 'halve' or 'zero', got {age_mode!r}")
             self._aging = _LfuAgingState(age_interval, age_mode)

@@ -21,10 +21,9 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .cms import SketchDims
-from .experiment import (DEFAULT_SEEDS, InvalidConfig, IoFailure, SweepConfig,
-                         attack_csv, attack_summary_csv, config_hash, dos_defaults,
-                         emit_outputs, overflow_defaults, run_attack, run_sweep,
-                         scan_defaults)
+from .experiment import (DEFAULT_SEEDS, SCENARIOS, InvalidConfig, IoFailure, SweepConfig,
+                         attack_csv, attack_summary_csv, config_hash, emit_outputs,
+                         run_attack, run_sweep)
 from .limiter import LimiterConfig
 from .workloads import read_trace
 from .xtr import Xtr, XtrConfig
@@ -101,6 +100,8 @@ def _seed_list(args, default: tuple[int, ...]) -> tuple[int, ...]:
     if args.seed is None and args.seeds is None:
         return default
     base = args.seed if args.seed is not None else default[0]
+    if base < 0:
+        raise InvalidConfig(f"--seed must be >= 0, got {base}")
     count = args.seeds if args.seeds is not None else len(default)
     if count < 1:
         raise InvalidConfig("--seeds must be >= 1")
@@ -127,12 +128,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_ATTACK_DEFAULTS = {"dos": dos_defaults, "overflow": overflow_defaults,
-                    "scan": scan_defaults}
-
-
 def _cmd_attack(args) -> int:
-    config = _ATTACK_DEFAULTS[args.scenario]()
+    config = SCENARIOS[args.scenario][0]()
     if args.config:
         config = _apply_overrides(config, _parse_kv_file(args.config), "attack",
                                   frozen_keys=("scenario",))
@@ -191,7 +188,7 @@ def _build_parser() -> _Parser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_attack = sub.add_parser("attack", help="paired defended/undefended runs")
-    p_attack.add_argument("scenario", choices=("dos", "overflow", "scan"))
+    p_attack.add_argument("scenario", choices=tuple(SCENARIOS))
     common(p_attack)
     p_attack.set_defaults(func=_cmd_attack)
 

@@ -113,19 +113,12 @@ def _row_coefficients(seed: int, row: int) -> tuple[int, tuple[int, ...]]:
     return b, (a0, *(rng.randrange(1, _HASH_PRIME) for _ in range(_KEY_LIMBS - 1)))
 
 
-def _limbs(key: int | bytes) -> list[int]:
-    """Little-endian 30-bit limbs of a key, without trailing zero limbs.
-
-    Byte keys hash by their canonical big-endian integer value, so a 128-bit
-    address and its 16-byte encoding land in the same cells.
-    """
-    if isinstance(key, bytes):
-        key = int.from_bytes(key, "big")
-    else:
-        try:
-            key = operator.index(key)
-        except TypeError:
-            raise ValueError(f"key must be an integer or bytes, got {key!r}") from None
+def _limbs(key: int) -> list[int]:
+    """Little-endian 30-bit limbs of an integer key, without trailing zero limbs."""
+    try:
+        key = operator.index(key)
+    except TypeError:
+        raise ValueError(f"key must be an integer, got {key!r}") from None
     if key < 0 or key >> (_LIMB_BITS * _KEY_LIMBS):
         raise ValueError(f"key must be in [0, 2**{_LIMB_BITS * _KEY_LIMBS}), got {key}")
     limbs = []
@@ -158,7 +151,7 @@ def _vector_limbs(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 class CountMinSketch:
-    """Frequency sketch over opaque keys.
+    """Frequency sketch over integer keys.
 
     Cells are fixed-width unsigned counters that saturate at their maximum
     value instead of wrapping; saturation is silent and only ever preserves
@@ -180,7 +173,7 @@ class CountMinSketch:
     def memory_bytes(self) -> int:
         return self.dims.memory_bytes(self.cell_width_bytes)
 
-    def _slots(self, key: int | bytes) -> list[int]:
+    def _slots(self, key: int) -> list[int]:
         """Flat index of the key's cell in every row.
 
         Python ints do not overflow, so the scalar path sums every term before
@@ -192,7 +185,7 @@ class CountMinSketch:
         return [row * width + (b + sum(map(operator.mul, coeffs, limbs))) % _HASH_PRIME % width
                 for row, (b, coeffs) in enumerate(self._rows)]
 
-    def increment(self, key: int | bytes, amount: int = 1) -> int:
+    def increment(self, key: int, amount: int = 1) -> int:
         """Add amount (>= 1) to the key's cell in every row, saturating.
 
         Returns the key's estimate after the update, the value estimate()
@@ -207,7 +200,7 @@ class CountMinSketch:
             est = min(est, value)
         return est
 
-    def estimate(self, key: int | bytes) -> int:
+    def estimate(self, key: int) -> int:
         """Point estimate: minimum of the key's cells, never below the true count."""
         return min([self._flat[slot] for slot in self._slots(key)])
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -39,10 +39,8 @@ SWEEP_CSV_HEADER = "n_nodes,attacker_fraction,w,d,size_bytes,seed,fp_rate,fn_rat
 class SweepConfig:
     """Grid for the detector sizing sweep.
 
-    Iteration i (1-based) uses width = w_start + (i-1)*w_step and a depth that
-    grows by one every two iterations. With the default "even" phase the depth
-    bumps after iterations 2, 4, 6, ... (depth = ceil(i/2)); the "odd" phase
-    is the off-by-one variant (depth = ceil((i+1)/2)).
+    Iteration i (1-based) uses width = w_start + (i-1)*w_step and depth
+    ceil(i/2), which grows by one after iterations 2, 4, 6, ...
     """
 
     n_nodes: tuple[int, ...] = (50_000, 100_000, 500_000)
@@ -51,7 +49,6 @@ class SweepConfig:
     w_start: int = 1000
     w_step: int = 1000
     iterations: int = 26
-    depth_phase: str = "even"
     cell_width_bytes: int = 2
     legit_miss_range: tuple[int, int] = (1, 10)
     attacker_miss_range: tuple[int, int] = (1000, 10000)
@@ -73,10 +70,8 @@ class SweepConfig:
         if self.threshold >= cell_max(self.cell_width_bytes):
             raise InvalidConfig(f"threshold {self.threshold} is unreachable with "
                                 f"{self.cell_width_bytes}-byte cells")
-        if self.depth_phase not in ("even", "odd"):
-            raise InvalidConfig("depth_phase must be 'even' or 'odd'")
-        if not self.seeds:
-            raise InvalidConfig("seeds must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise InvalidConfig("seeds must be non-empty and each >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,11 +93,8 @@ class SweepRow:
 
 def sweep_schedule(config: SweepConfig) -> list[tuple[int, int, int]]:
     """(iteration, width, depth) triples the sweep will visit."""
-    schedule = []
-    for i in range(1, config.iterations + 1):
-        depth = math.ceil(i / 2) if config.depth_phase == "even" else math.ceil((i + 1) / 2)
-        schedule.append((i, config.w_start + (i - 1) * config.w_step, depth))
-    return schedule
+    return [(i, config.w_start + (i - 1) * config.w_step, math.ceil(i / 2))
+            for i in range(1, config.iterations + 1)]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -191,12 +183,14 @@ class AttackConfig:
     bg_rate: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("dos", "overflow", "scan"):
+        if self.scenario not in SCENARIOS:
             raise InvalidConfig(f"unknown scenario {self.scenario!r}")
         if self.n_legit < 1 or self.n_attackers < 0:
             raise InvalidConfig("population must have >= 1 legit and >= 0 attackers")
-        if self.duration <= 0:
-            raise InvalidConfig("duration must be > 0")
+        for name in ("duration", "limiter_period", "dest_period", "reply_latency",
+                     "age_interval", "scan_rate", "bg_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def dos_defaults() -> AttackConfig:
@@ -221,6 +215,14 @@ def scan_defaults() -> AttackConfig:
     return AttackConfig(scenario="scan", duration=20.0, dest_budget=1_000_000_000,
                         pending_capacity=100_000, reply_latency=0.005,
                         cache_capacity=128)
+
+
+# scenario -> (default config, defended arm's label, undefended arm's label, headline metric)
+SCENARIOS = {
+    "dos": (dos_defaults, "limiter_on", "limiter_off", "victim_admission_ratio"),
+    "overflow": (overflow_defaults, "limiter_on", "limiter_off", "overflow_events"),
+    "scan": (scan_defaults, "lfu_aging", "lru", "legit_hit_rate"),
+}
 
 
 @dataclass(frozen=True)
@@ -270,14 +272,11 @@ def _attack_stream(config: AttackConfig, seed: int):
                           attacker_timing=config.attacker_timing)
 
 
-def _defense_labels(scenario: str) -> tuple[str, str]:
-    if scenario == "scan":
-        return "lfu_aging", "lru"
-    return "limiter_on", "limiter_off"
-
-
 def config_hash(config: object) -> str:
     """Short digest of the config's repr, written beside every output row."""
+    for f in fields(config):
+        if callable(getattr(config, f.name)):
+            raise InvalidConfig(f"{f.name} holds a callable, whose repr differs between processes")
     return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
 
 
@@ -286,7 +285,7 @@ def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> li
     if not seeds:
         raise InvalidConfig("seeds must be non-empty")
     digest = config_hash(config)
-    on_label, off_label = _defense_labels(config.scenario)
+    _, on_label, off_label, _ = SCENARIOS[config.scenario]
     runs = []
     for seed in seeds:
         stream = _attack_stream(config, seed)
@@ -320,18 +319,12 @@ def attack_csv(runs: Sequence[AttackRun]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SUMMARY_METRIC = {"dos": "victim_admission_ratio",
-                   "overflow": "overflow_events",
-                   "scan": "legit_hit_rate"}
-
-
 def attack_summary_csv(runs: Sequence[AttackRun]) -> str:
     """Per-seed defended/undefended pairs of the scenario's headline metric."""
     if not runs:
         raise InvalidConfig("no runs to export")
     scenario = runs[0].scenario
-    metric = _SUMMARY_METRIC[scenario]
-    on_label, off_label = _defense_labels(scenario)
+    _, on_label, off_label, metric = SCENARIOS[scenario]
     by_seed: dict[int, dict[str, AttackRun]] = {}
     for run in runs:
         by_seed.setdefault(run.seed, {})[run.defense] = run

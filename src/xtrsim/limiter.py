@@ -9,6 +9,7 @@ a window.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .cms import CountMinSketch, SketchDims, SketchParams, cell_max, dims_from_params
@@ -40,8 +41,8 @@ class LimiterConfig:
     def __post_init__(self) -> None:
         if self.threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
         if self.backend not in ("exact", "cms"):
             raise ValueError(f"backend must be 'exact' or 'cms', got {self.backend!r}")
         if self.backend == "cms":
@@ -132,8 +133,8 @@ class DestRateLimiter:
     def __init__(self, budget: int, period: float, *, mode: str = "shared"):
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
-        if period <= 0:
-            raise ValueError(f"period must be > 0, got {period}")
+        if not 0 < period < math.inf:
+            raise ValueError(f"period must be finite and > 0, got {period}")
         if mode not in ("shared", "per_prefix"):
             raise ValueError(f"mode must be 'shared' or 'per_prefix', got {mode!r}")
         self.budget = budget

@@ -162,8 +162,8 @@ class ScanProfile:
     def __post_init__(self) -> None:
         if not self.prefix_list:
             raise ValueError("prefix_list must be non-empty")
-        if self.packet_rate <= 0 or self.duration <= 0:
-            raise ValueError("packet_rate and duration must be > 0")
+        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("packet_rate and duration must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,8 @@ class BackgroundProfile:
     def __post_init__(self) -> None:
         if self.n_users < 1 or self.n_destinations < 1:
             raise ValueError("n_users and n_destinations must be >= 1")
-        if self.packet_rate <= 0 or self.duration <= 0:
-            raise ValueError("packet_rate and duration must be > 0")
+        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("packet_rate and duration must be finite and > 0")
         if self.zipf_exponent < 0:
             raise ValueError("zipf_exponent must be >= 0")
 

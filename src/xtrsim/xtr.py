@@ -12,9 +12,10 @@ and LFU aging intervals are aligned to it.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import random
-from collections import defaultdict, deque
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
@@ -34,10 +35,6 @@ class StepOutcome(enum.Enum):
     SUPPRESSED_SOURCE_LIMITED = "suppressed_source_limited"
     SUPPRESSED_DEST_LIMITED = "suppressed_dest_limited"
     SUPPRESSED_NONCE_TABLE_FULL = "suppressed_nonce_table_full"
-
-    @property
-    def is_suppressed(self) -> bool:
-        return self.value.startswith("suppressed_")
 
 
 @dataclass
@@ -128,11 +125,10 @@ class PendingRequestTable:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rng = random.Random(f"nonce-{seed}")
-        self._by_nonce: dict[int, _Pending] = {}
+        # In send order. Send times never step backwards, so the oldest live
+        # entry is always the next one to expire.
+        self._by_nonce: OrderedDict[int, _Pending] = OrderedDict()
         self._by_prefix: dict[EidPrefix, int] = {}
-        # Insertion-ordered (issued_at, nonce) queue; issue times never step
-        # backwards, so expiry only ever needs to look at the head.
-        self._issue_order: deque[tuple[float, int]] = deque()
 
     def __len__(self) -> int:
         return len(self._by_nonce)
@@ -152,7 +148,6 @@ class PendingRequestTable:
             nonce = self._rng.getrandbits(64)
         self._by_nonce[nonce] = _Pending(prefix, now, role)
         self._by_prefix[prefix] = nonce
-        self._issue_order.append((now, nonce))
         return nonce
 
     def consume(self, nonce: int) -> _Pending | None:
@@ -164,12 +159,12 @@ class PendingRequestTable:
     def expire_due(self, now: float, timeout: float) -> list[_Pending]:
         """Remove and return entries whose timeout deadline has passed."""
         expired = []
-        order = self._issue_order
-        while order and order[0][0] + timeout <= now:
-            issued_at, nonce = order.popleft()
-            entry = self._by_nonce.get(nonce)
-            if entry is not None and entry.issued_at == issued_at:
-                expired.append(self.consume(nonce))
+        by_nonce = self._by_nonce
+        while by_nonce:
+            nonce = next(iter(by_nonce))
+            if by_nonce[nonce].issued_at + timeout > now:
+                break
+            expired.append(self.consume(nonce))
         return expired
 
 
@@ -198,8 +193,9 @@ class XtrConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.reply_loss < 1.0:
             raise ValueError(f"reply_loss must be in [0, 1), got {self.reply_loss}")
-        if self.reply_latency <= 0:
-            raise ValueError(f"reply_latency must be > 0, got {self.reply_latency}")
+        for name in ("reply_latency", "dest_period", "effective_pending_timeout"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def effective_pending_timeout(self) -> float:
@@ -247,7 +243,7 @@ class Xtr:
         # now + reply_latency with a fixed latency, and TimeRegression stops
         # the clock going back, so due times arrive in nondecreasing order
         # and a FIFO pops them exactly as a (due, send sequence) heap would;
-        # PendingRequestTable._issue_order relies on the same fact.
+        # PendingRequestTable's expiry relies on the same fact.
         self._reply_queue: deque[tuple[float, int]] = deque()
         self._last_time = 0.0
 

@@ -63,11 +63,6 @@ def test_host_prefix_contains_only_itself():
     assert not p.contains(0xDEAE)
 
 
-def test_str_parse_round_trip():
-    for p in (EidPrefix(0, 0), EidPrefix.host(0xBEEF), EidPrefix.of(0x77 << 120, 8)):
-        assert EidPrefix.parse(str(p)) == p
-
-
 def test_prefix_ordering_is_total():
     # Tie-break code relies on (address, prefix_len) tuple order.
     assert EidPrefix(0, 0) < EidPrefix(0, 128) < EidPrefix.host(1)
@@ -234,6 +229,9 @@ def test_constructor_validation():
         MapCache(2, policy="fifo")
     with pytest.raises(ValueError):
         MapCache(2, policy="lfu-aging")  # interval required
+    for interval in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="age_interval"):
+            MapCache(2, policy="lfu-aging", age_interval=interval)
     with pytest.raises(ValueError):
         MapCache(2, policy="lfu-aging", age_interval=1.0, age_mode="decay")
 

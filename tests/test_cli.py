@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import io
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xtrsim import cli
 from xtrsim.cli import main
+from xtrsim.experiment import SCENARIOS, AttackConfig, SweepConfig
+from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import PopulationProfile, gen_dos_stream, write_trace
+from xtrsim.xtr import XtrConfig
 
 SWEEP_CONF = """\
 # small grid, comments and blank lines are fine
@@ -123,9 +136,10 @@ def test_replay_without_config_uses_defaults(tmp_path):
 
 
 def test_unknown_config_key_fails_with_1(tmp_path, capsys):
-    conf = write_conf(tmp_path, "sweep.bogus=1\n")
-    assert main(["sweep", "--config", conf, "--out", str(tmp_path / "o")]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for line in ("sweep.bogus=1", "sweep.depth_phase=odd"):
+        conf = write_conf(tmp_path, line + "\n")
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_bad_config_value_fails_with_1(tmp_path, capsys):
@@ -215,7 +229,162 @@ def test_bad_seed_count_fails_with_1(tmp_path):
                  "--seeds", "0"]) == 1
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["attack", "dos"]])
+def test_negative_seed_fails_with_1_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([*command, "--out", str(out), "--seed", "-1", "--seeds", "1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+# A setting that cannot describe a run: each once raised OverflowError, ran
+# to exit 0 on a meaningless value, or failed without naming the field.
+BAD_SETTINGS = {
+    "attack-scan-rate-inf": (["attack", "scan"], "attack.scan_rate=inf", "scan_rate"),
+    "attack-duration-inf": (["attack", "dos"], "attack.duration=inf", "duration"),
+    "attack-duration-nan": (["attack", "dos"], "attack.duration=nan", "duration"),
+    "attack-bg-rate-nan": (["attack", "scan"], "attack.bg_rate=nan", "bg_rate"),
+    "xtr-reply-latency-nan": (["replay"], "xtr.reply_latency=nan", "reply_latency"),
+    "xtr-pending-timeout-nan": (["replay"], "xtr.pending_timeout=nan", "pending_timeout"),
+    "xtr-pending-timeout-negative": (["replay"], "xtr.pending_timeout=-1", "pending_timeout"),
+    "xtr-dest-period-nan": (["replay"], "xtr.dest_period=nan", "dest_period"),
+    "xtr-age-interval-nan": (["replay"], "xtr.cache_policy=lfu-aging\nxtr.age_interval=nan",
+                             "age_interval"),
+    "limiter-period-nan": (["replay"], "limiter.period=nan", "period"),
+}
+
+
+@pytest.mark.parametrize("command, text, field", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_unusable_setting_fails_with_1_naming_the_field(tmp_path, capsys, command, text, field):
+    if command == ["replay"]:
+        command = ["replay", make_trace(tmp_path)[0]]
+    conf = write_conf(tmp_path, text + "\n")
+    out = tmp_path / "o"
+    assert main([*command, "--config", conf, "--out", str(out), "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_fails_with_1(capsys):
     assert main(["explode"]) == 1
     assert main([]) == 1
     capsys.readouterr()
+
+
+# --------------------------------------------------- the exit contract, fuzzed
+
+FUZZ_BASE = {
+    "sweep": "sweep.n_nodes=200\nsweep.iterations=2\nsweep.threshold=50\n"
+             "sweep.attacker_miss_range=60,120\nsweep.w_start=20\nsweep.w_step=20\n",
+    "attack": "attack.n_legit=3\nattack.n_attackers=1\nattack.attacker_miss_range=5,10\n"
+              "attack.duration=0.2\nattack.scan_n_prefixes=5\nattack.bg_users=2\n"
+              "attack.bg_destinations=5\nattack.threshold=3\nattack.limiter_w=16\n"
+              "attack.limiter_d=2\n",
+    "replay": "xtr.cache_capacity=4\nlimiter.w=16\nlimiter.d=2\n",
+}
+FUZZ_KEYS = {
+    "sweep": [f"sweep.{f.name}" for f in fields(SweepConfig)],
+    "attack": [f"attack.{f.name}" for f in fields(AttackConfig)],
+    "replay": [f"xtr.{f.name}" for f in fields(XtrConfig)]
+              + [f"limiter.{f.name}" for f in fields(LimiterConfig)] + ["limiter.w", "limiter.d"],
+}
+# No large finite number: no example may allocate or loop at scale.
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1,2", "none", "true"]
+TINY_TRACE = "0.0 0x1 0x10 legit\n0.001 0x2 0x11 attacker\n0.05 0x1 0x10 legit\n"
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one `main` call; an exception propagates."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+    assert "Traceback" not in err
+
+
+@st.composite
+def single_settings(draw):
+    """A subcommand and one `<section>.<field>=<value>` line over its small base."""
+    command = draw(st.sampled_from(["sweep", "attack", "replay"]))
+    argv = [command]
+    if command == "attack":
+        argv.append(draw(st.sampled_from(list(SCENARIOS))))
+    line = f"{draw(st.sampled_from(FUZZ_KEYS[command]))}={draw(st.sampled_from(FUZZ_VALUES))}"
+    return argv, FUZZ_BASE[command] + line + "\n"
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=single_settings())
+def test_any_single_setting_keeps_the_exit_contract(case):
+    argv, conf_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "conf.txt").write_text(conf_text)
+        (tmp / "trace.txt").write_text(TINY_TRACE)
+        if argv == ["replay"]:
+            argv = ["replay", str(tmp / "trace.txt")]
+        assert_exit_contract(*run_cli([*argv, "--config", str(tmp / "conf.txt"),
+                                       "--out", str(tmp / "out"), "--seeds", "1"]))
+
+
+BAD_TIMES = ["nan", "inf", "-inf", "-1", "-0.5", "abc", "1e400", "0x1"]
+BAD_ADDRESSES = ["-1", f"{1 << 128:#x}", "zz", "0x", "1.5", "1e3", ""]
+ROLES = ["legit", "attacker", "bogus", "LEGIT", "legit,"]
+
+
+@st.composite
+def trace_lines(draw):
+    """Trace text whose lines may carry a bad field, a wrong field count or go back."""
+    lines, now = [], 0.0
+    for _ in range(draw(st.integers(1, 6))):
+        now += draw(st.sampled_from([0.0, 0.001, 0.03, -0.02]))
+        parts = [repr(now), f"{draw(st.integers(0, 2**128 - 1)):#x}",
+                   f"{draw(st.integers(0, 2**128 - 1)):#x}", draw(st.sampled_from(ROLES))]
+        fault = draw(st.sampled_from(["none", "none", "time", "src", "dst", "short", "long"]))
+        if fault == "time":
+            parts[0] = draw(st.sampled_from(BAD_TIMES))
+        elif fault in ("src", "dst"):
+            parts[1 if fault == "src" else 2] = draw(st.sampled_from(BAD_ADDRESSES))
+        elif fault == "short":
+            parts.pop(draw(st.integers(0, 3)))
+        elif fault == "long":
+            parts.append("extra")
+        lines.append(" ".join(parts))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=trace_lines())
+def test_any_trace_keeps_the_exit_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "trace.txt").write_text(text)
+        assert_exit_contract(*run_cli(["replay", str(tmp / "trace.txt"),
+                                       "--out", str(tmp / "out")]))
+
+
+# ------------------------------------------------------------ documented keys
+
+SECTIONS = {"sweep": SweepConfig, "attack": AttackConfig, "xtr": XtrConfig,
+            "limiter": LimiterConfig}
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("source", ["README.md", "cli docstring"])
+def test_documented_config_keys_exist(source):
+    text = README.read_text() if source == "README.md" else cli.__doc__
+    keys = re.findall(r"^\s*(\w+)\.(\w+)=", text, re.MULTILINE)
+    assert keys
+    for section, name in keys:
+        assert section in SECTIONS, f"{section}.{name}"
+        known = {f.name for f in fields(SECTIONS[section])}
+        if section == "limiter":
+            known |= {"w", "d"}
+        assert name in known, f"{section}.{name} is not a config key"

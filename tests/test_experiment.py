@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from xtrsim.cache import EidPrefix
 from xtrsim.cms import CountMinSketch, SketchDims
 from xtrsim.experiment import (
     DEFAULT_SEEDS,
@@ -29,6 +30,7 @@ from xtrsim.experiment import (
     sweep_schedule,
 )
 from xtrsim.workloads import PopulationProfile, gen_miss_counts
+from xtrsim.xtr import XtrConfig, prefix_table_mapper
 
 SMALL_SWEEP = SweepConfig(n_nodes=(400,), attacker_fractions=(0.1,),
                           threshold=50, legit_miss_range=(1, 10),
@@ -49,13 +51,6 @@ def test_schedule_grows_width_linearly_and_depth_every_other_step():
     assert len(schedule) == 26
 
 
-def test_schedule_odd_phase_shifts_depth_bumps():
-    even = sweep_schedule(SweepConfig(depth_phase="even"))
-    odd = sweep_schedule(SweepConfig(depth_phase="odd"))
-    assert [d for _, _, d in odd][:6] == [1, 2, 2, 3, 3, 4]
-    assert [d for _, _, d in even][:6] == [1, 1, 2, 2, 3, 3]
-
-
 def test_sweep_config_validation():
     with pytest.raises(InvalidConfig):
         SweepConfig(n_nodes=())
@@ -64,9 +59,9 @@ def test_sweep_config_validation():
     with pytest.raises(InvalidConfig):
         SweepConfig(iterations=0)
     with pytest.raises(InvalidConfig):
-        SweepConfig(depth_phase="both")
-    with pytest.raises(InvalidConfig):
         SweepConfig(seeds=())
+    with pytest.raises(InvalidConfig):
+        SweepConfig(seeds=(1, -1))
     with pytest.raises(InvalidConfig):
         SweepConfig(threshold=0)
     with pytest.raises(InvalidConfig):
@@ -159,8 +154,22 @@ def test_attack_config_validation():
         AttackConfig(scenario="eclipse")
     with pytest.raises(InvalidConfig):
         AttackConfig(n_legit=0)
-    with pytest.raises(InvalidConfig):
-        AttackConfig(duration=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for name in ("duration", "limiter_period", "dest_period", "reply_latency",
+                     "age_interval", "scan_rate", "bg_rate"):
+            with pytest.raises(InvalidConfig, match=name):
+                AttackConfig(**{name: bad})
+
+
+def test_config_hash_refuses_a_callable_field():
+    # A function's repr holds its address, so its digest would not repeat
+    # from one process to the next.
+    mapper = prefix_table_mapper([EidPrefix.of(0xAB << 120, 8)])
+    with pytest.raises(ValueError, match="reply_prefix_for"):
+        config_hash(XtrConfig(reply_prefix_for=mapper))
+    with pytest.raises(ValueError, match="source_key"):
+        config_hash(XtrConfig(source_key=lambda event: event.src))
+    assert config_hash(XtrConfig()) == config_hash(XtrConfig())
 
 
 def test_run_attack_pairs_arms_on_identical_traffic():

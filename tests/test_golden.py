@@ -61,7 +61,7 @@ def test_sweep_csv_digest():
 def test_default_config_reprs_digest():
     defaults = (XtrConfig(), LimiterConfig(), AttackConfig(), SweepConfig())
     assert sha(repr(defaults)) == \
-        "57071276134154bbb2c7017e7a42a367647698f4a3208c5ab6899a594c74bb1e"
+        "87ca9f0d095d879c2fecb32a724f8be00c47a4a5b0faa25d5f670bd580de6550"
 
 
 REPLAY_CONF = """\

@@ -105,8 +105,9 @@ def test_cms_backend_requires_sizing():
         LimiterConfig(backend="bloom")
     with pytest.raises(ValueError):
         LimiterConfig(threshold=0)
-    with pytest.raises(ValueError):
-        LimiterConfig(period=0.0)
+    for period in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="period"):
+            LimiterConfig(period=period)
 
 
 def test_cms_threshold_must_be_reachable_under_the_cell_cap():
@@ -169,7 +170,8 @@ def test_dest_budget_per_prefix_mode():
 def test_dest_limiter_validation():
     with pytest.raises(ValueError):
         DestRateLimiter(-1, 1.0)
-    with pytest.raises(ValueError):
-        DestRateLimiter(5, 0.0)
+    for period in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DestRateLimiter(5, period)
     with pytest.raises(ValueError):
         DestRateLimiter(5, 1.0, mode="queued")

@@ -219,6 +219,13 @@ def test_scan_profile_validation():
         ScanProfile((), packet_rate=1.0, duration=1.0)
     with pytest.raises(ValueError):
         ScanProfile(scan_prefixes(2), packet_rate=0.0, duration=1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ScanProfile(scan_prefixes(2), packet_rate=bad, duration=1.0)
+        with pytest.raises(ValueError):
+            ScanProfile(scan_prefixes(2), packet_rate=1.0, duration=bad)
+        with pytest.raises(ValueError):
+            BackgroundProfile(n_users=1, n_destinations=5, packet_rate=bad)
     with pytest.raises(ValueError):
         BackgroundProfile(n_users=0, n_destinations=5)
     with pytest.raises(ValueError):

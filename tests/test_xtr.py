@@ -95,13 +95,6 @@ def test_step_outcome_for_pending_dedup():
     assert x.step(pkt(0.001, 2, 0xD3)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
 
 
-def test_outcome_suppression_flag():
-    assert not StepOutcome.FORWARDED.is_suppressed
-    assert not StepOutcome.MISS_PENDING_REQUEST.is_suppressed
-    assert StepOutcome.SUPPRESSED_DEST_LIMITED.is_suppressed
-    assert StepOutcome.SUPPRESSED_NONCE_TABLE_FULL.is_suppressed
-
-
 # ------------------------------------------------------------ gate outcomes
 
 def test_source_limiter_suppression_and_window_reset():
@@ -224,8 +217,10 @@ def test_replies_install_in_send_order(ticks, latency, loss, seed):
 def test_config_validation_and_timeout_default():
     with pytest.raises(ValueError):
         XtrConfig(reply_loss=1.0)
-    with pytest.raises(ValueError):
-        XtrConfig(reply_latency=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for name in ("reply_latency", "dest_period", "pending_timeout"):
+            with pytest.raises(ValueError, match=name):
+                XtrConfig(**{name: bad})
     assert XtrConfig(reply_latency=0.05).effective_pending_timeout == pytest.approx(0.15)
     assert XtrConfig(pending_timeout=0.2).effective_pending_timeout == 0.2
 
