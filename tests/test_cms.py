@@ -117,6 +117,20 @@ def test_vector_path_matches_scalar_path():
                           np.array([scal.estimate(int(k)) for k in probe]))
 
 
+def test_bytes_key_equals_canonical_int_key():
+    # Keys are integers: an address counts under its canonical 128-bit
+    # integer, and its 16 raw bytes are refused rather than hashed apart.
+    sketch = CountMinSketch(SketchDims(512, 3), seed=21)
+    address = 0xFD << 120 | 0xBEEF
+    sketch.increment(int.from_bytes(address.to_bytes(16, "big"), "big"), 6)
+    assert sketch.estimate(address) == 6
+    sketch.increment(address, 1)
+    assert sketch.estimate(address) == 7
+    with pytest.raises(ValueError):
+        sketch.increment(address.to_bytes(16, "big"))
+    assert sketch.estimate(address) == 7
+
+
 def test_row_sums_bounded_by_stream_mass():
     rng = np.random.default_rng(8)
     sketch = CountMinSketch(SketchDims(50, 3), seed=1)
@@ -245,12 +259,19 @@ def test_scalar_and_vector_paths_place_a_key_in_the_same_cells(shape, keys):
 
 
 @settings(deadline=None)
-@given(shape=sketch_shapes, key=st.integers(0, 2**128 - 1))
-def test_a_128_bit_key_counts_in_one_cell_per_row(shape, key):
+@given(shape=sketch_shapes, address=st.binary(min_size=16, max_size=16))
+def test_a_16_byte_key_lands_where_its_integer_does(shape, address):
+    # A 16-byte address enters the sketch as its big-endian integer and
+    # counts in cell (b + sum a_i * limb_i) mod p mod width of every row,
+    # limb_i being its i-th 30-bit limb.
     seed, width, depth = shape
+    key = int.from_bytes(address, "big")
     sketch = CountMinSketch(SketchDims(width, depth), seed=seed)
     sketch.increment(key, 6)
-    assert (sketch._cells.sum(axis=1) == 6).all()
+    limbs = [key >> (30 * i) & (2**30 - 1) for i in range(5)]
+    for row, (b, coeffs) in enumerate(sketch._rows):
+        column = (b + sum(a * x for a, x in zip(coeffs, limbs))) % HASH_PRIME % width
+        assert sketch._cells[row, column] == sketch._cells[row].sum() == 6
     assert sketch.estimate(key) == 6
     assert sketch.increment(key, 1) == sketch.estimate(key) == 7
 
