@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 ADDRESS_BITS = 128
 _FULL_MASK = (1 << ADDRESS_BITS) - 1
 # _MASKS[n] keeps the top n address bits of a /n prefix.
 _MASKS = tuple(_FULL_MASK ^ ((1 << (ADDRESS_BITS - n)) - 1) for n in range(ADDRESS_BITS + 1))
+POLICIES, AGE_MODES = ("lru", "lfu-aging"), ("halve", "zero")
 
 
 class DuplicateInstall(Exception):
@@ -41,27 +43,35 @@ class PolicyMismatch(Exception):
     """Aging requested on a cache whose policy does not age."""
 
 
-@dataclass(frozen=True, order=True)
-class EidPrefix:
+class EidPrefix(tuple):
     """Canonical overlay address block: all bits below the prefix boundary are zero.
 
-    Host routes are the /128 degenerate case.
+    Host routes are the /128 degenerate case. A prefix is the tuple
+    (address, prefix_len), so it hashes, compares and orders as that tuple.
     """
 
-    address: int
-    prefix_len: int
+    __slots__ = ()
+    address = property(operator.itemgetter(0))
+    prefix_len = property(operator.itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.prefix_len <= ADDRESS_BITS:
-            raise ValueError(f"prefix_len must be in [0, {ADDRESS_BITS}], got {self.prefix_len}")
-        if not 0 <= self.address <= _FULL_MASK:
-            raise ValueError("address out of the 128-bit range")
-        if self.address & ~self.mask:
-            raise ValueError(f"address {self.address:#x} has bits below /{self.prefix_len}")
+    def __new__(cls, address: int, prefix_len: int) -> "EidPrefix":
+        if not 0 <= prefix_len <= ADDRESS_BITS:
+            raise ValueError(f"prefix_len must be in [0, {ADDRESS_BITS}], got {prefix_len}")
+        if not isinstance(address, int) or not 0 <= address <= _FULL_MASK:
+            raise ValueError(f"address {address!r} is not an integer in the 128-bit range")
+        if address & ~_MASKS[prefix_len]:
+            raise ValueError(f"address {address:#x} has bits below /{prefix_len}")
+        return tuple.__new__(cls, (address, prefix_len))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"EidPrefix(address={self[0]!r}, prefix_len={self[1]!r})"
 
     @property
     def mask(self) -> int:
-        return _MASKS[self.prefix_len]
+        return _MASKS[self[1]]
 
     @classmethod
     def of(cls, address: int, prefix_len: int) -> "EidPrefix":
@@ -72,13 +82,16 @@ class EidPrefix:
 
     @classmethod
     def host(cls, address: int) -> "EidPrefix":
+        """The /128 route of `address`; an int in [0, 2**128) needs no other check."""
+        if type(address) is int and 0 <= address <= _FULL_MASK:
+            return tuple.__new__(cls, (address, ADDRESS_BITS))
         return cls(address, ADDRESS_BITS)
 
     def contains(self, address: int) -> bool:
-        return (address & self.mask) == self.address
+        return (address & _MASKS[self[1]]) == self[0]
 
     def __str__(self) -> str:
-        return f"{self.address:#x}/{self.prefix_len}"
+        return f"{self[0]:#x}/{self[1]}"
 
 
 @dataclass
@@ -91,11 +104,11 @@ class MapCacheEntry:
 
 
 def _recency_key(e: MapCacheEntry) -> tuple:
-    return (e.last_used, e.installed_at, e.prefix.address, e.prefix.prefix_len)
+    return (e.last_used, e.installed_at, *e.prefix)
 
 
 def _frequency_key(e: MapCacheEntry) -> tuple:
-    return (e.hit_count, e.last_used, e.installed_at, e.prefix.address, e.prefix.prefix_len)
+    return (e.hit_count, e.last_used, e.installed_at, *e.prefix)
 
 
 @dataclass
@@ -117,7 +130,7 @@ class MapCache:
                  record_trace: bool = False):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in ("lru", "lfu-aging"):
+        if policy not in POLICIES:
             raise ValueError(f"policy must be 'lru' or 'lfu-aging', got {policy!r}")
         self.capacity = capacity
         self.policy = policy
@@ -126,13 +139,13 @@ class MapCache:
         if policy == "lfu-aging":
             if age_interval is None or not 0 < age_interval < math.inf:
                 raise ValueError(f"lfu-aging needs a finite age_interval > 0, got {age_interval}")
-            if age_mode not in ("halve", "zero"):
+            if age_mode not in AGE_MODES:
                 raise ValueError(f"age_mode must be 'halve' or 'zero', got {age_mode!r}")
             self._aging = _LfuAgingState(age_interval, age_mode)
             self._key = _frequency_key
         self._entries: dict[EidPrefix, MapCacheEntry] = {}
         # Length-bucketed index for longest-prefix match.
-        self._by_len: dict[int, dict[int, EidPrefix]] = {}
+        self._by_len: dict[int, dict[int, MapCacheEntry]] = {}
         self._lens_desc: list[int] = []
         # One (eviction key, prefix) item per entry; see the module docstring.
         self._heap: list[tuple[tuple, EidPrefix]] = []
@@ -173,18 +186,14 @@ class MapCache:
         self._heap = [(self._key(e), e.prefix) for e in self._entries.values()]
         heapq.heapify(self._heap)
 
-    def _match(self, dst: int) -> MapCacheEntry | None:
-        for plen in self._lens_desc:
-            prefix = self._by_len[plen].get(dst & _MASKS[plen])
-            if prefix is not None:
-                return self._entries[prefix]
-        return None
-
     def lookup(self, dst: int, now: float) -> tuple[int, ...] | None:
         """Longest-prefix match; a hit refreshes the entry, a miss changes nothing."""
         self._advance(now)
-        entry = self._match(dst)
-        if entry is None:
+        for plen in self._lens_desc:
+            entry = self._by_len[plen].get(dst & _MASKS[plen])
+            if entry is not None:
+                break
+        else:
             if self._record_trace:
                 self.trace.append(f"{now} lookup {dst:#x} miss -")
             return None
@@ -247,7 +256,7 @@ class MapCache:
         self._entries[prefix] = entry
         heapq.heappush(self._heap, (self._key(entry), prefix))
         bucket = self._by_len.setdefault(prefix.prefix_len, {})
-        bucket[prefix.address] = prefix
+        bucket[prefix.address] = entry
         if prefix.prefix_len not in self._lens_desc:
             self._lens_desc.append(prefix.prefix_len)
             self._lens_desc.sort(reverse=True)

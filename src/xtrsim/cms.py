@@ -168,6 +168,8 @@ class CountMinSketch:
         # memoryview, which skips numpy's boxing of each item.
         self._flat = memoryview(self._cells.reshape(-1))
         self._rows = [_row_coefficients(seed, r) for r in range(dims.depth)]
+        # (row offset, b, a_0) per row: a key below 2**30 is its own one limb.
+        self._one_limb = [(r * dims.width, b, a[0]) for r, (b, a) in enumerate(self._rows)]
 
     @property
     def memory_bytes(self) -> int:
@@ -180,8 +182,10 @@ class CountMinSketch:
         its one reduction mod p; the vector path reduces after each term and
         gets the same value.
         """
-        limbs = _limbs(key)
         width = self.dims.width
+        if type(key) is int and 0 <= key <= _LIMB_MASK:
+            return [base + (b + a0 * key) % _HASH_PRIME % width for base, b, a0 in self._one_limb]
+        limbs = _limbs(key)
         return [row * width + (b + sum(map(operator.mul, coeffs, limbs))) % _HASH_PRIME % width
                 for row, (b, coeffs) in enumerate(self._rows)]
 
@@ -193,11 +197,12 @@ class CountMinSketch:
         """
         if amount < 1:
             raise ValueError(f"amount must be >= 1, got {amount}")
-        est = self.cell_max
+        flat = self._flat
+        est = cap = self.cell_max
         for slot in self._slots(key):
-            value = min(self._flat[slot] + amount, self.cell_max)
-            self._flat[slot] = value
-            est = min(est, value)
+            value = flat[slot] + amount
+            flat[slot] = value = value if value < cap else cap
+            est = value if value < est else est
         return est
 
     def estimate(self, key: int) -> int:

@@ -15,10 +15,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
+from .cache import AGE_MODES, POLICIES
 from .cms import CountMinSketch, SketchDims, cell_max
 from .limiter import LimiterConfig
-from .workloads import (PopulationProfile, BackgroundProfile, ScanProfile, Role,
-                        gen_dos_stream, gen_miss_counts, gen_scan_stream, scan_prefixes)
+from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
+                        BackgroundProfile, ScanProfile, Role, gen_dos_stream, gen_miss_counts,
+                        gen_scan_stream, scan_prefixes)
 from .xtr import Xtr, XtrConfig, XtrMetrics
 
 
@@ -191,6 +193,14 @@ class AttackConfig:
                      "age_interval", "scan_rate", "bg_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # Also the fields this scenario never reads: config_hash covers them all.
+        for name, allowed in (("dest_strategy", DOS_STRATEGY_BASES), ("age_mode", AGE_MODES),
+                              ("attacker_timing", ATTACKER_TIMINGS), ("cache_policy", POLICIES)):
+            if (value := getattr(self, name)) not in allowed:
+                raise InvalidConfig(f"{name} must be one of {sorted(allowed)}, got {value!r}")
+        for name in ("scan_n_prefixes", "popular_pool", "bg_users", "bg_destinations"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def dos_defaults() -> AttackConfig:

@@ -20,6 +20,9 @@ class Decision(enum.Enum):
     DROP = "drop"
 
 
+_ALLOW, _DROP = Decision  # bound once: on Python 3.11 a lookup on the class is slow
+
+
 @dataclass(frozen=True)
 class LimiterConfig:
     """Sizing and policy of the per-source miss limiter.
@@ -81,6 +84,7 @@ class SourceRateLimiter:
 
     def __init__(self, config: LimiterConfig, *, seed: int = 0):
         self.config = config
+        self._limit = config.threshold - (0 if config.strict_threshold else 1)  # flag above
         self._window = _TumblingWindow(config.period)
         if config.backend == "cms":
             dims = config.sketch_dims or dims_from_params(config.sketch_params)
@@ -110,16 +114,11 @@ class SourceRateLimiter:
             count = self._sketch.increment(source)
         else:
             count = self._table[source] = self._table.get(source, 0) + 1
-        return Decision.DROP if self._over_threshold(count) else Decision.ALLOW
+        return _DROP if count > self._limit else _ALLOW
 
     def is_flagged(self, source: int) -> bool:
         """Read-only check of the source's standing in the current period."""
-        return self._over_threshold(self.current_count(source))
-
-    def _over_threshold(self, count: int) -> bool:
-        if self.config.strict_threshold:
-            return count > self.config.threshold
-        return count >= self.config.threshold
+        return self.current_count(source) > self._limit
 
 
 class DestRateLimiter:
@@ -141,21 +140,15 @@ class DestRateLimiter:
         self.period = period
         self.mode = mode
         self._window = _TumblingWindow(period)
-        self._used = 0
-        self._used_by_dest: dict[object, int] = {}
+        self._used: dict[object, int] = {}  # budget used this period, by budget key
 
     def consume(self, now: float, dest: object = None) -> Decision:
         """Take one unit of budget if any is left this period."""
         if self._window.rolled(now):
-            self._used = 0
-            self._used_by_dest.clear()
-        if self.mode == "per_prefix":
-            used = self._used_by_dest.get(dest, 0)
-            if used < self.budget:
-                self._used_by_dest[dest] = used + 1
-                return Decision.ALLOW
-            return Decision.DROP
-        if self._used < self.budget:
-            self._used += 1
-            return Decision.ALLOW
-        return Decision.DROP
+            self._used.clear()
+        key = dest if self.mode == "per_prefix" else None  # None keys the shared budget
+        used = self._used.get(key, 0)
+        if used >= self.budget:
+            return _DROP
+        self._used[key] = used + 1
+        return _ALLOW

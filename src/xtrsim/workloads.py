@@ -61,9 +61,9 @@ class PopulationProfile:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
         if not 0.0 <= self.attacker_fraction <= 1.0:
             raise ValueError(f"attacker_fraction must be in [0, 1], got {self.attacker_fraction}")
-        for lo, hi in (self.legit_miss_range, self.attacker_miss_range):
-            if not 1 <= lo <= hi:
-                raise ValueError(f"bad miss range ({lo}, {hi})")
+        for name in ("legit_miss_range", "attacker_miss_range"):
+            if len(bounds := getattr(self, name)) != 2 or not 1 <= bounds[0] <= bounds[1]:
+                raise ValueError(f"{name} must be a pair lo,hi with 1 <= lo <= hi, got {bounds}")
 
     @property
     def n_attackers(self) -> int:
@@ -98,7 +98,8 @@ def gen_miss_counts(profile: PopulationProfile) -> MissCounts:
     return MissCounts(np.arange(n, dtype=np.int64), counts, attacker_mask)
 
 
-_DOS_STRATEGY_BASES = {
+ATTACKER_TIMINGS = ("uniform", "burst")
+DOS_STRATEGY_BASES = {
     "unallocated": UNALLOCATED_DST_BASE,
     "non_popular": NONPOPULAR_DST_BASE,
     "negative_prefixes": NEGATIVE_DST_BASE,
@@ -116,13 +117,13 @@ def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated
     are uniform over [0, duration); "burst" timing front-loads the attackers
     into the first tenth of it.
     """
-    if dest_strategy not in _DOS_STRATEGY_BASES:
-        raise ValueError(f"dest_strategy must be one of {sorted(_DOS_STRATEGY_BASES)}")
-    if attacker_timing not in ("uniform", "burst"):
+    if dest_strategy not in DOS_STRATEGY_BASES:
+        raise ValueError(f"dest_strategy must be one of {sorted(DOS_STRATEGY_BASES)}")
+    if attacker_timing not in ATTACKER_TIMINGS:
         raise ValueError(f"attacker_timing must be 'uniform' or 'burst', got {attacker_timing!r}")
     draw = gen_miss_counts(profile)
     rng = np.random.default_rng(profile.seed + 1)
-    base = _DOS_STRATEGY_BASES[dest_strategy]
+    base = DOS_STRATEGY_BASES[dest_strategy]
     if dest_strategy == "non_popular":
         base += popular_pool  # non-popular indices start after the pool's
     events: list[PacketEvent] = []
@@ -182,8 +183,8 @@ class BackgroundProfile:
             raise ValueError("n_users and n_destinations must be >= 1")
         if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
             raise ValueError("packet_rate and duration must be finite and > 0")
-        if self.zipf_exponent < 0:
-            raise ValueError("zipf_exponent must be >= 0")
+        if not 0 <= self.zipf_exponent < math.inf:
+            raise ValueError(f"zipf_exponent must be finite and >= 0, got {self.zipf_exponent}")
 
 
 def scan_prefixes(count: int) -> tuple[EidPrefix, ...]:

@@ -37,6 +37,11 @@ class StepOutcome(enum.Enum):
     SUPPRESSED_NONCE_TABLE_FULL = "suppressed_nonce_table_full"
 
 
+# Bound once, in definition order: on Python 3.11 a lookup on an Enum class is slow.
+_FORWARDED, _REQUESTED, _PENDING, _SOURCE_LIMITED, _DEST_LIMITED, _TABLE_FULL = StepOutcome
+_ATTACKER, _DROP = Role.ATTACKER, Decision.DROP
+
+
 @dataclass
 class Tally:
     """A counter split by the role of the principal it is attributed to."""
@@ -45,10 +50,7 @@ class Tally:
     attacker: int = 0
 
     def bump(self, role: Role, amount: int = 1) -> None:
-        if role is Role.ATTACKER:
-            self.attacker += amount
-        else:
-            self.legit += amount
+        self.__dict__[role.value] += amount
 
     @property
     def total(self) -> int:
@@ -89,21 +91,16 @@ class XtrMetrics:
         Misses suppressed by pending dedup never asked for admission and are
         excluded. Returns 1.0 when nothing asked.
         """
-        sent = getattr(self.map_requests_sent, role.value)
-        attempts = sent + \
-            getattr(self.dropped_by_source_limiter, role.value) + \
-            getattr(self.dropped_by_dest_limiter, role.value) + \
-            getattr(self.nonce_table_overflows, role.value)
-        if attempts == 0:
-            return 1.0
-        return sent / attempts
+        sent, *refused = (getattr(t, role.value) for t in (
+            self.map_requests_sent, self.dropped_by_source_limiter,
+            self.dropped_by_dest_limiter, self.nonce_table_overflows))
+        attempts = sent + sum(refused)
+        return sent / attempts if attempts else 1.0
 
     def hit_rate(self, role: Role) -> float:
         """Cache hits over packets for one role; 0.0 when the role sent nothing."""
         packets = getattr(self.packets_in, role.value)
-        if packets == 0:
-            return 0.0
-        return getattr(self.cache_hits, role.value) / packets
+        return getattr(self.cache_hits, role.value) / packets if packets else 0.0
 
 
 @dataclass
@@ -283,44 +280,53 @@ class Xtr:
             raise TimeRegression(f"event at {now} after clock reached {self._last_time}")
         self._last_time = now
         metrics = self.metrics
-        metrics.packets_in.bump(event.role)
+        role = "attacker" if event.role is _ATTACKER else "legit"  # the Tally field to bump
+        metrics.packets_in.__dict__[role] += 1
 
         if self.cache.lookup(event.dst, now) is not None:
-            metrics.cache_hits.bump(event.role)
-            return StepOutcome.FORWARDED
-        metrics.cache_misses.bump(event.role)
+            metrics.cache_hits.__dict__[role] += 1
+            return _FORWARDED
+        metrics.cache_misses.__dict__[role] += 1
 
         prefix = self._reply_prefix(event.dst)
         if self.pending.has_prefix(prefix):
-            metrics.suppressed_while_pending.bump(event.role)
-            return StepOutcome.SUPPRESSED_ALREADY_PENDING
+            metrics.suppressed_while_pending.__dict__[role] += 1
+            return _PENDING
 
         source = self._source_key(event)
-        if self.source_limiter is not None:
-            if self.source_limiter.on_miss(source, now) is Decision.DROP:
-                metrics.dropped_by_source_limiter.bump(event.role)
-                return StepOutcome.SUPPRESSED_SOURCE_LIMITED
+        if self.source_limiter is not None and self.source_limiter.on_miss(source, now) is _DROP:
+            metrics.dropped_by_source_limiter.__dict__[role] += 1
+            return _SOURCE_LIMITED
 
-        if self.dest_limiter.consume(now, prefix) is Decision.DROP:
-            metrics.dropped_by_dest_limiter.bump(event.role)
-            return StepOutcome.SUPPRESSED_DEST_LIMITED
+        if self.dest_limiter.consume(now, prefix) is _DROP:
+            metrics.dropped_by_dest_limiter.__dict__[role] += 1
+            return _DEST_LIMITED
 
         if self.pending.is_full:
-            metrics.nonce_table_overflows.bump(event.role)
-            return StepOutcome.SUPPRESSED_NONCE_TABLE_FULL
+            metrics.nonce_table_overflows.__dict__[role] += 1
+            return _TABLE_FULL
 
         nonce = self.pending.insert(prefix, now, event.role)
-        metrics.map_requests_sent.bump(event.role)
+        metrics.map_requests_sent.__dict__[role] += 1
         self.admitted_by_source_period[(source, int(now // self.config.limiter.period))] += 1
         if self.config.reply_loss == 0.0 or self._loss_rng.random() >= self.config.reply_loss:
             self._reply_queue.append((now + self.config.reply_latency, nonce))
-        return StepOutcome.MISS_PENDING_REQUEST
+        return _REQUESTED
 
     def run(self, events: Iterable[PacketEvent]) -> XtrMetrics:
-        """Drive the xTR through a whole stream, interleaving scheduled replies."""
+        """Drive the xTR through a whole stream, interleaving scheduled replies.
+
+        Replies and expiries are processed only when the head of the reply
+        queue or of the pending table is due; before that they change nothing.
+        """
+        replies, pending = self._reply_queue, self.pending._by_nonce
+        timeout = self.config.effective_pending_timeout
         for event in events:
-            self._deliver_due_replies(event.time)
-            self._expire_pending(event.time)
+            now = event.time
+            if replies and replies[0][0] <= now:
+                self._deliver_due_replies(now)
+            if pending and next(iter(pending.values())).issued_at + timeout <= now:
+                self._expire_pending(now)
             self.step(event)
         # Drain replies already in flight past the last packet.
         self._deliver_due_replies(float("inf"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -66,6 +68,41 @@ def test_host_prefix_contains_only_itself():
 def test_prefix_ordering_is_total():
     # Tie-break code relies on (address, prefix_len) tuple order.
     assert EidPrefix(0, 0) < EidPrefix(0, 128) < EidPrefix.host(1)
+
+
+def test_prefix_contract():
+    p = EidPrefix.of(0xAB << 120 | 0x55, 8)
+    assert repr(p) == f"EidPrefix(address={0xAB << 120}, prefix_len=8)"
+    assert repr(EidPrefix.host(0x7B)) == "EidPrefix(address=123, prefix_len=128)"
+    assert str(p) == "0xab000000000000000000000000000000/8"
+    assert str(EidPrefix.host(0x7B)) == "0x7b/128"
+    assert p.mask == 0xFF << 120 and EidPrefix.host(5).mask == (1 << ADDRESS_BITS) - 1
+    assert p.contains(0xAB << 120 | 0xFFFF) and not p.contains(0xAC << 120)
+    # Equal prefixes are equal and hash alike however they were built.
+    assert EidPrefix.host(7) == EidPrefix(7, ADDRESS_BITS) == EidPrefix.of(7, ADDRESS_BITS)
+    assert hash(EidPrefix.host(7)) == hash(EidPrefix(7, ADDRESS_BITS)) == hash((7, ADDRESS_BITS))
+    assert EidPrefix.host(0) != EidPrefix(0, 0)
+    assert len({EidPrefix.host(7), EidPrefix(7, ADDRESS_BITS), EidPrefix(0, 0)}) == 2
+    # Ordered by address, then by length.
+    prefixes = [EidPrefix.host(9), EidPrefix(0, 0), p, EidPrefix(0, 1), EidPrefix.host(0)]
+    assert sorted(prefixes) == sorted(prefixes, key=lambda q: (q.address, q.prefix_len))
+    assert sorted(prefixes)[:3] == [EidPrefix(0, 0), EidPrefix(0, 1), EidPrefix.host(0)]
+    with pytest.raises(AttributeError):
+        p.address = 0
+
+
+def test_prefix_survives_copy_and_pickle():
+    p = EidPrefix.of(0xAB << 120, 8)
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and type(clone) is EidPrefix and repr(clone) == repr(p)
+
+
+@pytest.mark.parametrize("address", [-1, 1 << ADDRESS_BITS, 1.5, "7", None])
+def test_host_rejects_what_the_constructor_rejects(address):
+    with pytest.raises(ValueError):
+        EidPrefix.host(address)
+    with pytest.raises(ValueError):
+        EidPrefix(address, ADDRESS_BITS)
 
 
 # --------------------------------------------------------- lookup semantics

@@ -251,6 +251,21 @@ BAD_SETTINGS = {
     "xtr-age-interval-nan": (["replay"], "xtr.cache_policy=lfu-aging\nxtr.age_interval=nan",
                              "age_interval"),
     "limiter-period-nan": (["replay"], "limiter.period=nan", "period"),
+    # Fields the chosen scenario never reads are checked all the same.
+    "attack-scan-dest-strategy": (["attack", "scan"], "attack.dest_strategy=nan", "dest_strategy"),
+    "attack-scan-timing": (["attack", "scan"], "attack.attacker_timing=-1", "attacker_timing"),
+    "attack-scan-cache-policy": (["attack", "scan"], "attack.cache_policy=abc", "cache_policy"),
+    "attack-dos-age-mode": (["attack", "dos"], "attack.age_mode=none", "age_mode"),
+    "attack-dos-scan-prefixes": (["attack", "dos"], "attack.scan_n_prefixes=-1",
+                                 "scan_n_prefixes"),
+    "attack-dos-bg-users": (["attack", "dos"], "attack.bg_users=0", "bg_users"),
+    "attack-overflow-bg-destinations": (["attack", "overflow"], "attack.bg_destinations=0",
+                                        "bg_destinations"),
+    # A value of the wrong shape names its field.
+    "sweep-legit-range-one-value": (["sweep"], "sweep.legit_miss_range=-1", "legit_miss_range"),
+    "attack-popular-pool-negative": (["attack", "dos"], "attack.popular_pool=-1",
+                                     "popular_pool"),
+    "attack-bg-zipf-nan": (["attack", "scan"], "attack.bg_zipf_exponent=nan", "zipf_exponent"),
 }
 
 

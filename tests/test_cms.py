@@ -230,7 +230,8 @@ def test_keys_congruent_mod_the_hash_prime_do_not_share_cells():
 
 
 sketch_shapes = st.tuples(st.integers(0, 2**32), st.integers(1, 300), st.integers(1, 6))
-keys_64 = st.lists(st.one_of(st.integers(0, 2**30), st.integers(0, 2**64 - 1)),
+keys_64 = st.lists(st.one_of(st.integers(0, 2**30), st.integers(0, 2**64 - 1),
+                             st.sampled_from([2**30 - 1, 2**30])),
                    min_size=1, max_size=20)
 
 
@@ -334,3 +335,43 @@ def test_keys_outside_the_hash_domain_are_rejected():
             sketch.add_counts(keys, np.ones(len(keys), dtype=np.int64))
         with pytest.raises(ValueError):
             sketch.estimate_many(keys)
+
+
+def slots_by_the_limb_formula(sketch: CountMinSketch, key) -> list[int]:
+    """Flat cell of `key` in every row: (b + sum a_i * limb_i) mod p mod width."""
+    limbs = [int(key) >> (30 * i) & (2**30 - 1) for i in range(5)]
+    width = sketch.dims.width
+    return [row * width + (b + sum(a * x for a, x in zip(coeffs, limbs))) % HASH_PRIME % width
+            for row, (b, coeffs) in enumerate(sketch._rows)]
+
+
+# Keys on both sides of the one-limb fast path's 2**30 edge, and key types
+# (bool, numpy integers) that must take the general path to the same cells.
+edge_keys = st.one_of(
+    st.sampled_from([0, 1, 2**30 - 1, 2**30, 2**60, 2**64 - 1, 2**128 - 1, True, False]),
+    st.integers(0, 2**30 - 1), st.integers(2**30, 2**64 - 1), st.integers(2**30, 2**128 - 1),
+    st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64))
+
+
+@settings(deadline=None)
+@given(shape=sketch_shapes, cell_width=st.sampled_from([1, 2, 4]), key=edge_keys,
+       amounts=st.lists(st.integers(1, 300), min_size=1, max_size=4))
+def test_every_path_places_a_key_by_the_limb_formula_and_saturates(shape, cell_width, key,
+                                                                   amounts):
+    seed, width, depth = shape
+    dims = SketchDims(width, depth)
+    sketch = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+    slots = slots_by_the_limb_formula(sketch, key)
+    assert sketch._slots(key) == slots
+    assert sketch._slots(int(key)) == slots  # the one-limb fast path below 2**30
+    if int(key) < 2**63:
+        assert sketch._slots(np.int64(key)) == slots  # the general limb path
+    if int(key) < 2**64:
+        vector = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+        vector.add_counts(np.array([key], dtype=np.uint64), np.array([1]))
+        assert np.flatnonzero(vector._cells).tolist() == slots
+    total = 0
+    for amount in amounts:
+        total += amount
+        assert sketch.increment(key, amount) == sketch.estimate(key) == min(total, sketch.cell_max)
+    assert np.flatnonzero(sketch._cells).tolist() == slots

@@ -133,3 +133,29 @@ def test_same_time_replies_replay_digest(tmp_path):
     metrics, cache_trace = replay(tmp_path, same_time_trace(), SAME_TIME_CONF, seed=3)
     assert sha(metrics) == "29d5fbc6293aeeb96b37b85b0dca27dade7500576b2149eac1ed252cad466ac8"
     assert sha(cache_trace) == "d7719bf71e890c2546434dc1ae071a347daeaae4ceb8eea51b406ca7ae4cb7a8"
+
+
+OVERFLOW_LOSS_CONF = """\
+xtr.cache_capacity=16
+xtr.record_cache_trace=true
+xtr.pending_capacity=12
+xtr.reply_latency=0.04
+xtr.pending_timeout=0.03
+xtr.reply_loss=0.25
+xtr.dest_budget=100000
+limiter.w=64
+limiter.d=2
+limiter.threshold=15
+limiter.period=0.25
+"""
+
+
+def test_overflow_with_loss_and_short_timeout_replay_digest(tmp_path):
+    # The pending timeout undercuts the reply latency, so every request
+    # expires before its reply lands and each delivered reply is stale; the
+    # 12-entry pending table overflows and a quarter of the replies are lost.
+    profile = PopulationProfile(10, 0.2, attacker_miss_range=(60, 120), seed=9)
+    metrics, cache_trace = replay(tmp_path, write_trace(gen_dos_stream(profile, duration=0.5)),
+                                  OVERFLOW_LOSS_CONF, seed=5)
+    assert sha(metrics) == "35af582305e5c57da6a3d1529f8261af7907afa2ab0b19806758955a1138d2c7"
+    assert sha(cache_trace) == "41a16adc07aea1aee36ae6b7456ca256f5c6aa0ed5502ac7e0dd0eaa2180f091"

@@ -80,6 +80,7 @@ def test_miss_reply_install_hit_cycle():
     assert m.map_replies_received.legit == 1
     assert m.cache_hits.legit == 1
     assert EidPrefix.host(0xD1) in x.cache
+    assert x.step(pkt(0.06, 1, 0xD1)) is StepOutcome.FORWARDED
 
 
 def test_reply_at_equal_timestamp_lands_before_the_packet():
@@ -302,3 +303,46 @@ def test_accounting_identities_on_a_mixed_stream():
 
     # The audit ledger never exceeds the per-window cap while the limiter is on.
     assert max(x.admitted_by_source_period.values()) <= 10
+
+
+def reference_run(x: Xtr, events) -> XtrMetrics:
+    """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every event."""
+    for event in events:
+        x._deliver_due_replies(event.time)
+        x._expire_pending(event.time)
+        x.step(event)
+    x._deliver_due_replies(float("inf"))
+    return x.metrics
+
+
+@st.composite
+def router_streams(draw):
+    """A config with a tiny pending table and a stream with repeated timestamps."""
+    latency = draw(st.sampled_from([0.01, 0.02, 0.04]))
+    timeout = draw(st.sampled_from([latency / 2, latency, 1.5 * latency, 4 * latency]))
+    config = mk_config(cache_capacity=draw(st.integers(1, 4)),
+                       cache_policy=draw(st.sampled_from(["lru", "lfu-aging"])),
+                       age_interval=0.05,
+                       source_limiter_enabled=draw(st.booleans()),
+                       limiter=LimiterConfig(threshold=draw(st.integers(1, 4)), period=0.1),
+                       dest_budget=draw(st.sampled_from([3, 10**9])), dest_period=0.1,
+                       pending_capacity=draw(st.integers(1, 4)), reply_latency=latency,
+                       pending_timeout=timeout, reply_loss=draw(st.sampled_from([0.0, 0.3])),
+                       record_cache_trace=True)
+    packet = st.tuples(st.integers(0, 30), st.integers(1, 3), st.integers(0, 6), st.booleans())
+    packets = sorted(draw(st.lists(packet, min_size=1, max_size=60)))
+    events = [pkt(tick / 100, src, 0xD00 + dst, Role.ATTACKER if attacker else Role.LEGIT)
+              for tick, src, dst, attacker in packets]
+    return config, events, draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=router_streams())
+def test_run_matches_the_deliver_expire_step_loop(case):
+    config, events, seed = case
+    fast, slow = Xtr(config, seed=seed), Xtr(config, seed=seed)
+    fast.run(events)
+    reference_run(slow, events)
+    assert fast.metrics.as_row() == slow.metrics.as_row()
+    assert fast.cache.trace == slow.cache.trace
+    assert fast.admitted_by_source_period == slow.admitted_by_source_period
