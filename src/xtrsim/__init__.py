@@ -21,6 +21,6 @@ from .workloads import (BackgroundProfile, MissCounts, PacketEvent,
                         gen_miss_counts, gen_scan_stream, read_trace,
                         scan_prefixes, write_trace, zipf_probabilities)
 from .xtr import (PendingRequestTable, StepOutcome, Tally, TimeRegression, Xtr,
-                  XtrConfig, XtrMetrics, prefix_table_mapper)
+                  XtrConfig, XtrMetrics)
 
 __version__ = "0.1.0"

@@ -145,9 +145,8 @@ def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
     dims = SketchDims(_convert(0, mapping.pop("limiter.w", "1000"), "limiter.w"),
                       _convert(0, mapping.pop("limiter.d", "4"), "limiter.d"))
     limiter = _apply_overrides(LimiterConfig(backend="cms", sketch_dims=dims), mapping,
-                               "limiter", frozen_keys=("sketch_dims", "sketch_params"))
-    return _apply_overrides(XtrConfig(limiter=limiter), mapping, "xtr",
-                            frozen_keys=("limiter", "reply_prefix_for", "source_key"))
+                               "limiter", frozen_keys=("sketch_dims",))
+    return _apply_overrides(XtrConfig(limiter=limiter), mapping, "xtr", frozen_keys=("limiter",))
 
 
 def _cmd_replay(args) -> int:

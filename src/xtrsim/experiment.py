@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -198,9 +198,23 @@ class AttackConfig:
                               ("attacker_timing", ATTACKER_TIMINGS), ("cache_policy", POLICIES)):
             if (value := getattr(self, name)) not in allowed:
                 raise InvalidConfig(f"{name} must be one of {sorted(allowed)}, got {value!r}")
-        for name in ("scan_n_prefixes", "popular_pool", "bg_users", "bg_destinations"):
+        for name in ("scan_n_prefixes", "popular_pool", "bg_users", "bg_destinations",
+                     "limiter_w", "limiter_d"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Each profile checks its own fields; ScanProfile would allocate the prefixes.
+        self.population(seed=0)
+        self.background(seed=0)
+
+    def population(self, seed: int) -> PopulationProfile:
+        n = self.n_legit + self.n_attackers
+        return PopulationProfile(n, self.n_attackers / n, legit_miss_range=self.legit_miss_range,
+                                 attacker_miss_range=self.attacker_miss_range, seed=seed)
+
+    def background(self, seed: int) -> BackgroundProfile:
+        return BackgroundProfile(self.bg_users, self.bg_destinations,
+                                 zipf_exponent=self.bg_zipf_exponent, packet_rate=self.bg_rate,
+                                 duration=self.duration, seed=seed)
 
 
 def dos_defaults() -> AttackConfig:
@@ -267,26 +281,14 @@ def _attack_stream(config: AttackConfig, seed: int):
         scan = ScanProfile(scan_prefixes(config.scan_n_prefixes), config.scan_rate,
                            config.duration, reshuffle_each_pass=config.reshuffle_each_pass,
                            seed=seed)
-        background = BackgroundProfile(config.bg_users, config.bg_destinations,
-                                       zipf_exponent=config.bg_zipf_exponent,
-                                       packet_rate=config.bg_rate,
-                                       duration=config.duration, seed=seed)
-        return gen_scan_stream(scan, background)
-    n = config.n_legit + config.n_attackers
-    profile = PopulationProfile(n, config.n_attackers / n,
-                                legit_miss_range=config.legit_miss_range,
-                                attacker_miss_range=config.attacker_miss_range,
-                                seed=seed)
-    return gen_dos_stream(profile, config.dest_strategy, duration=config.duration,
-                          popular_pool=config.popular_pool,
+        return gen_scan_stream(scan, config.background(seed))
+    return gen_dos_stream(config.population(seed), config.dest_strategy,
+                          duration=config.duration, popular_pool=config.popular_pool,
                           attacker_timing=config.attacker_timing)
 
 
 def config_hash(config: object) -> str:
     """Short digest of the config's repr, written beside every output row."""
-    for f in fields(config):
-        if callable(getattr(config, f.name)):
-            raise InvalidConfig(f"{f.name} holds a callable, whose repr differs between processes")
     return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
 
 

@@ -1,4 +1,4 @@
-"""Per-source and per-destination admission control for map-cache misses.
+"""Per-source admission control and the shared request budget for map-cache misses.
 
 Both limiters count inside tumbling windows aligned to time zero:
 when a window of length `period` has fully elapsed, all counters reset and
@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cms import CountMinSketch, SketchDims, SketchParams, cell_max, dims_from_params
+from .cms import CountMinSketch, SketchDims, cell_max
 
 
 class Decision(enum.Enum):
@@ -37,7 +37,7 @@ class LimiterConfig:
     period: float = 1.0
     backend: str = "exact"
     sketch_dims: SketchDims | None = None
-    sketch_params: SketchParams | None = None
+    sketch_params: None = None  # single-valued: deleting it would move every config_hash
     cell_width_bytes: int = 2
     strict_threshold: bool = True
 
@@ -48,9 +48,11 @@ class LimiterConfig:
             raise ValueError(f"period must be finite and > 0, got {self.period}")
         if self.backend not in ("exact", "cms"):
             raise ValueError(f"backend must be 'exact' or 'cms', got {self.backend!r}")
+        if self.sketch_params is not None:
+            raise ValueError(f"sketch_params must be None, got {self.sketch_params!r}")
         if self.backend == "cms":
-            if self.sketch_dims is None and self.sketch_params is None:
-                raise ValueError("cms backend needs sketch_dims or sketch_params")
+            if self.sketch_dims is None:
+                raise ValueError("cms backend needs sketch_dims")
             # Cells saturate at the cap, so a threshold the capped count can
             # never cross would switch the defence off without a word.
             cap = cell_max(self.cell_width_bytes)
@@ -87,9 +89,8 @@ class SourceRateLimiter:
         self._limit = config.threshold - (0 if config.strict_threshold else 1)  # flag above
         self._window = _TumblingWindow(config.period)
         if config.backend == "cms":
-            dims = config.sketch_dims or dims_from_params(config.sketch_params)
             self._sketch: CountMinSketch | None = CountMinSketch(
-                dims, seed=seed, cell_width_bytes=config.cell_width_bytes)
+                config.sketch_dims, seed=seed, cell_width_bytes=config.cell_width_bytes)
             self._table: dict[int, int] | None = None
         else:
             self._sketch = None
@@ -122,33 +123,26 @@ class SourceRateLimiter:
 
 
 class DestRateLimiter:
-    """Budget of admitted Map-Requests per period.
+    """Budget of admitted Map-Requests per period, shared by all destinations.
 
-    The default is one budget shared by all destinations, which is the
-    contended resource a miss flood actually exhausts. "per_prefix" grants
-    each destination key its own budget instead.
+    The shared budget is the contended resource a miss flood actually exhausts.
     """
 
-    def __init__(self, budget: int, period: float, *, mode: str = "shared"):
+    def __init__(self, budget: int, period: float):
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         if not 0 < period < math.inf:
             raise ValueError(f"period must be finite and > 0, got {period}")
-        if mode not in ("shared", "per_prefix"):
-            raise ValueError(f"mode must be 'shared' or 'per_prefix', got {mode!r}")
         self.budget = budget
         self.period = period
-        self.mode = mode
         self._window = _TumblingWindow(period)
-        self._used: dict[object, int] = {}  # budget used this period, by budget key
+        self._used = 0  # budget used this period
 
-    def consume(self, now: float, dest: object = None) -> Decision:
+    def consume(self, now: float) -> Decision:
         """Take one unit of budget if any is left this period."""
         if self._window.rolled(now):
-            self._used.clear()
-        key = dest if self.mode == "per_prefix" else None  # None keys the shared budget
-        used = self._used.get(key, 0)
-        if used >= self.budget:
+            self._used = 0
+        if self._used >= self.budget:
             return _DROP
-        self._used[key] = used + 1
+        self._used += 1
         return _ALLOW

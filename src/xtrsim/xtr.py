@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .cache import EidPrefix, MapCache
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
@@ -181,13 +180,18 @@ class XtrConfig:
     pending_timeout: float | None = None  # defaults to 3x reply_latency
     reply_loss: float = 0.0
     record_cache_trace: bool = False
-    # Which prefix a Map-Reply installs for a destination. Host-width by
-    # default; a prefix table maps destinations to their covering prefix.
-    reply_prefix_for: Callable[[int], EidPrefix] | None = None
-    # Counting key the source limiter sees; the packet's source by default.
-    source_key: Callable[[PacketEvent], int] | None = None
+    reply_prefix_for: None = None
+    source_key: None = None
 
     def __post_init__(self) -> None:
+        # Single-valued fields: deleting one would move every config_hash.
+        for name, only in (("dest_mode", "shared"), ("reply_prefix_for", None),
+                           ("source_key", None)):
+            if getattr(self, name) != only:
+                raise ValueError(f"{name} must be {only!r}, got {getattr(self, name)!r}")
+        for name, low in (("cache_capacity", 1), ("pending_capacity", 1), ("dest_budget", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.reply_loss < 1.0:
             raise ValueError(f"reply_loss must be in [0, 1), got {self.reply_loss}")
         for name in ("reply_latency", "dest_period", "effective_pending_timeout"):
@@ -197,22 +201,6 @@ class XtrConfig:
     @property
     def effective_pending_timeout(self) -> float:
         return 3.0 * self.reply_latency if self.pending_timeout is None else self.pending_timeout
-
-
-def prefix_table_mapper(prefixes: Iterable[EidPrefix]) -> Callable[[int], EidPrefix]:
-    """Reply-prefix function that answers with the longest covering table entry.
-
-    Destinations outside every table prefix fall back to a host route.
-    """
-    ordered = sorted(prefixes, key=lambda p: -p.prefix_len)
-
-    def mapper(dst: int) -> EidPrefix:
-        for prefix in ordered:
-            if prefix.contains(dst):
-                return prefix
-        return EidPrefix.host(dst)
-
-    return mapper
 
 
 class Xtr:
@@ -227,12 +215,9 @@ class Xtr:
         self.source_limiter: SourceRateLimiter | None = None
         if config.source_limiter_enabled:
             self.source_limiter = SourceRateLimiter(config.limiter, seed=seed)
-        self.dest_limiter = DestRateLimiter(config.dest_budget, config.dest_period,
-                                            mode=config.dest_mode)
-        self._reply_prefix = config.reply_prefix_for or EidPrefix.host
-        self._source_key = config.source_key or operator.attrgetter("src")
+        self.dest_limiter = DestRateLimiter(config.dest_budget, config.dest_period)
         self.pending = PendingRequestTable(config.pending_capacity, seed=seed)
-        # Admitted Map-Requests per (source key, limiter period index), kept
+        # Admitted Map-Requests per (source, limiter period index), kept
         # for audits of the per-period admission cap.
         self.admitted_by_source_period: dict[tuple[int, int], int] = defaultdict(int)
         self._loss_rng = random.Random(f"loss-{seed}")
@@ -268,9 +253,12 @@ class Xtr:
         return True
 
     def _deliver_due_replies(self, upto: float) -> None:
-        while self._reply_queue and self._reply_queue[0][0] <= upto:
-            reply_time, nonce = self._reply_queue.popleft()
-            self._expire_pending(reply_time)
+        replies, pending = self._reply_queue, self.pending._by_nonce
+        timeout = self.config.effective_pending_timeout
+        while replies and replies[0][0] <= upto:
+            reply_time, nonce = replies.popleft()
+            if pending and next(iter(pending.values())).issued_at + timeout <= reply_time:
+                self._expire_pending(reply_time)
             self.deliver_reply(nonce, reply_time)
 
     def step(self, event: PacketEvent) -> StepOutcome:
@@ -288,17 +276,17 @@ class Xtr:
             return _FORWARDED
         metrics.cache_misses.__dict__[role] += 1
 
-        prefix = self._reply_prefix(event.dst)
+        prefix = EidPrefix.host(event.dst)
         if self.pending.has_prefix(prefix):
             metrics.suppressed_while_pending.__dict__[role] += 1
             return _PENDING
 
-        source = self._source_key(event)
+        source = event.src
         if self.source_limiter is not None and self.source_limiter.on_miss(source, now) is _DROP:
             metrics.dropped_by_source_limiter.__dict__[role] += 1
             return _SOURCE_LIMITED
 
-        if self.dest_limiter.consume(now, prefix) is _DROP:
+        if self.dest_limiter.consume(now) is _DROP:
             metrics.dropped_by_dest_limiter.__dict__[role] += 1
             return _DEST_LIMITED
 

@@ -266,6 +266,26 @@ BAD_SETTINGS = {
     "attack-popular-pool-negative": (["attack", "dos"], "attack.popular_pool=-1",
                                      "popular_pool"),
     "attack-bg-zipf-nan": (["attack", "scan"], "attack.bg_zipf_exponent=nan", "zipf_exponent"),
+    # Profile fields the chosen scenario never reads are checked all the same.
+    "attack-dos-bg-zipf-nan": (["attack", "dos"], "attack.bg_zipf_exponent=nan", "zipf_exponent"),
+    "attack-scan-attacker-range": (["attack", "scan"], "attack.attacker_miss_range=-1",
+                                   "attacker_miss_range"),
+    "attack-scan-legit-range": (["attack", "scan"], "attack.legit_miss_range=5,1",
+                                "legit_miss_range"),
+    # Each capacity, budget and sketch size is named.
+    "xtr-cache-capacity": (["replay"], "xtr.cache_capacity=0", "cache_capacity"),
+    "xtr-pending-capacity": (["replay"], "xtr.pending_capacity=0", "pending_capacity"),
+    "xtr-dest-budget": (["replay"], "xtr.dest_budget=-1", "dest_budget"),
+    "attack-cache-capacity": (["attack", "dos"], "attack.cache_capacity=0", "cache_capacity"),
+    "attack-pending-capacity": (["attack", "overflow"], "attack.pending_capacity=0",
+                                "pending_capacity"),
+    "attack-dest-budget": (["attack", "dos"], "attack.dest_budget=-1", "dest_budget"),
+    "attack-limiter-w": (["attack", "dos"], "attack.limiter_w=0", "limiter_w"),
+    "attack-limiter-d": (["attack", "dos"], "attack.limiter_d=0", "limiter_d"),
+    # Fields that take one value refuse any other.
+    "xtr-dest-mode": (["replay"], "xtr.dest_mode=per_prefix", "dest_mode"),
+    "xtr-source-key": (["replay"], "xtr.source_key=1", "source_key"),
+    "limiter-sketch-params": (["replay"], "limiter.sketch_params=1", "sketch_params"),
 }
 
 

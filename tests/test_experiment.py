@@ -30,7 +30,7 @@ from xtrsim.experiment import (
     sweep_schedule,
 )
 from xtrsim.workloads import PopulationProfile, gen_miss_counts
-from xtrsim.xtr import XtrConfig, prefix_table_mapper
+from xtrsim.xtr import XtrConfig
 
 SMALL_SWEEP = SweepConfig(n_nodes=(400,), attacker_fractions=(0.1,),
                           threshold=50, legit_miss_range=(1, 10),
@@ -159,16 +159,23 @@ def test_attack_config_validation():
                      "age_interval", "scan_rate", "bg_rate"):
             with pytest.raises(InvalidConfig, match=name):
                 AttackConfig(**{name: bad})
+    for name in ("limiter_w", "limiter_d"):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be >= 1"):
+            AttackConfig(**{name: 0})
+    # The profile of another scenario checks its fields all the same.
+    with pytest.raises(ValueError, match="zipf_exponent"):
+        AttackConfig(scenario="dos", bg_zipf_exponent=float("nan"))
+    with pytest.raises(ValueError, match="legit_miss_range"):
+        AttackConfig(scenario="scan", legit_miss_range=(5, 1))
 
 
 def test_config_hash_refuses_a_callable_field():
     # A function's repr holds its address, so its digest would not repeat
-    # from one process to the next.
-    mapper = prefix_table_mapper([EidPrefix.of(0xAB << 120, 8)])
-    with pytest.raises(ValueError, match="reply_prefix_for"):
-        config_hash(XtrConfig(reply_prefix_for=mapper))
-    with pytest.raises(ValueError, match="source_key"):
-        config_hash(XtrConfig(source_key=lambda event: event.src))
+    # from one process to the next: no config can be built holding one.
+    with pytest.raises(ValueError, match="^reply_prefix_for must be None"):
+        XtrConfig(reply_prefix_for=EidPrefix.host)
+    with pytest.raises(ValueError, match="^source_key must be None"):
+        XtrConfig(source_key=lambda event: event.src)
     assert config_hash(XtrConfig()) == config_hash(XtrConfig())
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xtrsim.cms import SketchDims
+from xtrsim.cms import SketchDims, SketchParams
 from xtrsim.limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 
 
@@ -99,8 +99,10 @@ def test_heavy_source_is_flagged_under_both_backends():
 
 
 def test_cms_backend_requires_sizing():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sketch_dims"):
         LimiterConfig(backend="cms")
+    with pytest.raises(ValueError, match="sketch_params"):
+        LimiterConfig(sketch_params=SketchParams(0.01, 0.5))
     with pytest.raises(ValueError):
         LimiterConfig(backend="bloom")
     with pytest.raises(ValueError):
@@ -159,19 +161,9 @@ def test_dest_budget_window_alignment():
     assert limiter.consume(3.9) is Decision.DROP
 
 
-def test_dest_budget_per_prefix_mode():
-    limiter = DestRateLimiter(1, 1.0, mode="per_prefix")
-    assert limiter.consume(0.0, "a") is Decision.ALLOW
-    assert limiter.consume(0.0, "b") is Decision.ALLOW
-    assert limiter.consume(0.1, "a") is Decision.DROP
-    assert limiter.consume(1.0, "a") is Decision.ALLOW
-
-
 def test_dest_limiter_validation():
     with pytest.raises(ValueError):
         DestRateLimiter(-1, 1.0)
     for period in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             DestRateLimiter(5, period)
-    with pytest.raises(ValueError):
-        DestRateLimiter(5, 1.0, mode="queued")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtrsim.cache import EidPrefix
+from xtrsim.experiment import dos_defaults, overflow_defaults, run_attack
 from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import PacketEvent, PopulationProfile, Role, gen_dos_stream
 from xtrsim.xtr import (
@@ -16,7 +17,6 @@ from xtrsim.xtr import (
     Xtr,
     XtrConfig,
     XtrMetrics,
-    prefix_table_mapper,
 )
 
 
@@ -222,33 +222,13 @@ def test_config_validation_and_timeout_default():
         for name in ("reply_latency", "dest_period", "pending_timeout"):
             with pytest.raises(ValueError, match=name):
                 XtrConfig(**{name: bad})
+    for name, bad in (("cache_capacity", 0), ("pending_capacity", 0), ("dest_budget", -1),
+                      ("dest_mode", "per_prefix")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            XtrConfig(**{name: bad})
+    assert XtrConfig(dest_budget=0).dest_budget == 0
     assert XtrConfig(reply_latency=0.05).effective_pending_timeout == pytest.approx(0.15)
     assert XtrConfig(pending_timeout=0.2).effective_pending_timeout == 0.2
-
-
-# ------------------------------------------------------------- reply prefix
-
-def test_prefix_table_mapper_longest_match_and_fallback():
-    p8 = EidPrefix.of(0xAB << 120, 8)
-    p16 = EidPrefix.of(0xABCD << 112, 16)
-    mapper = prefix_table_mapper([p8, p16])
-    assert mapper((0xABCD << 112) | 5) == p16
-    assert mapper((0xABEE << 112) | 5) == p8
-    assert mapper(0x1234) == EidPrefix.host(0x1234)
-
-
-def test_reply_prefix_aggregates_and_dedups():
-    block = EidPrefix.of(0x77 << 112, 112)
-    cfg = mk_config(reply_prefix_for=prefix_table_mapper([block]))
-    d1 = (0x77 << 112) | 1
-    d2 = (0x77 << 112) | 2
-    x = Xtr(cfg, seed=0)
-    assert x.step(pkt(0.0, 1, d1)) is StepOutcome.MISS_PENDING_REQUEST
-    assert x.step(pkt(0.001, 2, d2)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
-    x2 = Xtr(cfg, seed=0)
-    m = x2.run([pkt(0.0, 1, d1), pkt(0.1, 2, d2)])
-    assert block in x2.cache
-    assert m.cache_hits.legit == 1  # d2 rides the /112 installed for d1
 
 
 # ---------------------------------------------------------------- metrics
@@ -306,12 +286,22 @@ def test_accounting_identities_on_a_mixed_stream():
 
 
 def reference_run(x: Xtr, events) -> XtrMetrics:
-    """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every event."""
+    """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every event.
+
+    Before each reply it calls the expiry at the reply's time, whether or not
+    anything is due.
+    """
+    def deliver_due(upto: float) -> None:
+        while x._reply_queue and x._reply_queue[0][0] <= upto:
+            reply_time, nonce = x._reply_queue.popleft()
+            x._expire_pending(reply_time)
+            x.deliver_reply(nonce, reply_time)
+
     for event in events:
-        x._deliver_due_replies(event.time)
+        deliver_due(event.time)
         x._expire_pending(event.time)
         x.step(event)
-    x._deliver_due_replies(float("inf"))
+    deliver_due(float("inf"))
     return x.metrics
 
 
@@ -346,3 +336,24 @@ def test_run_matches_the_deliver_expire_step_loop(case):
     assert fast.metrics.as_row() == slow.metrics.as_row()
     assert fast.cache.trace == slow.cache.trace
     assert fast.admitted_by_source_period == slow.admitted_by_source_period
+
+
+def test_every_expire_due_call_removes_a_request(monkeypatch):
+    results = []
+    expire_due = PendingRequestTable.expire_due
+
+    def recording(self, now, timeout):
+        results.append(expire_due(self, now, timeout))
+        return results[-1]
+
+    monkeypatch.setattr(PendingRequestTable, "expire_due", recording)
+    run_attack(dos_defaults(), seeds=(1,))
+    run_attack(overflow_defaults(), seeds=(1,))
+    assert results == []  # every request of these runs is answered in time
+    # Lost replies leave requests to time out, between packets and between
+    # replies (the timeout undercuts the latency).
+    profile = PopulationProfile(30, 0.2, attacker_miss_range=(20, 40), seed=5)
+    x = Xtr(mk_config(reply_loss=0.3, pending_timeout=0.02), seed=2)
+    metrics = x.run(gen_dos_stream(profile, duration=0.5))
+    assert all(results)
+    assert sum(map(len, results)) == metrics.pending_timeouts.total > 0
