@@ -7,9 +7,9 @@ age call) the cache catches up on every full age interval that has elapsed,
 so hit attribution is identical to an eagerly-aged cache. A lookup that
 misses changes nothing.
 
-Cache time never goes back: lookup, install and age raise ValueError for a
-`now` earlier than the latest one the cache has seen, and leave the cache
-unchanged.
+Cache time never goes back: lookup, install and age raise TimeRegression
+for a `now` earlier than the latest one the cache has seen, or NaN, and leave
+the cache unchanged.
 
 The eviction order is the total order (last_used, installed_at, prefix), with
 hit_count in front under lfu-aging. Victims come from a min-heap that holds
@@ -33,6 +33,10 @@ _FULL_MASK = (1 << ADDRESS_BITS) - 1
 # _MASKS[n] keeps the top n address bits of a /n prefix.
 _MASKS = tuple(_FULL_MASK ^ ((1 << (ADDRESS_BITS - n)) - 1) for n in range(ADDRESS_BITS + 1))
 POLICIES, AGE_MODES = ("lru", "lfu-aging"), ("halve", "zero")
+
+
+class TimeRegression(ValueError):
+    """A time earlier than one the cache has already seen, or NaN."""
 
 
 class DuplicateInstall(Exception):
@@ -167,7 +171,7 @@ class MapCache:
 
     def _advance(self, now: float) -> None:
         if not now >= self._clock:  # also rejects NaN
-            raise ValueError(f"cache time must not go back: {now} after {self._clock}")
+            raise TimeRegression(f"cache time must not go back: {now} after {self._clock}")
         self._clock = now
 
     def _catch_up_aging(self, now: float) -> None:

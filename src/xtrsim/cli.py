@@ -21,9 +21,9 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .cms import SketchDims
-from .experiment import (DEFAULT_SEEDS, SCENARIOS, InvalidConfig, IoFailure, SweepConfig,
-                         attack_csv, attack_summary_csv, config_hash, emit_outputs,
-                         run_attack, run_sweep)
+from .experiment import (DEFAULT_SEEDS, PLOT_SCRIPT, SCENARIOS, InvalidConfig, IoFailure,
+                         SweepConfig, attack_csv, attack_summary_csv, config_hash, run_attack,
+                         run_sweep, sweep_csv)
 from .limiter import LimiterConfig
 from .workloads import read_trace
 from .xtr import Xtr, XtrConfig
@@ -122,9 +122,9 @@ def _cmd_sweep(args) -> int:
     if args.config:
         config = _apply_overrides(config, _parse_kv_file(args.config), "sweep")
     config = replace(config, seeds=_seed_list(args, config.seeds))
-    rows = run_sweep(config)
-    for path in emit_outputs(rows, args.out):
-        print(path)
+    out = Path(args.out)
+    print(_write(out / "sweep.csv", sweep_csv(run_sweep(config))))
+    print(_write(out / "plot_sweep.py", PLOT_SCRIPT))
     return 0
 
 

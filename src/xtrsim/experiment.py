@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .cache import AGE_MODES, POLICIES
@@ -205,6 +204,7 @@ class AttackConfig:
         # Each profile checks its own fields; ScanProfile would allocate the prefixes.
         self.population(seed=0)
         self.background(seed=0)
+        _attack_xtr_config(self, defended=True)  # the router's own checks, by name
 
     def population(self, seed: int) -> PopulationProfile:
         n = self.n_legit + self.n_attackers
@@ -349,11 +349,11 @@ def attack_summary_csv(runs: Sequence[AttackRun]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- output emission --------------------------------------------------------
+# --- the plot script written beside sweep.csv -------------------------------
 
-_PLOT_SCRIPT = '''\
+PLOT_SCRIPT = '''\
 #!/usr/bin/env python3
-"""Plot mean false-positive rate against sketch size from {csv_name}.
+"""Plot mean false-positive rate against sketch size from sweep.csv.
 
 One curve per network size, one figure per attacker fraction; the x axis is
 sketch memory in KB (1 KB = 1000 bytes), the y axis the mean FP rate in
@@ -369,13 +369,13 @@ import matplotlib.pyplot as plt
 
 here = Path(__file__).parent
 cells = defaultdict(list)
-with open(here / "{csv_name}", newline="") as fh:
+with open(here / "sweep.csv", newline="") as fh:
     for row in csv.DictReader(fh):
         key = (float(row["attacker_fraction"]), int(row["n_nodes"]),
                int(row["size_bytes"]))
         cells[key].append(float(row["fp_rate"]))
 
-fractions = sorted({{k[0] for k in cells}})
+fractions = sorted({k[0] for k in cells})
 for fraction in fractions:
     fig, ax = plt.subplots()
     sizes_by_n = defaultdict(list)
@@ -384,25 +384,12 @@ for fraction in fractions:
             sizes_by_n[n].append((size / 1000.0, 100.0 * sum(rates) / len(rates)))
     for n, points in sorted(sizes_by_n.items()):
         xs, ys = zip(*points)
-        ax.plot(xs, ys, marker="o", label=f"{{n}} nodes")
+        ax.plot(xs, ys, marker="o", label=f"{n} nodes")
     ax.set_xlabel("sketch size (KB)")
     ax.set_ylabel("false positive rate (%)")
-    ax.set_title(f"attacker fraction {{fraction:g}}")
+    ax.set_title(f"attacker fraction {fraction:g}")
     ax.legend()
-    out = here / f"fp_vs_size_frac{{fraction:g}}.png"
+    out = here / f"fp_vs_size_frac{fraction:g}.png"
     fig.savefig(out, dpi=150)
     print(out)
 '''
-
-
-def emit_outputs(rows: Sequence[SweepRow], out_dir: Path | str) -> list[Path]:
-    """Write sweep.csv and plot_sweep.py next to it; returns their paths."""
-    out_dir = Path(out_dir)
-    csv_path, script_path = out_dir / "sweep.csv", out_dir / "plot_sweep.py"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path.write_text(sweep_csv(rows))
-        script_path.write_text(_PLOT_SCRIPT.format(csv_name=csv_path.name))
-    except OSError as exc:
-        raise IoFailure(f"cannot write outputs under {out_dir}: {exc}") from exc
-    return [csv_path, script_path]

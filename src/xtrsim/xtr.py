@@ -12,6 +12,7 @@ and LFU aging intervals are aligned to it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import random
 from collections import OrderedDict, defaultdict, deque
@@ -21,10 +22,6 @@ from typing import Iterable
 from .cache import EidPrefix, MapCache
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import PacketEvent, Role
-
-
-class TimeRegression(ValueError):
-    """A packet event arrived with a timestamp earlier than one already processed."""
 
 
 class StepOutcome(enum.Enum):
@@ -105,24 +102,24 @@ class XtrMetrics:
 @dataclass
 class _Pending:
     prefix: EidPrefix
-    issued_at: float
+    deadline: float
     role: Role
 
 
 class PendingRequestTable:
     """Outstanding Map-Requests keyed by nonce, one per uncached prefix.
 
-    Nonces are 64-bit draws, redrawn on the (vanishing) chance of colliding
-    with a live entry.
+    Nonces count up in send order; each request expires `timeout` after it
+    was sent.
     """
 
-    def __init__(self, capacity: int, *, seed: int = 0):
+    def __init__(self, capacity: int, timeout: float):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._rng = random.Random(f"nonce-{seed}")
-        # In send order. Send times never step backwards, so the oldest live
-        # entry is always the next one to expire.
+        self.timeout = timeout
+        self._nonces = itertools.count()
+        # In send order, hence in deadline order: the oldest entry expires first.
         self._by_nonce: OrderedDict[int, _Pending] = OrderedDict()
         self._by_prefix: dict[EidPrefix, int] = {}
 
@@ -139,10 +136,8 @@ class PendingRequestTable:
     def insert(self, prefix: EidPrefix, now: float, role: Role) -> int:
         if self.is_full:
             raise OverflowError("pending table full")
-        nonce = self._rng.getrandbits(64)
-        while nonce in self._by_nonce:
-            nonce = self._rng.getrandbits(64)
-        self._by_nonce[nonce] = _Pending(prefix, now, role)
+        nonce = next(self._nonces)
+        self._by_nonce[nonce] = _Pending(prefix, now + self.timeout, role)
         self._by_prefix[prefix] = nonce
         return nonce
 
@@ -152,13 +147,13 @@ class PendingRequestTable:
             del self._by_prefix[entry.prefix]
         return entry
 
-    def expire_due(self, now: float, timeout: float) -> list[_Pending]:
-        """Remove and return entries whose timeout deadline has passed."""
+    def expire_due(self, now: float) -> list[_Pending]:
+        """Remove and return entries whose deadline has passed."""
         expired = []
         by_nonce = self._by_nonce
         while by_nonce:
             nonce = next(iter(by_nonce))
-            if by_nonce[nonce].issued_at + timeout > now:
+            if by_nonce[nonce].deadline > now:
                 break
             expired.append(self.consume(nonce))
         return expired
@@ -216,21 +211,21 @@ class Xtr:
         if config.source_limiter_enabled:
             self.source_limiter = SourceRateLimiter(config.limiter, seed=seed)
         self.dest_limiter = DestRateLimiter(config.dest_budget, config.dest_period)
-        self.pending = PendingRequestTable(config.pending_capacity, seed=seed)
+        self.pending = PendingRequestTable(config.pending_capacity,
+                                           config.effective_pending_timeout)
         # Admitted Map-Requests per (source, limiter period index), kept
         # for audits of the per-period admission cap.
         self.admitted_by_source_period: dict[tuple[int, int], int] = defaultdict(int)
         self._loss_rng = random.Random(f"loss-{seed}")
         # (due, nonce) in send order. `step` schedules each reply at
-        # now + reply_latency with a fixed latency, and TimeRegression stops
-        # the clock going back, so due times arrive in nondecreasing order
-        # and a FIFO pops them exactly as a (due, send sequence) heap would;
-        # PendingRequestTable's expiry relies on the same fact.
+        # now + reply_latency with a fixed latency, and the cache's clock
+        # refuses a time that goes back, so due times arrive in nondecreasing
+        # order and a FIFO pops them exactly as a (due, send sequence) heap
+        # would; PendingRequestTable's expiry relies on the same fact.
         self._reply_queue: deque[tuple[float, int]] = deque()
-        self._last_time = 0.0
 
     def _expire_pending(self, now: float) -> None:
-        for entry in self.pending.expire_due(now, self.config.effective_pending_timeout):
+        for entry in self.pending.expire_due(now):
             self.metrics.pending_timeouts.bump(entry.role)
 
     def deliver_reply(self, nonce: int, now: float) -> bool:
@@ -243,10 +238,7 @@ class Xtr:
             self.metrics.stale_replies += 1
             return False
         self.metrics.map_replies_received.bump(entry.role)
-        if entry.prefix in self.cache:
-            # A re-request raced an earlier in-flight reply (possible when the
-            # pending timeout undercuts the reply latency); nothing to install.
-            return True
+        # A prefix is pending only while uncached, so this is never a DuplicateInstall.
         evicted = self.cache.install(entry.prefix, (entry.prefix.address,), now)
         if evicted is not None:
             self.metrics.evictions.bump(entry.role)
@@ -254,24 +246,22 @@ class Xtr:
 
     def _deliver_due_replies(self, upto: float) -> None:
         replies, pending = self._reply_queue, self.pending._by_nonce
-        timeout = self.config.effective_pending_timeout
         while replies and replies[0][0] <= upto:
             reply_time, nonce = replies.popleft()
-            if pending and next(iter(pending.values())).issued_at + timeout <= reply_time:
+            if pending and next(iter(pending.values())).deadline <= reply_time:
                 self._expire_pending(reply_time)
             self.deliver_reply(nonce, reply_time)
 
     def step(self, event: PacketEvent) -> StepOutcome:
-        """Process one data packet. Time must not regress across calls."""
+        """Process one data packet. The cache's clock is the router's: a time
+        that goes back, or NaN, raises TimeRegression before any counter moves."""
         now = event.time
-        if now < self._last_time:
-            raise TimeRegression(f"event at {now} after clock reached {self._last_time}")
-        self._last_time = now
+        hit = self.cache.lookup(event.dst, now) is not None
         metrics = self.metrics
         role = "attacker" if event.role is _ATTACKER else "legit"  # the Tally field to bump
         metrics.packets_in.__dict__[role] += 1
 
-        if self.cache.lookup(event.dst, now) is not None:
+        if hit:
             metrics.cache_hits.__dict__[role] += 1
             return _FORWARDED
         metrics.cache_misses.__dict__[role] += 1
@@ -308,12 +298,11 @@ class Xtr:
         queue or of the pending table is due; before that they change nothing.
         """
         replies, pending = self._reply_queue, self.pending._by_nonce
-        timeout = self.config.effective_pending_timeout
         for event in events:
             now = event.time
             if replies and replies[0][0] <= now:
                 self._deliver_due_replies(now)
-            if pending and next(iter(pending.values())).issued_at + timeout <= now:
+            if pending and next(iter(pending.values())).deadline <= now:
                 self._expire_pending(now)
             self.step(event)
         # Drain replies already in flight past the last packet.

@@ -1,4 +1,4 @@
-"""Sweep schedule, sweep rows, attack runs, and file emission."""
+"""Sweep schedule, sweep rows, attack runs, and the sweep's output files."""
 
 from __future__ import annotations
 
@@ -9,19 +9,19 @@ import sys
 import pytest
 
 from xtrsim.cache import EidPrefix
+from xtrsim.cli import main
 from xtrsim.cms import CountMinSketch, SketchDims
 from xtrsim.experiment import (
     DEFAULT_SEEDS,
+    PLOT_SCRIPT,
     SWEEP_CSV_HEADER,
     AttackConfig,
     InvalidConfig,
-    IoFailure,
     SweepConfig,
     attack_csv,
     attack_summary_csv,
     config_hash,
     dos_defaults,
-    emit_outputs,
     overflow_defaults,
     run_attack,
     run_sweep,
@@ -167,6 +167,11 @@ def test_attack_config_validation():
         AttackConfig(scenario="dos", bg_zipf_exponent=float("nan"))
     with pytest.raises(ValueError, match="legit_miss_range"):
         AttackConfig(scenario="scan", legit_miss_range=(5, 1))
+    # The router's own settings are refused when the config is built, by name.
+    for name, bad in (("cache_capacity", 0), ("pending_capacity", 0), ("dest_budget", -1),
+                      ("threshold", 70000)):
+        with pytest.raises(ValueError, match=name):
+            AttackConfig(**{name: bad})
 
 
 def test_config_hash_refuses_a_callable_field():
@@ -242,34 +247,33 @@ def test_attack_summary_pairs_headline_metric():
     assert scan_lines[1].split(",")[2] == "legit_hit_rate"
 
 
-# ------------------------------------------------------------------ emission
+# ------------------------------------------------------------------ outputs
 
-def test_emit_outputs_writes_csv_and_plot_script(tmp_path):
-    rows = run_sweep(SMALL_SWEEP)
-    written = emit_outputs(rows, tmp_path)
-    assert [p.name for p in written] == ["sweep.csv", "plot_sweep.py"]
-    assert (tmp_path / "sweep.csv").read_text() == sweep_csv(rows)
-    script = (tmp_path / "plot_sweep.py").read_text()
-    compile(script, "plot_sweep.py", "exec")
-    assert 'here / "sweep.csv"' in script
+def test_sweep_command_writes_csv_and_plot_script(tmp_path, capsys):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("sweep.n_nodes=400\nsweep.attacker_fractions=0.1\nsweep.threshold=50\n"
+                    "sweep.legit_miss_range=1,10\nsweep.attacker_miss_range=60,120\n"
+                    "sweep.w_start=20\nsweep.w_step=20\nsweep.iterations=6\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(conf), "--out", str(out),
+                 "--seed", "1", "--seeds", "2"]) == 0
+    assert capsys.readouterr().out.split() == [str(out / "sweep.csv"), str(out / "plot_sweep.py")]
+    assert (out / "sweep.csv").read_text() == sweep_csv(run_sweep(SMALL_SWEEP))
+    assert (out / "plot_sweep.py").read_text() == PLOT_SCRIPT
+    compile(PLOT_SCRIPT, "plot_sweep.py", "exec")
+    assert 'here / "sweep.csv"' in PLOT_SCRIPT
 
 
 @pytest.mark.skipif(importlib.util.find_spec("matplotlib") is None,
                     reason="the generated plot script imports matplotlib")
 def test_emitted_plot_script_renders_one_png_per_fraction(tmp_path):
-    emit_outputs(run_sweep(SMALL_SWEEP), tmp_path)
+    (tmp_path / "sweep.csv").write_text(sweep_csv(run_sweep(SMALL_SWEEP)))
+    (tmp_path / "plot_sweep.py").write_text(PLOT_SCRIPT)
     proc = subprocess.run([sys.executable, str(tmp_path / "plot_sweep.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     pngs = sorted(p.name for p in tmp_path.glob("*.png"))
     assert pngs == ["fp_vs_size_frac0.1.png"]
-
-
-def test_emit_outputs_wraps_os_errors(tmp_path):
-    blocker = tmp_path / "not_a_dir"
-    blocker.write_text("flat file\n")
-    with pytest.raises(IoFailure):
-        emit_outputs([], blocker / "sub")
 
 
 def test_default_seeds_are_fixed():

@@ -58,6 +58,15 @@ def test_sweep_csv_digest():
         "31da68350f88cc3ab17b7aeeb3f972b447d190db6f5f3e98f218c8b6aec294eb"
 
 
+def test_sweep_plot_script_digest(tmp_path):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("sweep.n_nodes=100\nsweep.iterations=1\n")
+    assert main(["sweep", "--config", str(conf), "--out", str(tmp_path / "out"),
+                 "--seeds", "1"]) == 0
+    assert sha((tmp_path / "out" / "plot_sweep.py").read_text()) == \
+        "14b1b3a7b0271f0d37b81e4a702280dbca4cf7390bc50a40984f109f53e14e2a"
+
+
 def test_default_config_reprs_digest():
     defaults = (XtrConfig(), LimiterConfig(), AttackConfig(), SweepConfig())
     assert sha(repr(defaults)) == \

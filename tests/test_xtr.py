@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xtrsim.cache import EidPrefix
+from xtrsim.cache import EidPrefix, TimeRegression
 from xtrsim.experiment import dos_defaults, overflow_defaults, run_attack
 from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import PacketEvent, PopulationProfile, Role, gen_dos_stream
 from xtrsim.xtr import (
     PendingRequestTable,
     StepOutcome,
-    TimeRegression,
     Xtr,
     XtrConfig,
     XtrMetrics,
@@ -35,35 +34,41 @@ def pkt(t: float, src: int, dst: int, role: Role = Role.LEGIT) -> PacketEvent:
 # ------------------------------------------------------------ pending table
 
 def test_pending_table_round_trip():
-    table = PendingRequestTable(2, seed=1)
+    table = PendingRequestTable(2, 0.5)
     p = EidPrefix.host(0x1)
-    nonce = table.insert(p, 0.0, Role.LEGIT)
+    nonce = table.insert(p, 0.25, Role.LEGIT)
     assert table.has_prefix(p) and len(table) == 1
     entry = table.consume(nonce)
-    assert entry.prefix == p and entry.issued_at == 0.0 and entry.role is Role.LEGIT
+    assert entry.prefix == p and entry.deadline == 0.75 and entry.role is Role.LEGIT
     assert table.consume(nonce) is None
     assert not table.has_prefix(p) and len(table) == 0
+    # Nonces are distinct and rise in send order, also past a consumed one.
+    nonces = [nonce]
+    for i in range(2, 6):
+        nonces.append(table.insert(EidPrefix.host(i), 1.0, Role.LEGIT))
+        table.consume(nonces[-1])
+    assert nonces == sorted(set(nonces))
 
 
 def test_pending_table_capacity():
-    table = PendingRequestTable(1, seed=0)
+    table = PendingRequestTable(1, 1.0)
     table.insert(EidPrefix.host(1), 0.0, Role.LEGIT)
     assert table.is_full
     with pytest.raises(OverflowError):
         table.insert(EidPrefix.host(2), 0.0, Role.LEGIT)
     with pytest.raises(ValueError):
-        PendingRequestTable(0)
+        PendingRequestTable(0, 1.0)
 
 
 def test_pending_expiry_is_fifo_and_skips_consumed():
-    table = PendingRequestTable(8, seed=0)
+    table = PendingRequestTable(8, 2.5)
     table.insert(EidPrefix.host(0), 0.0, Role.LEGIT)
     n1 = table.insert(EidPrefix.host(1), 1.0, Role.ATTACKER)
     table.insert(EidPrefix.host(2), 2.0, Role.LEGIT)
-    expired = table.expire_due(2.5, timeout=2.5)
+    expired = table.expire_due(2.5)
     assert [e.prefix for e in expired] == [EidPrefix.host(0)]
     table.consume(n1)  # reply beat the timeout
-    expired = table.expire_due(10.0, timeout=2.5)
+    expired = table.expire_due(10.0)
     assert [e.prefix for e in expired] == [EidPrefix.host(2)]
     assert len(table) == 0
 
@@ -128,8 +133,14 @@ def test_pending_capacity_overflow():
 def test_time_regression_raises():
     x = Xtr(mk_config(), seed=0)
     x.step(pkt(1.0, 1, 0xAA))
-    with pytest.raises(TimeRegression):
-        x.step(pkt(0.5, 1, 0xAB))
+    before = x.metrics.as_row()
+    # NaN, a step back, and a step back after NaN: each is refused, and no
+    # counter moves.
+    for t in (float("nan"), 0.5, float("nan"), 0.5):
+        with pytest.raises(TimeRegression):
+            x.step(pkt(t, 1, 0xAB))
+        assert x.metrics.as_row() == before
+    assert x.step(pkt(1.0, 1, 0xAA)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
 
 
 # ------------------------------------------------- timeouts, loss, staleness
@@ -151,16 +162,6 @@ def test_expired_prefix_can_be_rerequested():
     # request rather than a pending-dedup suppression.
     assert m.map_requests_sent.legit == 2
     assert m.suppressed_while_pending.legit == 0
-
-
-def test_reply_for_already_cached_prefix_is_consumed_without_reinstall():
-    x = Xtr(mk_config(), seed=0)
-    p = EidPrefix.host(0xC1)
-    nonce = x.pending.insert(p, 0.0, Role.LEGIT)
-    x.cache.install(p, (0xC1,), 0.0)
-    assert x.deliver_reply(nonce, 0.04) is True
-    assert x.metrics.map_replies_received.legit == 1
-    assert len(x.cache) == 1
 
 
 def test_unknown_nonce_counts_as_stale():
@@ -289,7 +290,8 @@ def reference_run(x: Xtr, events) -> XtrMetrics:
     """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every event.
 
     Before each reply it calls the expiry at the reply's time, whether or not
-    anything is due.
+    anything is due. After every step it checks that no pending prefix is
+    cached, which is why a reply never meets its prefix already installed.
     """
     def deliver_due(upto: float) -> None:
         while x._reply_queue and x._reply_queue[0][0] <= upto:
@@ -301,6 +303,7 @@ def reference_run(x: Xtr, events) -> XtrMetrics:
         deliver_due(event.time)
         x._expire_pending(event.time)
         x.step(event)
+        assert not any(entry.prefix in x.cache for entry in x.pending._by_nonce.values())
     deliver_due(float("inf"))
     return x.metrics
 
@@ -342,8 +345,8 @@ def test_every_expire_due_call_removes_a_request(monkeypatch):
     results = []
     expire_due = PendingRequestTable.expire_due
 
-    def recording(self, now, timeout):
-        results.append(expire_due(self, now, timeout))
+    def recording(self, now):
+        results.append(expire_due(self, now))
         return results[-1]
 
     monkeypatch.setattr(PendingRequestTable, "expire_due", recording)
