@@ -150,6 +150,58 @@ def _vector_limbs(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return limbs
 
 
+def _row_hash(b: int, coeffs: tuple[int, ...],
+              limbs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """(b + sum a_i*x_i) mod p for every key, from the keys' limbs."""
+    h = b
+    for i, x in limbs:
+        term = coeffs[i] * x
+        term += h
+        term %= _HASH_PRIME
+        h = term
+    return h
+
+
+def _weights(counts: np.ndarray) -> np.ndarray:
+    """Per-key counts (each >= 1) as bincount weights.
+
+    bincount sums in float64, exactly while a cell's added mass stays below
+    2**53; past that the sum still exceeds every cell cap, so clamping at the
+    cap gives the exact saturated value.
+    """
+    counts = np.asarray(counts)
+    if np.any(counts < 1):
+        raise ValueError("counts must all be >= 1")
+    return counts.astype(np.float64)
+
+
+def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[SketchDims],
+                    threshold: int, *, seed: int = 0,
+                    cell_width_bytes: int = 2) -> list[np.ndarray]:
+    """For each shape in dims_list, which keys a fresh sketch of that shape
+    estimates above threshold after add_counts(keys, counts).
+
+    Each entry is a np.packbits bitmap over the keys. A key's estimate, the
+    minimum of its cells, exceeds the threshold exactly when every one of its
+    cells does, so rows run outside and shapes inside: each row is hashed
+    once for all shapes, and a shape keeps only the keys still flagged.
+    """
+    cap = cell_max(cell_width_bytes)
+    weights = _weights(counts)
+    limbs = _vector_limbs(keys)
+    flagged = [np.packbits(np.ones(len(weights), dtype=bool)) for _ in dims_list]
+    for row in range(max((dims.depth for dims in dims_list), default=0)):
+        h = _row_hash(*_row_coefficients(seed, row), limbs)
+        for i, dims in enumerate(dims_list):
+            if dims.depth <= row:
+                continue
+            cols = h % dims.width
+            cells = np.bincount(cols, weights=weights, minlength=dims.width)
+            np.minimum(cells, cap, out=cells)
+            flagged[i] &= np.packbits((cells > threshold).take(cols))
+    return flagged
+
+
 class CountMinSketch:
     """Frequency sketch over integer keys.
 
@@ -211,43 +263,20 @@ class CountMinSketch:
 
     def _columns(self, row: int, limbs: list[tuple[int, np.ndarray]]) -> np.ndarray:
         """The row's column for every key, from the keys' limbs."""
-        b, coeffs = self._rows[row]
-        h = b
-        for i, x in limbs:
-            term = coeffs[i] * x
-            term += h
-            term %= _HASH_PRIME
-            h = term
-        h %= self.dims.width
-        return h
+        return _row_hash(*self._rows[row], limbs) % self.dims.width
 
-    def add_counts(self, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def add_counts(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Vectorized bulk increment of an integer key array (keys up to 64
         bits); same placement as repeated increment().
-
-        Returns each key's estimate after the update (int64), the values
-        estimate_many(keys) would now give. Each row's columns are hashed
-        once and serve both the update and the read.
         """
-        counts = np.asarray(counts)
-        if np.any(counts < 1):
-            raise ValueError("counts must all be >= 1")
+        weights = _weights(counts)
         limbs = _vector_limbs(keys)
-        # bincount sums in float64, exactly while a cell's added mass stays
-        # below 2**53; past that the sum still exceeds every cell cap, so the
-        # clamp below gives the exact saturated value.
-        weights = counts.astype(np.float64)
-        est: np.ndarray | None = None
         for row in range(self.dims.depth):
-            cols = self._columns(row, limbs)
-            added = np.bincount(cols, weights=weights, minlength=self.dims.width)
+            added = np.bincount(self._columns(row, limbs), weights=weights,
+                                minlength=self.dims.width)
             merged = self._cells[row] + added
             np.minimum(merged, self.cell_max, out=merged)
             self._cells[row] = merged.astype(self._cells.dtype)
-            # Later rows never touch this one, so its cells are final here.
-            vals = self._cells[row].take(cols)
-            est = vals if est is None else np.minimum(est, vals, out=est)
-        return est.astype(np.int64)
 
     def estimate_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized point estimates for an array of integer keys."""

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .cache import AGE_MODES, POLICIES
-from .cms import CountMinSketch, SketchDims, cell_max
+from .cms import SketchDims, cell_max, flagged_by_dims
 from .limiter import LimiterConfig
 from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
                         BackgroundProfile, ScanProfile, Role, gen_dos_stream, gen_miss_counts,
@@ -109,7 +111,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     count exceeds the threshold yet whose estimate does not, over all
     attackers, and is structurally zero because estimates never undershoot.
     """
-    schedule = sweep_schedule(config)
+    dims_list = [SketchDims(width, depth) for _, width, depth in sweep_schedule(config)]
     rows = []
     for n in config.n_nodes:
         for fraction in config.attacker_fractions:
@@ -118,21 +120,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                     n, fraction, legit_miss_range=config.legit_miss_range,
                     attacker_miss_range=config.attacker_miss_range, seed=seed)
                 draw = gen_miss_counts(profile)
-                legit_mask = ~draw.attacker_mask
-                n_legit = int(legit_mask.sum())
                 n_attackers = int(draw.attacker_mask.sum())
-                oracle_flagged = draw.counts > config.threshold
-                for _, width, depth in schedule:
-                    sketch = CountMinSketch(SketchDims(width, depth), seed=seed,
-                                            cell_width_bytes=config.cell_width_bytes)
-                    estimates = sketch.add_counts(draw.sources, draw.counts)
-                    flagged = estimates > config.threshold
-                    false_pos = int((flagged & legit_mask).sum())
-                    false_neg = int((oracle_flagged & ~flagged).sum())
+                n_legit = n - n_attackers
+                legit = np.packbits(~draw.attacker_mask)
+                oracle = np.packbits(draw.counts > config.threshold)
+                flagged = flagged_by_dims(draw.sources, draw.counts, dims_list, config.threshold,
+                                          seed=seed, cell_width_bytes=config.cell_width_bytes)
+                for dims, bits in zip(dims_list, flagged):
+                    false_pos = int(np.count_nonzero(np.unpackbits(bits & legit)))
+                    false_neg = int(np.count_nonzero(np.unpackbits(oracle & ~bits)))
                     fp_rate = false_pos / n_legit if n_legit else 0.0
                     fn_rate = false_neg / n_attackers if n_attackers else 0.0
-                    rows.append(SweepRow(n, fraction, width, depth,
-                                         sketch.memory_bytes, seed, fp_rate, fn_rate))
+                    rows.append(SweepRow(n, fraction, dims.width, dims.depth,
+                                         dims.memory_bytes(config.cell_width_bytes),
+                                         seed, fp_rate, fn_rate))
     rows.sort(key=lambda r: (r.n_nodes, r.attacker_fraction, r.w, r.d,
                              r.size_bytes, r.seed))
     return rows

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from xtrsim.cms import (CountMinSketch, InvalidParams, SketchDims, SketchParams,
-                        cell_max, dims_from_params)
+                        cell_max, dims_from_params, flagged_by_dims)
 
 mp.dps = 60
 
@@ -290,7 +290,7 @@ def widths_and_batches(draw):
 
 @settings(deadline=None)
 @given(shape=sketch_shapes, width_batches=widths_and_batches())
-def test_add_counts_returns_the_estimates_after_the_update(shape, width_batches):
+def test_add_counts_matches_scalar_increments(shape, width_batches):
     # For every accepted width, the vector path equals a loop of scalar
     # increments and estimates, at and past saturation.
     seed, width, depth = shape
@@ -301,13 +301,51 @@ def test_add_counts_returns_the_estimates_after_the_update(shape, width_batches)
     for batch in batches:
         keys = np.array([key for key, _ in batch], dtype=np.uint64)
         counts = np.array([count for _, count in batch], dtype=np.int64)
-        returned = bulk.add_counts(keys, counts)
-        assert returned.dtype == np.int64
-        assert np.array_equal(returned, bulk.estimate_many(keys))
+        bulk.add_counts(keys, counts)
+        estimates = bulk.estimate_many(keys)
+        assert estimates.dtype == np.int64
         for key, count in batch:
             looped.increment(key, count)
-        assert returned.tolist() == [looped.estimate(key) for key, _ in batch]
+        assert estimates.tolist() == [looped.estimate(key) for key, _ in batch]
         assert np.array_equal(bulk._cells, looped._cells)
+
+
+@st.composite
+def flagging_cases(draw):
+    """Keys with repeats (many past 2**30), counts up to the cell cap and past
+    2**53, a threshold at or just below the cap or small, and a list of
+    shapes whose widths (1 included) and depths repeat and go up and down."""
+    cell_width = draw(st.sampled_from([1, 2, 4]))
+    cap = cell_max(cell_width)
+    pool = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(2**30, 2**64 - 1)),
+                         min_size=1, max_size=30))
+    count = st.one_of(st.integers(1, 200), st.integers(cap - 2, cap + 2),
+                      st.integers(2**53 - 2, 2**62))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), count), min_size=1, max_size=40))
+    threshold = draw(st.one_of(st.sampled_from([cap - 1, cap]), st.integers(0, 300)))
+    dims = st.builds(SketchDims, st.one_of(st.integers(1, 16), st.integers(1, 300)),
+                     st.integers(1, 5))
+    return cell_width, pairs, threshold, draw(st.lists(dims, min_size=1, max_size=6))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32), case=flagging_cases())
+def test_flagged_by_dims_matches_a_fresh_sketch_per_shape(seed, case):
+    cell_width, pairs, threshold, dims_list = case
+    keys = np.array([key for key, _ in pairs], dtype=np.uint64)
+    counts = np.array([count for _, count in pairs], dtype=np.int64)
+    flagged = flagged_by_dims(keys, counts, dims_list, threshold, seed=seed,
+                              cell_width_bytes=cell_width)
+    assert len(flagged) == len(dims_list)
+    for dims, bits in zip(dims_list, flagged):
+        sketch = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+        sketch.add_counts(keys, counts)
+        assert np.array_equal(bits, np.packbits(sketch.estimate_many(keys) > threshold))
+
+
+def test_flagged_by_dims_rejects_counts_below_one():
+    with pytest.raises(ValueError):
+        flagged_by_dims(np.array([1, 2]), np.array([1, 0]), [SketchDims(8, 1)], 5)
 
 
 def test_increment_returns_the_estimate_after_the_update():

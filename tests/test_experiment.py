@@ -18,6 +18,7 @@ from xtrsim.experiment import (
     AttackConfig,
     InvalidConfig,
     SweepConfig,
+    SweepRow,
     attack_csv,
     attack_summary_csv,
     config_hash,
@@ -111,6 +112,50 @@ def test_sweep_rates_match_a_scalar_recount():
                     fn += 1
             assert row.false_positive_rate == pytest.approx(fp / 360)
             assert row.false_negative_rate == fn == 0
+
+
+def naive_sweep(config: SweepConfig) -> list[SweepRow]:
+    """run_sweep as one fresh sketch per size, flagging on estimate > threshold."""
+    rows = []
+    for n in config.n_nodes:
+        for fraction in config.attacker_fractions:
+            for seed in config.seeds:
+                draw = gen_miss_counts(PopulationProfile(
+                    n, fraction, legit_miss_range=config.legit_miss_range,
+                    attacker_miss_range=config.attacker_miss_range, seed=seed))
+                legit = ~draw.attacker_mask
+                n_legit, n_attackers = int(legit.sum()), int(draw.attacker_mask.sum())
+                for _, width, depth in sweep_schedule(config):
+                    sketch = CountMinSketch(SketchDims(width, depth), seed=seed,
+                                            cell_width_bytes=config.cell_width_bytes)
+                    sketch.add_counts(draw.sources, draw.counts)
+                    flagged = sketch.estimate_many(draw.sources) > config.threshold
+                    fp = int((flagged & legit).sum())
+                    fn = int(((draw.counts > config.threshold) & ~flagged).sum())
+                    rows.append(SweepRow(n, fraction, width, depth, sketch.memory_bytes, seed,
+                                         fp / n_legit if n_legit else 0.0,
+                                         fn / n_attackers if n_attackers else 0.0))
+    rows.sort(key=lambda r: (r.n_nodes, r.attacker_fraction, r.w, r.d, r.size_bytes, r.seed))
+    return rows
+
+
+# Small enough that cells collide often, so each seed's hash changes its rows.
+REFERENCE_SWEEPS = [
+    SweepConfig(n_nodes=(400,), attacker_fractions=(0.01, 0.1), threshold=50,
+                attacker_miss_range=(60, 120), w_start=20, w_step=20, iterations=6,
+                seeds=(1, 2, 3)),
+    SweepConfig(n_nodes=(400,), attacker_fractions=(0.01, 0.1), threshold=50,
+                attacker_miss_range=(60, 120), w_start=40, w_step=0, iterations=5,
+                seeds=(1, 2, 3)),
+    SweepConfig(n_nodes=(300,), attacker_fractions=(0.01, 0.1), threshold=254,
+                cell_width_bytes=1, legit_miss_range=(1, 60), attacker_miss_range=(200, 400),
+                w_start=30, w_step=15, iterations=5, seeds=(1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("config", REFERENCE_SWEEPS, ids=["grow", "w_step0", "1byte"])
+def test_sweep_rows_match_a_fresh_sketch_per_size(config):
+    assert run_sweep(config) == naive_sweep(config)
 
 
 def test_sweep_csv_shape_and_determinism():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xtrsim"
@@ -44,3 +45,21 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = {p.name: found for p in modules if (found := unused_imports(p.read_text()))}
     assert unused == {}
+
+
+# The sketch's hash lives in cms.py alone: a second copy could place keys
+# elsewhere than the sketch does without any output showing it.
+HASH_NAMES = re.compile(r"\b(_HASH_PRIME|_row_coefficients|_row_hash)\b")
+
+
+def test_hash_names_are_detected():
+    assert HASH_NAMES.findall("from .cms import _row_hash, _HASH_PRIME\n") == \
+        ["_row_hash", "_HASH_PRIME"]
+    assert HASH_NAMES.findall("cms._row_coefficients(seed, 0)\n_row_hashes = 1\n") == \
+        ["_row_coefficients"]
+
+
+def test_only_cms_names_the_sketch_hash():
+    named = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "cms.py" and (found := HASH_NAMES.findall(p.read_text()))}
+    assert named == {}
