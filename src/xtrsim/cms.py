@@ -32,6 +32,12 @@ _KEY_LIMBS = 5  # keys below 2**150, which holds every 128-bit address
 # which is exact only for caps below 2**53.
 _CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32}
 
+# Keys whose slots a sketch memoizes before it empties its memo. A few
+# sources make most of a flood's misses, but sources are attacker-chosen, so
+# the memo is bounded: about 1.1 MB of heap when full of 128-bit keys at
+# depth 4.
+_SLOT_MEMO_CAP = 4096
+
 
 class InvalidParams(ValueError):
     """Raised for sketch parameters outside their documented domain."""
@@ -222,13 +228,33 @@ class CountMinSketch:
         self._rows = [_row_coefficients(seed, r) for r in range(dims.depth)]
         # (row offset, b, a_0) per row: a key below 2**30 is its own one limb.
         self._one_limb = [(r * dims.width, b, a[0]) for r, (b, a) in enumerate(self._rows)]
+        self._slot_memo: dict[int, list[int]] = {}
 
     @property
     def memory_bytes(self) -> int:
         return self.dims.memory_bytes(self.cell_width_bytes)
 
     def _slots(self, key: int) -> list[int]:
-        """Flat index of the key's cell in every row.
+        """Flat index of the key's cell in every row; the caller must not
+        change the list.
+
+        Only an `int` key is memoized. A key of any other type (bool, numpy,
+        float) is hashed, and checked, on every call, so it never reads the
+        entry of an int that it compares equal to.
+        """
+        if type(key) is not int:
+            return self._hash_slots(key)
+        memo = self._slot_memo
+        slots = memo.get(key)
+        if slots is None:
+            slots = self._hash_slots(key)
+            if len(memo) >= _SLOT_MEMO_CAP:
+                memo.clear()
+            memo[key] = slots
+        return slots
+
+    def _hash_slots(self, key: int) -> list[int]:
+        """The slots of _slots, hashed from the key.
 
         Python ints do not overflow, so the scalar path sums every term before
         its one reduction mod p; the vector path reduces after each term and
@@ -288,5 +314,5 @@ class CountMinSketch:
         return est.astype(np.int64)
 
     def reset(self) -> None:
-        """Zero every cell; hash functions (and future placements) are kept."""
+        """Zero every cell; hash functions, placements and their memo are kept."""
         self._cells[:] = 0

@@ -1,9 +1,8 @@
 """Per-source admission control and the shared request budget for map-cache misses.
 
-Both limiters count inside tumbling windows aligned to time zero:
-when a window of length `period` has fully elapsed, all counters reset and
-the window advances to the boundary containing `now`. Nothing decays within
-a window.
+Both limiters count inside tumbling windows aligned to time zero: the
+window holding `now` has index `now // period`, and all counters reset when
+that index grows. Nothing decays within a window.
 """
 
 from __future__ import annotations
@@ -61,17 +60,35 @@ class LimiterConfig:
                                  f"{self.cell_width_bytes}-byte cells saturate at {cap}")
 
 
+def window_index(now: float, period: float) -> int:
+    """Index of the window that holds `now`; see the module docstring."""
+    return int(now // period)
+
+
 class _TumblingWindow:
-    """Window of length `period` aligned to time zero; see the module docstring."""
+    """Window of length `period` aligned to time zero; see the module docstring.
+
+    The window is kept by its index, not by its start time: a start of
+    (now // period) * period can round above a boundary (0.30000000000000004
+    for 3 * 0.1), and a window kept by it would miss the roll at 0.4.
+    """
 
     def __init__(self, period: float):
         self.period = period
-        self._period_start = 0.0
+        self.index = 0  # window_index of the current window
+        # No later than the first time of the next window, so an earlier
+        # `now` skips the division: the product rounds to the float nearest
+        # (index + 1) * period, never past the first float at or above it.
+        self._next = period
 
     def rolled(self, now: float) -> bool:
         """Advance to the window containing `now`; True when a boundary was crossed."""
-        if now - self._period_start >= self.period:
-            self._period_start = (now // self.period) * self.period
+        if now < self._next:
+            return False
+        index = window_index(now, self.period)
+        if index > self.index:
+            self.index = index
+            self._next = (index + 1) * self.period
             return True
         return False
 

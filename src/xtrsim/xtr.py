@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .cache import EidPrefix, MapCache
-from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
+from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter, window_index
 from .workloads import PacketEvent, Role
 
 
@@ -214,7 +214,8 @@ class Xtr:
         self.pending = PendingRequestTable(config.pending_capacity,
                                            config.effective_pending_timeout)
         # Admitted Map-Requests per (source, limiter period index), kept
-        # for audits of the per-period admission cap.
+        # for audits of the per-period admission cap; the index is the one
+        # the source limiter's window rolls on.
         self.admitted_by_source_period: dict[tuple[int, int], int] = defaultdict(int)
         self._loss_rng = random.Random(f"loss-{seed}")
         # (due, nonce) in send order. `step` schedules each reply at
@@ -286,7 +287,7 @@ class Xtr:
 
         nonce = self.pending.insert(prefix, now, event.role)
         metrics.map_requests_sent.__dict__[role] += 1
-        self.admitted_by_source_period[(source, int(now // self.config.limiter.period))] += 1
+        self.admitted_by_source_period[(source, window_index(now, self.config.limiter.period))] += 1
         if self.config.reply_loss == 0.0 or self._loss_rng.random() >= self.config.reply_loss:
             self._reply_queue.append((now + self.config.reply_latency, nonce))
         return _REQUESTED

@@ -1,5 +1,7 @@
 """Sketch behavior against exact-count and high-precision sizing oracles."""
 
+import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xtrsim.cms import (CountMinSketch, InvalidParams, SketchDims, SketchParams,
-                        cell_max, dims_from_params, flagged_by_dims)
+from xtrsim.cms import (_SLOT_MEMO_CAP, CountMinSketch, InvalidParams, SketchDims,
+                        SketchParams, cell_max, dims_from_params, flagged_by_dims)
 
 mp.dps = 60
 
@@ -166,7 +168,10 @@ def test_reset_zeroes_but_keeps_placements():
     fresh = CountMinSketch(SketchDims(97, 3), seed=13)
     for key in range(50):
         sketch.increment(key, key + 1)
+    memo = dict(sketch._slot_memo)
     sketch.reset()
+    assert not sketch._cells.any()
+    assert sketch._slot_memo == memo  # the hash functions are kept, so are their slots
     assert sketch.estimate(17) == 0
     for key in range(50):
         sketch.increment(key, key + 1)
@@ -413,3 +418,53 @@ def test_every_path_places_a_key_by_the_limb_formula_and_saturates(shape, cell_w
         total += amount
         assert sketch.increment(key, amount) == sketch.estimate(key) == min(total, sketch.cell_max)
     assert np.flatnonzero(sketch._cells).tolist() == slots
+
+
+@settings(deadline=None)
+@given(shape=sketch_shapes, key=edge_keys)
+def test_memoized_slots_follow_the_limb_formula_across_a_clear(shape, key):
+    seed, width, depth = shape
+    sketch = CountMinSketch(SketchDims(width, depth), seed=seed)
+    memo = sketch._slot_memo
+    slots = slots_by_the_limb_formula(sketch, key)
+    assert sketch._slots(key) == slots  # hashed
+    # Only an int key is memoized; bool and numpy keys are hashed every time.
+    assert len(memo) == (1 if type(key) is int else 0)
+    assert sketch._slots(key) == slots  # a memo hit for an int key
+    fresh = (k for k in itertools.count(2**29) if k != key)
+    while len(memo) < _SLOT_MEMO_CAP:
+        sketch._slots(next(fresh))
+    sketch._slots(next(fresh))  # one key past the cap empties the memo first
+    assert len(memo) == 1
+    assert sketch._slots(key) == slots  # hashed again after the clear
+    assert sketch._slots(key) == slots
+
+
+def test_a_stream_of_fresh_wide_sources_keeps_the_memo_bounded():
+    # Sources are attacker-chosen: every one of them new and 128 bits wide.
+    rng = random.Random(12)
+    sketch = CountMinSketch(SketchDims(1000, 4), seed=1)
+    expected = np.zeros(sketch._cells.size, dtype=np.int64)
+    for _ in range(_SLOT_MEMO_CAP + 1000):
+        key = rng.getrandbits(128)
+        sketch.increment(key)
+        assert len(sketch._slot_memo) <= _SLOT_MEMO_CAP
+        expected[slots_by_the_limb_formula(sketch, key)] += 1
+    assert len(sketch._slot_memo) == 1000
+    assert np.array_equal(sketch._cells.reshape(-1), expected)
+
+
+def test_a_key_equal_to_a_memoized_int_is_still_refused():
+    # 1.0 == 1 and both hash alike, so a memo read before the type check
+    # would count a float under the int's cells.
+    sketch = CountMinSketch(SketchDims(16, 2))
+    address = 0xFD << 120 | 7
+    for key in (1, 7, address):
+        sketch.increment(key)
+        sketch.increment(key)  # the second one reads the memo
+    for key in (1.0, 7.0, "7", (7).to_bytes(16, "big"), address.to_bytes(16, "big")):
+        with pytest.raises(ValueError):
+            sketch.increment(key)
+        with pytest.raises(ValueError):
+            sketch.estimate(key)
+    assert [sketch.estimate(key) for key in (1, 7, address)] == [2, 2, 2]

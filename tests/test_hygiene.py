@@ -47,9 +47,11 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
-# The sketch's hash lives in cms.py alone: a second copy could place keys
+# The sketch's hash and its slot memo live in cms.py alone: a second copy, or
+# a second slot cache in the limiter or the router, could place keys
 # elsewhere than the sketch does without any output showing it.
-HASH_NAMES = re.compile(r"\b(_HASH_PRIME|_row_coefficients|_row_hash)\b")
+HASH_NAMES = re.compile(
+    r"\b(_HASH_PRIME|_row_coefficients|_row_hash|_slots|_hash_slots|_slot_memo|_SLOT_MEMO_CAP)\b")
 
 
 def test_hash_names_are_detected():
@@ -57,6 +59,15 @@ def test_hash_names_are_detected():
         ["_row_hash", "_HASH_PRIME"]
     assert HASH_NAMES.findall("cms._row_coefficients(seed, 0)\n_row_hashes = 1\n") == \
         ["_row_coefficients"]
+
+
+def test_slot_memo_names_are_detected():
+    assert HASH_NAMES.findall("slots = self._sketch._slots(source)\n") == ["_slots"]
+    assert HASH_NAMES.findall("memo = sketch._slot_memo\nif len(memo) >= cms._SLOT_MEMO_CAP:\n") \
+        == ["_slot_memo", "_SLOT_MEMO_CAP"]
+    assert HASH_NAMES.findall("self._hash_slots(key)\n") == ["_hash_slots"]
+    # Python's own __slots__ and longer names are not the sketch's.
+    assert HASH_NAMES.findall("__slots__ = ()\n_slots_seen = 0\n") == []
 
 
 def test_only_cms_names_the_sketch_hash():

@@ -1,10 +1,17 @@
 """Admission-control semantics: thresholds, tumbling windows, backend dominance."""
 
+import math
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtrsim.cms import SketchDims, SketchParams
-from xtrsim.limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
+from xtrsim.limiter import (Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter,
+                            _TumblingWindow)
 
 
 def make_limiter(**kwargs) -> SourceRateLimiter:
@@ -50,6 +57,16 @@ def test_windows_tumble_on_boundaries_aligned_to_start():
     # window [2, 3) starts at the boundary 2.0, not at last reset + period
     limiter.on_miss(4, 2.0)
     assert limiter.current_count(4) == 1
+
+
+def test_a_non_dyadic_period_rolls_at_its_boundary():
+    # 0.35 // 0.1 is 3, but 3 * 0.1 is 0.30000000000000004: a window kept by
+    # that start time saw 0.4 - start < 0.1 and counted the misses at 0.4,
+    # which lie in window 4, against window 3.
+    limiter = make_limiter(threshold=2, period=0.1)
+    decisions = [limiter.on_miss(5, t) for t in (0.35, 0.35, 0.4, 0.4, 0.4)]
+    assert decisions == [Decision.ALLOW] * 4 + [Decision.DROP]
+    assert limiter.current_count(5) == 3
 
 
 def test_flag_state_clears_with_the_window():
@@ -167,3 +184,86 @@ def test_dest_limiter_validation():
     for period in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             DestRateLimiter(5, period)
+
+
+WINDOW_PERIODS = [0.1, 1 / 3, 0.7, 1.0]
+
+
+def window_limiter(backend: str, threshold: int, period: float) -> SourceRateLimiter:
+    # A narrow sketch, so the other sources' misses collide with the target's.
+    dims = SketchDims(8, 2) if backend == "cms" else None
+    return SourceRateLimiter(LimiterConfig(threshold=threshold, period=period,
+                                           backend=backend, sketch_dims=dims), seed=2)
+
+
+@st.composite
+def miss_streams(draw):
+    """A period, then nondecreasing miss times crowded around its window
+    boundaries, each from the target source 0 or from one of three others."""
+    period = draw(st.sampled_from(WINDOW_PERIODS))
+    boundary = st.integers(0, 12).map(lambda k: k * period)
+    near = boundary.flatmap(lambda b: st.sampled_from(
+        [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]))
+    time = st.one_of(st.floats(0, 13 * period), boundary, near).map(lambda t: max(t, 0.0))
+    misses = draw(st.lists(st.tuples(time, st.sampled_from([0, 0, 0, 1, 2, 3])),
+                           min_size=1, max_size=80))
+    return period, sorted(misses)
+
+
+@given(stream=miss_streams())
+def test_a_window_rolls_exactly_when_its_index_grows(stream):
+    # rolled() skips the division before its next boundary; it must still
+    # agree with `now // period` on every time, boundaries included.
+    period, misses = stream
+    window = _TumblingWindow(period)
+    index = 0.0
+    for t, _ in misses:
+        assert window.rolled(t) is (t // period > index)
+        index = max(index, t // period)
+        assert window.index == index
+
+
+@settings(deadline=None)
+@given(backend=st.sampled_from(["exact", "cms"]), threshold=st.integers(1, 5),
+       stream=miss_streams())
+def test_no_window_admits_more_than_the_threshold(backend, threshold, stream):
+    # Per `now // period` index the target gets at most `threshold` misses
+    # through, so any half-open interval of length `period`, which meets at
+    # most two indices, gets at most 2 * threshold through.
+    period, misses = stream
+    limiter = window_limiter(backend, threshold, period)
+    admitted, sent = [], Counter()
+    for t, source in misses:
+        allowed = limiter.on_miss(source, t) is Decision.ALLOW
+        if source == 0:
+            sent[t // period] += 1
+            if allowed:
+                admitted.append(t)
+    per_index = Counter(t // period for t in admitted)
+    if backend == "exact":
+        assert per_index == {i: min(n, threshold) for i, n in sent.items()}
+    assert all(n <= threshold for n in per_index.values())
+    span = Fraction(period)
+    for start in admitted:
+        inside = sum(1 for t in admitted if 0 <= Fraction(t) - Fraction(start) < span)
+        assert inside <= 2 * threshold
+
+
+@pytest.mark.parametrize("backend", ["exact", "cms"])
+@pytest.mark.parametrize("period", WINDOW_PERIODS)
+def test_a_stream_straddling_a_boundary_gets_twice_the_threshold_through(backend, period):
+    # The bound above is tight: `threshold` misses at the last instant of
+    # window 2 and `threshold` at the first instant of window 3 all pass,
+    # though they lie within far less than one period.
+    threshold = 4
+    first = 3 * period
+    while math.nextafter(first, -math.inf) // period >= 3:
+        first = math.nextafter(first, -math.inf)
+    while first // period < 3:
+        first = math.nextafter(first, math.inf)
+    last = math.nextafter(first, -math.inf)
+    assert (last // period, first // period) == (2, 3)
+    limiter = window_limiter(backend, threshold, period)
+    decisions = [limiter.on_miss(0, t) for t in [last] * threshold + [first] * threshold]
+    assert decisions == [Decision.ALLOW] * (2 * threshold)
+    assert limiter.on_miss(0, first) is Decision.DROP

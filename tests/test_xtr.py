@@ -286,6 +286,16 @@ def test_accounting_identities_on_a_mixed_stream():
     assert max(x.admitted_by_source_period.values()) <= 10
 
 
+def test_the_audit_books_admissions_under_the_limiter_window():
+    # At period 0.1 the limiter and the audit both open window 4 at 0.4.
+    x = Xtr(mk_config(source_limiter_enabled=True,
+                      limiter=LimiterConfig(threshold=2, period=0.1)))
+    for i, t in enumerate((0.35, 0.35, 0.4, 0.4, 0.4)):
+        x.step(pkt(t, 5, 100 + i))
+    assert dict(x.admitted_by_source_period) == {(5, 3): 2, (5, 4): 2}
+    assert x.metrics.dropped_by_source_limiter.total == 1
+
+
 def reference_run(x: Xtr, events) -> XtrMetrics:
     """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every event.
 
