@@ -98,7 +98,7 @@ class EidPrefix(tuple):
         return f"{self[0]:#x}/{self[1]}"
 
 
-@dataclass
+@dataclass(slots=True)
 class MapCacheEntry:
     prefix: EidPrefix
     locators: tuple[int, ...]
@@ -231,11 +231,12 @@ class MapCache:
 
     def _remove(self, prefix: EidPrefix) -> None:
         del self._entries[prefix]
-        bucket = self._by_len[prefix.prefix_len]
-        del bucket[prefix.address]
+        address, prefix_len = prefix
+        bucket = self._by_len[prefix_len]
+        del bucket[address]
         if not bucket:
-            del self._by_len[prefix.prefix_len]
-            self._lens_desc.remove(prefix.prefix_len)
+            del self._by_len[prefix_len]
+            self._lens_desc.remove(prefix_len)
 
     def install(self, prefix: EidPrefix, locators: tuple[int, ...] | list[int],
                 now: float) -> EidPrefix | None:
@@ -250,7 +251,8 @@ class MapCache:
         if not locators:
             raise ValueError("locators must be non-empty")
         self._advance(now)
-        self._catch_up_aging(now)
+        if self._aging is not None:
+            self._catch_up_aging(now)
         evicted: EidPrefix | None = None
         if len(self._entries) >= self.capacity:
             evicted = self._victim()
@@ -259,10 +261,11 @@ class MapCache:
                               last_used=now, installed_at=now)
         self._entries[prefix] = entry
         heapq.heappush(self._heap, (self._key(entry), prefix))
-        bucket = self._by_len.setdefault(prefix.prefix_len, {})
-        bucket[prefix.address] = entry
-        if prefix.prefix_len not in self._lens_desc:
-            self._lens_desc.append(prefix.prefix_len)
+        address, prefix_len = prefix
+        bucket = self._by_len.setdefault(prefix_len, {})
+        bucket[address] = entry
+        if prefix_len not in self._lens_desc:
+            self._lens_desc.append(prefix_len)
             self._lens_desc.sort(reverse=True)
         if self._record_trace:
             self.trace.append(

@@ -19,6 +19,7 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Iterable
 
 from .cms import SketchDims
 from .experiment import (DEFAULT_SEEDS, PLOT_SCRIPT, SCENARIOS, InvalidConfig, IoFailure,
@@ -108,10 +109,16 @@ def _seed_list(args, default: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(base + i for i in range(count))
 
 
-def _write(path: Path, text: str) -> Path:
+def _write(path: Path, pieces: Iterable[str]) -> Path:
+    """Write the pieces, in order, as one text file; a failure is an IoFailure.
+
+    Pieces are written as they come, so a large output never has to be
+    joined into one string first.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as file:
+            file.writelines(pieces)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
@@ -123,8 +130,8 @@ def _cmd_sweep(args) -> int:
         config = _apply_overrides(config, _parse_kv_file(args.config), "sweep")
     config = replace(config, seeds=_seed_list(args, config.seeds))
     out = Path(args.out)
-    print(_write(out / "sweep.csv", sweep_csv(run_sweep(config))))
-    print(_write(out / "plot_sweep.py", PLOT_SCRIPT))
+    print(_write(out / "sweep.csv", (sweep_csv(run_sweep(config)),)))
+    print(_write(out / "plot_sweep.py", (PLOT_SCRIPT,)))
     return 0
 
 
@@ -136,8 +143,8 @@ def _cmd_attack(args) -> int:
     seeds = _seed_list(args, DEFAULT_SEEDS)
     runs = run_attack(config, seeds)
     out = Path(args.out)
-    print(_write(out / f"attack_{args.scenario}.csv", attack_csv(runs)))
-    print(_write(out / f"attack_{args.scenario}_summary.csv", attack_summary_csv(runs)))
+    print(_write(out / f"attack_{args.scenario}.csv", (attack_csv(runs),)))
+    print(_write(out / f"attack_{args.scenario}_summary.csv", (attack_summary_csv(runs),)))
     return 0
 
 
@@ -149,25 +156,34 @@ def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
     return _apply_overrides(XtrConfig(limiter=limiter), mapping, "xtr", frozen_keys=("limiter",))
 
 
+def _replay(trace: str, config: XtrConfig, seed: int) -> Xtr:
+    """Run the trace file through a fresh router and return the router.
+
+    The trace text lives only until `read_trace` returns and the event list
+    only until `Xtr.run` returns, so neither is still held while the cache
+    trace is written.
+    """
+    try:
+        events = read_trace(Path(trace).read_text())
+    except OSError as exc:
+        raise IoFailure(f"cannot read trace {trace}: {exc}") from exc
+    xtr = Xtr(config, seed=seed)
+    xtr.run(events)
+    return xtr
+
+
 def _cmd_replay(args) -> int:
     mapping = _parse_kv_file(args.config) if args.config else {}
     config = _replay_configs(mapping)
-    try:
-        text = Path(args.trace).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read trace {args.trace}: {exc}") from exc
-    events = read_trace(text)
     seed = args.seed if args.seed is not None else 0
-    xtr = Xtr(config, seed=seed)
-    metrics = xtr.run(events)
-    digest = config_hash(config)
-    row = metrics.as_row()
+    xtr = _replay(args.trace, config, seed)
+    row = xtr.metrics.as_row()
     csv_text = ("seed,config_hash," + ",".join(row) + "\n"
-                + f"{seed},{digest}," + ",".join(str(v) for v in row.values()) + "\n")
+                + f"{seed},{config_hash(config)}," + ",".join(str(v) for v in row.values()) + "\n")
     out = Path(args.out)
-    print(_write(out / "replay_metrics.csv", csv_text))
+    print(_write(out / "replay_metrics.csv", (csv_text,)))
     if config.record_cache_trace:
-        print(_write(out / "cache_trace.txt", "".join(line + "\n" for line in xtr.cache.trace)))
+        print(_write(out / "cache_trace.txt", (f"{line}\n" for line in xtr.cache.trace)))
     return 0
 
 

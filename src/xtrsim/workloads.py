@@ -232,6 +232,9 @@ def write_trace(events: Iterable[PacketEvent]) -> str:
     return "".join(f"{e.time!r} {e.src:#x} {e.dst:#x} {e.role.value}\n" for e in events)
 
 
+_ROLES = {role.value: role for role in Role}
+
+
 def read_trace(text: str) -> list[PacketEvent]:
     """Parse the 'ts src dst role' lines of write_trace; '#' lines are comments.
 
@@ -242,29 +245,26 @@ def read_trace(text: str) -> list[PacketEvent]:
     events: list[PacketEvent] = []
     last = 0.0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        parts = line.split()  # splits on the whitespace that strip() would strip
+        if not parts or parts[0].startswith("#"):
             continue
         try:
-            event = _parse_event(line)
-            if event.time < last:
-                raise ValueError(f"timestamp {event.time} is before the previous {last}")
+            if len(parts) != 4:
+                raise ValueError(f"expected 'ts src dst role', got {line.strip()!r}")
+            ts, src, dst, role = parts
+            time = float(ts)
+            if not 0.0 <= time < math.inf:
+                raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+            # Role(role) only raises: it words the error for an unknown role.
+            event = PacketEvent(time, _address(src), _address(dst),
+                                _ROLES.get(role) or Role(role))
+            if time < last:
+                raise ValueError(f"timestamp {time} is before the previous {last}")
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from exc
-        last = event.time
+        last = time
         events.append(event)
     return events
-
-
-def _parse_event(line: str) -> PacketEvent:
-    parts = line.split()
-    if len(parts) != 4:
-        raise ValueError(f"expected 'ts src dst role', got {line!r}")
-    ts, src, dst, role = parts
-    time = float(ts)
-    if not 0.0 <= time < math.inf:
-        raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
-    return PacketEvent(time, _address(src), _address(dst), Role(role))
 
 
 def _address(text: str) -> int:

@@ -45,9 +45,6 @@ class Tally:
     legit: int = 0
     attacker: int = 0
 
-    def bump(self, role: Role, amount: int = 1) -> None:
-        self.__dict__[role.value] += amount
-
     @property
     def total(self) -> int:
         return self.legit + self.attacker
@@ -99,7 +96,7 @@ class XtrMetrics:
         return getattr(self.cache_hits, role.value) / packets if packets else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     prefix: EidPrefix
     deadline: float
@@ -226,8 +223,9 @@ class Xtr:
         self._reply_queue: deque[tuple[float, int]] = deque()
 
     def _expire_pending(self, now: float) -> None:
+        timeouts = self.metrics.pending_timeouts.__dict__
         for entry in self.pending.expire_due(now):
-            self.metrics.pending_timeouts.bump(entry.role)
+            timeouts["attacker" if entry.role is _ATTACKER else "legit"] += 1
 
     def deliver_reply(self, nonce: int, now: float) -> bool:
         """Consume a Map-Reply. Unknown (expired or bogus) nonces are discarded.
@@ -238,11 +236,12 @@ class Xtr:
         if entry is None:
             self.metrics.stale_replies += 1
             return False
-        self.metrics.map_replies_received.bump(entry.role)
+        role = "attacker" if entry.role is _ATTACKER else "legit"  # the Tally field to bump
+        self.metrics.map_replies_received.__dict__[role] += 1
+        prefix = entry.prefix
         # A prefix is pending only while uncached, so this is never a DuplicateInstall.
-        evicted = self.cache.install(entry.prefix, (entry.prefix.address,), now)
-        if evicted is not None:
-            self.metrics.evictions.bump(entry.role)
+        if self.cache.install(prefix, (prefix[0],), now) is not None:
+            self.metrics.evictions.__dict__[role] += 1
         return True
 
     def _deliver_due_replies(self, upto: float) -> None:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import re
+import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -17,8 +19,8 @@ from xtrsim import cli
 from xtrsim.cli import main
 from xtrsim.experiment import SCENARIOS, AttackConfig, SweepConfig
 from xtrsim.limiter import LimiterConfig
-from xtrsim.workloads import PopulationProfile, gen_dos_stream, write_trace
-from xtrsim.xtr import XtrConfig
+from xtrsim.workloads import PopulationProfile, gen_dos_stream, read_trace, write_trace
+from xtrsim.xtr import Xtr, XtrConfig
 
 SWEEP_CONF = """\
 # small grid, comments and blank lines are fine
@@ -133,6 +135,62 @@ def test_replay_without_config_uses_defaults(tmp_path):
     assert main(["replay", trace, "--out", str(out)]) == 0
     assert (out / "replay_metrics.csv").exists()
     assert not (out / "cache_trace.txt").exists()
+
+
+def test_replay_of_a_comment_only_trace_writes_an_empty_cache_trace(tmp_path):
+    trace = tmp_path / "comments.txt"
+    trace.write_text("# no packets\n\n   # indented comment\n")
+    conf = write_conf(tmp_path, REPLAY_CONF)
+    out = tmp_path / "out"
+    assert main(["replay", str(trace), "--config", conf, "--out", str(out)]) == 0
+    assert (out / "cache_trace.txt").read_bytes() == b""
+    assert (out / "replay_metrics.csv").read_text().splitlines()[1].split(",")[2] == "0"
+
+
+def test_unwritable_cache_trace_fails_with_2_without_traceback(tmp_path):
+    trace, _ = make_trace(tmp_path)
+    conf = write_conf(tmp_path, REPLAY_CONF)
+    out = tmp_path / "out"
+    (out / "cache_trace.txt").mkdir(parents=True)
+    code, err = run_cli(["replay", trace, "--config", conf, "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def traced_peak(argv: list[str]) -> int:
+    """Bytes of Python heap that one `main` call holds at its peak, above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run_cli(argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_trace_export_holds_no_copy_of_the_trace(tmp_path):
+    # About 10k packets, nearly all misses, so the cache trace runs to
+    # megabytes and a copy of it dwarfs the allowance.
+    profile = PopulationProfile(20, 0.25, attacker_miss_range=(2000, 2000), seed=4)
+    trace = tmp_path / "trace.txt"
+    trace.write_text(write_trace(gen_dos_stream(profile, duration=0.5)))
+    router = "xtr.source_limiter_enabled=false\nxtr.cache_capacity=64\n"
+    peaks = {}
+    for recorded in (False, True):
+        conf = write_conf(tmp_path, router + f"xtr.record_cache_trace={recorded}\n")
+        peaks[recorded] = traced_peak(["replay", str(trace), "--config", conf,
+                                       "--out", str(tmp_path / f"out-{recorded}")])
+    xtr = Xtr(XtrConfig(source_limiter_enabled=False, cache_capacity=64,
+                        record_cache_trace=True))
+    xtr.run(read_trace(trace.read_text()))
+    lines = xtr.cache.trace
+    assert len(lines) > 10_000
+    held = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+    # The router keeps the trace as it runs; writing it out may add a line
+    # and the file's buffer, not a second trace.
+    assert peaks[True] - peaks[False] <= held + 2**20
 
 
 def test_unknown_config_key_fails_with_1(tmp_path, capsys):

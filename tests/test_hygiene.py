@@ -74,3 +74,45 @@ def test_only_cms_names_the_sketch_hash():
     named = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "cms.py" and (found := HASH_NAMES.findall(p.read_text()))}
     assert named == {}
+
+
+# cli.py writes every output file: a second writer elsewhere would escape
+# its mapping of a failed write to exit code 2.
+WRITE_METHODS = {"write_text", "write_bytes"}
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls that write a file: write_text, write_bytes, or an open whose
+    mode is not read-only. Code inside string constants is not parsed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in WRITE_METHODS:
+            found.append(f"line {node.lineno}: {name}")
+        elif name == "open":
+            # The builtin takes the path first; Path.open takes the mode first.
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes):
+                found.append(f"line {node.lineno}: open")
+    return found
+
+
+def test_file_writes_are_detected():
+    assert file_writes("Path(p).write_text(s)\nout.write_bytes(b)\n") == \
+        ["line 1: write_text", "line 2: write_bytes"]
+    assert file_writes("open(p, 'w')\nopen(p, mode='ab')\npath.open('r+')\nopen(p, m)\n") == \
+        ["line 1: open", "line 2: open", "line 3: open", "line 4: open"]
+    # Reads, and writing code that is only text in a string, are not writes.
+    assert file_writes("open(p)\nopen(p, 'rb', newline='')\npath.open()\n"
+                       "SCRIPT = 'open(p, \"w\").write_text(s)'\n") == []
+
+
+def test_only_cli_writes_files():
+    writes = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+              if p.name != "cli.py" and (found := file_writes(p.read_text()))}
+    assert writes == {}

@@ -236,10 +236,10 @@ def test_config_validation_and_timeout_default():
 
 def test_metrics_row_and_ratios():
     m = XtrMetrics()
-    m.packets_in.bump(Role.LEGIT, 4)
-    m.cache_hits.bump(Role.LEGIT, 3)
-    m.map_requests_sent.bump(Role.ATTACKER, 2)
-    m.dropped_by_source_limiter.bump(Role.ATTACKER, 6)
+    m.packets_in.legit = 4
+    m.cache_hits.legit = 3
+    m.map_requests_sent.attacker = 2
+    m.dropped_by_source_limiter.attacker = 6
     row = m.as_row()
     assert row["packets_in_total"] == 4
     assert row["packets_in_legit"] == 4
