@@ -1,11 +1,11 @@
 """Fixed-capacity map-cache with longest-prefix match and pluggable eviction.
 
 Two policies are provided: plain LRU, and LFU with periodic aging so that
-entries cannot coast forever on hits accumulated long ago. Aging is applied
-lazily: before any state-changing operation (a hit, an install, an explicit
-age call) the cache catches up on every full age interval that has elapsed,
-so hit attribution is identical to an eagerly-aged cache. A lookup that
-misses changes nothing.
+entries cannot coast forever on hits accumulated long ago. Aging is lazy: a
+hit, an install or an age call first ages once per boundary crossed since the
+last aging, where `now // age_interval` grows, so hit attribution equals that
+of a cache aged eagerly at each such boundary, whatever calls came before. A
+lookup that misses changes nothing.
 
 Cache time never goes back: lookup, install and age raise TimeRegression
 for a `now` earlier than the latest one the cache has seen, or NaN, and leave
@@ -37,6 +37,37 @@ POLICIES, AGE_MODES = ("lru", "lfu-aging"), ("halve", "zero")
 
 class TimeRegression(ValueError):
     """A time earlier than one the cache has already seen, or NaN."""
+
+
+def window_index(now: float, period: float) -> int:
+    """Index of the window of length `period`, aligned to time zero, that holds `now`."""
+    return int(now // period)
+
+
+class TumblingWindow:
+    """Windows of length `period` aligned to time zero: the limiters' and LFU aging's.
+
+    The window is kept by its index, not by its start time: a start of
+    (now // period) * period can round above a boundary (0.30000000000000004
+    for 3 * 0.1), and a window kept by it would miss the roll at 0.4.
+    """
+
+    def __init__(self, period: float):
+        self.period = period
+        self.index = 0  # window_index of the current window
+        # No later than the first time of the next window, so an earlier
+        # `now` skips the division: the product rounds to the float nearest
+        # (index + 1) * period, never past the first float at or above it.
+        self._next = period
+
+    def advance(self, now: float) -> int:
+        """Move to the window holding `now`; the number of boundaries crossed."""
+        if now < self._next:
+            return 0
+        crossed = window_index(now, self.period) - self.index
+        self.index += crossed
+        self._next = (self.index + 1) * self.period
+        return crossed
 
 
 class DuplicateInstall(Exception):
@@ -115,13 +146,6 @@ def _frequency_key(e: MapCacheEntry) -> tuple:
     return (e.hit_count, e.last_used, e.installed_at, *e.prefix)
 
 
-@dataclass
-class _LfuAgingState:
-    interval: float
-    mode: str  # "halve" or "zero"
-    last_aged: float = 0.0
-
-
 class MapCache:
     """Map-cache of at most `capacity` entries keyed by prefix.
 
@@ -138,14 +162,15 @@ class MapCache:
             raise ValueError(f"policy must be 'lru' or 'lfu-aging', got {policy!r}")
         self.capacity = capacity
         self.policy = policy
-        self._aging: _LfuAgingState | None = None
+        self._aging: TumblingWindow | None = None
+        self._age_mode = age_mode
         self._key = _recency_key
         if policy == "lfu-aging":
             if age_interval is None or not 0 < age_interval < math.inf:
                 raise ValueError(f"lfu-aging needs a finite age_interval > 0, got {age_interval}")
             if age_mode not in AGE_MODES:
                 raise ValueError(f"age_mode must be 'halve' or 'zero', got {age_mode!r}")
-            self._aging = _LfuAgingState(age_interval, age_mode)
+            self._aging = TumblingWindow(age_interval)
             self._key = _frequency_key
         self._entries: dict[EidPrefix, MapCacheEntry] = {}
         # Length-bucketed index for longest-prefix match.
@@ -175,18 +200,14 @@ class MapCache:
         self._clock = now
 
     def _catch_up_aging(self, now: float) -> None:
-        aging = self._aging
-        if aging is None:
-            return
-        intervals = int((now - aging.last_aged) // aging.interval)
-        if intervals < 1:
+        intervals = self._aging.advance(now)
+        if not intervals:
             return
         for entry in self._entries.values():
-            if aging.mode == "zero":
+            if self._age_mode == "zero":
                 entry.hit_count = 0
             else:
                 entry.hit_count >>= intervals
-        aging.last_aged += intervals * aging.interval
         self._heap = [(self._key(e), e.prefix) for e in self._entries.values()]
         heapq.heapify(self._heap)
 
@@ -201,7 +222,8 @@ class MapCache:
             if self._record_trace:
                 self.trace.append(f"{now} lookup {dst:#x} miss -")
             return None
-        self._catch_up_aging(now)
+        if self._aging is not None:
+            self._catch_up_aging(now)
         entry.hit_count += 1
         entry.last_used = now
         if self._record_trace:

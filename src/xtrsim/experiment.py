@@ -193,6 +193,9 @@ class AttackConfig:
                      "age_interval", "scan_rate", "bg_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("scan_rate", "bg_rate"):  # the packet totals
+            if not getattr(self, name) * self.duration < math.inf:
+                raise InvalidConfig(f"{name} * duration must be finite")
         # Also the fields this scenario never reads: config_hash covers them all.
         for name, allowed in (("dest_strategy", DOS_STRATEGY_BASES), ("age_mode", AGE_MODES),
                               ("attacker_timing", ATTACKER_TIMINGS), ("cache_policy", POLICIES)):

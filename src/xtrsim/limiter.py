@@ -1,8 +1,8 @@
 """Per-source admission control and the shared request budget for map-cache misses.
 
-Both limiters count inside tumbling windows aligned to time zero: the
-window holding `now` has index `now // period`, and all counters reset when
-that index grows. Nothing decays within a window.
+Both limiters count inside `cache.TumblingWindow`s aligned to time zero: the
+window holding `now` has index `window_index(now, period)`, and all counters
+reset when that index grows. Nothing decays within a window.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .cache import TumblingWindow
 from .cms import CountMinSketch, SketchDims, cell_max
 
 
@@ -60,37 +61,17 @@ class LimiterConfig:
                                  f"{self.cell_width_bytes}-byte cells saturate at {cap}")
 
 
-def window_index(now: float, period: float) -> int:
-    """Index of the window that holds `now`; see the module docstring."""
-    return int(now // period)
+class _ExactCounts(dict):
+    """Exact per-source counts, with the sketch's counting interface."""
 
+    def increment(self, key: int) -> int:
+        count = self[key] = self.get(key, 0) + 1
+        return count
 
-class _TumblingWindow:
-    """Window of length `period` aligned to time zero; see the module docstring.
+    def estimate(self, key: int) -> int:
+        return self.get(key, 0)
 
-    The window is kept by its index, not by its start time: a start of
-    (now // period) * period can round above a boundary (0.30000000000000004
-    for 3 * 0.1), and a window kept by it would miss the roll at 0.4.
-    """
-
-    def __init__(self, period: float):
-        self.period = period
-        self.index = 0  # window_index of the current window
-        # No later than the first time of the next window, so an earlier
-        # `now` skips the division: the product rounds to the float nearest
-        # (index + 1) * period, never past the first float at or above it.
-        self._next = period
-
-    def rolled(self, now: float) -> bool:
-        """Advance to the window containing `now`; True when a boundary was crossed."""
-        if now < self._next:
-            return False
-        index = window_index(now, self.period)
-        if index > self.index:
-            self.index = index
-            self._next = (index + 1) * self.period
-            return True
-        return False
+    reset = dict.clear
 
 
 class SourceRateLimiter:
@@ -104,35 +85,21 @@ class SourceRateLimiter:
     def __init__(self, config: LimiterConfig, *, seed: int = 0):
         self.config = config
         self._limit = config.threshold - (0 if config.strict_threshold else 1)  # flag above
-        self._window = _TumblingWindow(config.period)
-        if config.backend == "cms":
-            self._sketch: CountMinSketch | None = CountMinSketch(
-                config.sketch_dims, seed=seed, cell_width_bytes=config.cell_width_bytes)
-            self._table: dict[int, int] | None = None
-        else:
-            self._sketch = None
-            self._table = {}
+        self._window = TumblingWindow(config.period)
+        self._counts = _ExactCounts() if config.backend == "exact" else CountMinSketch(
+            config.sketch_dims, seed=seed, cell_width_bytes=config.cell_width_bytes)
 
     def current_count(self, source: int) -> int:
-        if self._sketch is not None:
-            return self._sketch.estimate(source)
-        return self._table.get(source, 0)
+        return self._counts.estimate(source)
 
     def on_miss(self, source: int, now: float) -> Decision:
         """Record one miss for `source` and decide admission.
 
         Every miss is counted, including the ones this call drops.
         """
-        if self._window.rolled(now):
-            if self._sketch is not None:
-                self._sketch.reset()
-            else:
-                self._table.clear()
-        if self._sketch is not None:
-            count = self._sketch.increment(source)
-        else:
-            count = self._table[source] = self._table.get(source, 0) + 1
-        return _DROP if count > self._limit else _ALLOW
+        if self._window.advance(now):
+            self._counts.reset()
+        return _DROP if self._counts.increment(source) > self._limit else _ALLOW
 
     def is_flagged(self, source: int) -> bool:
         """Read-only check of the source's standing in the current period."""
@@ -152,12 +119,12 @@ class DestRateLimiter:
             raise ValueError(f"period must be finite and > 0, got {period}")
         self.budget = budget
         self.period = period
-        self._window = _TumblingWindow(period)
+        self._window = TumblingWindow(period)
         self._used = 0  # budget used this period
 
     def consume(self, now: float) -> Decision:
         """Take one unit of budget if any is left this period."""
-        if self._window.rolled(now):
+        if self._window.advance(now):
             self._used = 0
         if self._used >= self.budget:
             return _DROP

@@ -163,8 +163,9 @@ class ScanProfile:
     def __post_init__(self) -> None:
         if not self.prefix_list:
             raise ValueError("prefix_list must be non-empty")
-        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
-            raise ValueError("packet_rate and duration must be finite and > 0")
+        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf
+                and self.packet_rate * self.duration < math.inf):  # the packet total too
+            raise ValueError("packet_rate, duration and their product must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,9 @@ class BackgroundProfile:
     def __post_init__(self) -> None:
         if self.n_users < 1 or self.n_destinations < 1:
             raise ValueError("n_users and n_destinations must be >= 1")
-        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf):
-            raise ValueError("packet_rate and duration must be finite and > 0")
+        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf
+                and self.packet_rate * self.duration < math.inf):  # the packet total too
+            raise ValueError("packet_rate, duration and their product must be finite and > 0")
         if not 0 <= self.zipf_exponent < math.inf:
             raise ValueError(f"zipf_exponent must be finite and >= 0, got {self.zipf_exponent}")
 

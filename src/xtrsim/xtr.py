@@ -6,7 +6,7 @@ destination budget, then a Map-Request with a fresh nonce. The mapping system
 answers after a fixed latency (unless loss is injected) and the reply installs
 the mapping. Replies scheduled at time t are delivered before a data packet
 carrying the same timestamp. Simulated time starts at 0: the limiter windows
-and LFU aging intervals are aligned to it.
+and LFU aging intervals are `cache.TumblingWindow`s aligned to it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
-from .cache import EidPrefix, MapCache
-from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter, window_index
+from .cache import AGE_MODES, POLICIES, EidPrefix, MapCache, window_index
+from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import PacketEvent, Role
 
 
@@ -186,9 +186,13 @@ class XtrConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.reply_loss < 1.0:
             raise ValueError(f"reply_loss must be in [0, 1), got {self.reply_loss}")
-        for name in ("reply_latency", "dest_period", "effective_pending_timeout"):
+        for name in ("reply_latency", "dest_period", "effective_pending_timeout", "age_interval"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # Checked whatever the policy: config_hash covers them all.
+        for name, allowed in (("cache_policy", POLICIES), ("age_mode", AGE_MODES)):
+            if (value := getattr(self, name)) not in allowed:
+                raise ValueError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
 
     @property
     def effective_pending_timeout(self) -> float:

@@ -25,13 +25,13 @@ class ReferenceCache:
         self.policy = policy
         self.age_interval = age_interval
         self.age_mode = age_mode
-        self.last_aged = 0.0
+        self.boundaries_aged = 0  # age_interval boundaries after time 0 already applied
         self.records = []
 
     def _age(self, now):
         if self.policy != "lfu-aging":
             return
-        steps = int((now - self.last_aged) // self.age_interval)
+        steps = int(now // self.age_interval) - self.boundaries_aged
         if steps < 1:
             return
         for rec in self.records:
@@ -40,7 +40,7 @@ class ReferenceCache:
             else:
                 for _ in range(steps):
                     rec.hits //= 2
-        self.last_aged += steps * self.age_interval
+        self.boundaries_aged += steps
 
     def lookup(self, dst, now):
         best = None

@@ -224,6 +224,20 @@ def test_catch_up_covers_multiple_elapsed_intervals():
     assert cache.get(A).hit_count == 7 >> 2
 
 
+def test_non_dyadic_aging_does_not_depend_on_earlier_calls():
+    # 0.5 // 0.1 == 4, so by time 0.5 the cache has aged four times whatever
+    # calls came before. Counting intervals from the last aging instead would
+    # add 0.4 // 0.1 == 4 to the one at 0.1, five halvings in all.
+    for ages in ([0.5], [0.1, 0.5]):
+        cache = MapCache(1, policy="lfu-aging", age_interval=0.1)
+        cache.install(A, (1,), 0.0)
+        for _ in range(1024):
+            cache.lookup(0xA, 0.0)
+        for t in ages:
+            cache.age(t)
+        assert cache.get(A).hit_count == 1024 >> 4, ages
+
+
 def test_zero_mode_clears_counts():
     cache = MapCache(2, policy="lfu-aging", age_interval=0.5, age_mode="zero")
     cache.install(A, (1,), 0.0)
@@ -310,6 +324,9 @@ EQUIV_CONFIGS = (
     dict(policy="lfu-aging", age_interval=1.0, age_mode="halve"),
     dict(policy="lfu-aging", age_interval=0.5, age_mode="zero"),
 )
+# A non-dyadic interval, where boundaries counted from the last aging drift
+# from `now // age_interval`. Kept apart so the seeds above keep their configs.
+NON_DYADIC_CONFIG = dict(policy="lfu-aging", age_interval=0.1, age_mode="halve")
 
 
 def drive_pair(cache: MapCache, ref: ReferenceCache, rng: random.Random,
@@ -351,9 +368,10 @@ def drive_pair(cache: MapCache, ref: ReferenceCache, rng: random.Random,
 
 
 def test_random_traces_match_brute_force_reference():
-    for seed in range(12):
-        rng = random.Random(9100 + seed)
-        cfg = EQUIV_CONFIGS[seed % len(EQUIV_CONFIGS)]
+    seeded = [(9100 + seed, EQUIV_CONFIGS[seed % len(EQUIV_CONFIGS)]) for seed in range(12)]
+    seeded += [(9200 + seed, NON_DYADIC_CONFIG) for seed in range(4)]
+    for seed, cfg in seeded:
+        rng = random.Random(seed)
         capacity = rng.randint(1, 4)
         cache = MapCache(capacity, **cfg)
         ref = ReferenceCache(capacity, **cfg)
@@ -377,7 +395,7 @@ def structured_address(a: int, b: int, c: int) -> int:
 
 
 @settings(deadline=None)
-@given(capacity=st.integers(1, 16), cfg=st.sampled_from(EQUIV_CONFIGS),
+@given(capacity=st.integers(1, 16), cfg=st.sampled_from(EQUIV_CONFIGS + (NON_DYADIC_CONFIG,)),
        ops=st.lists(cache_ops, min_size=20, max_size=150))
 def test_equal_time_ties_match_brute_force_reference(capacity, cfg, ops):
     # Many entries share last_used and installed_at here, so the eviction

@@ -309,6 +309,13 @@ BAD_SETTINGS = {
     "xtr-age-interval-nan": (["replay"], "xtr.cache_policy=lfu-aging\nxtr.age_interval=nan",
                              "age_interval"),
     "limiter-period-nan": (["replay"], "limiter.period=nan", "period"),
+    # A rate and duration each finite whose packet total is not.
+    "attack-scan-total-overflow": (["attack", "scan"], "attack.duration=1e307", "duration"),
+    "attack-bg-total-overflow": (["attack", "scan"], "attack.bg_rate=1e308", "bg_rate"),
+    # The cache settings are checked whatever the policy, before the trace is read.
+    "xtr-cache-policy": (["replay"], "xtr.cache_policy=bogus", "cache_policy"),
+    "xtr-lru-age-mode": (["replay"], "xtr.age_mode=bogus", "age_mode"),
+    "xtr-lru-age-interval": (["replay"], "xtr.age_interval=-1", "age_interval"),
     # Fields the chosen scenario never reads are checked all the same.
     "attack-scan-dest-strategy": (["attack", "scan"], "attack.dest_strategy=nan", "dest_strategy"),
     "attack-scan-timing": (["attack", "scan"], "attack.attacker_timing=-1", "attacker_timing"),

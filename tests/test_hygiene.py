@@ -116,3 +116,40 @@ def test_only_cli_writes_files():
     writes = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "cli.py" and (found := file_writes(p.read_text()))}
     assert writes == {}
+
+
+# Every interval aligned to time zero is numbered by cache.window_index: a
+# window kept any other way, such as by a start time summed from intervals,
+# can roll at other times than `now // period` at a non-dyadic period.
+def floor_divisions(source: str, home: str | None = None) -> list[str]:
+    """`//` and `//=` outside the function named `home`, by line."""
+    found = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == home
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv) \
+                and not inside:
+            found.append(f"line {node.lineno}: //")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_floor_divisions_are_detected():
+    assert floor_divisions("n = t // p\nn //= 2\ndef f(a):\n    return a // 3\n", "f") == \
+        ["line 1: //", "line 2: //"]
+    index = "def window_index(now, period):\n    return int(now // period)\n"
+    assert floor_divisions(index, "window_index") == []
+    assert floor_divisions(index) == ["line 2: //"]
+    # Text in a string and true division are not floor division.
+    assert floor_divisions("s = 'now // period'\nx = a / b\n") == []
+
+
+def test_only_window_index_floor_divides():
+    divisions = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+                 if (found := floor_divisions(p.read_text(),
+                                              "window_index" if p.name == "cache.py" else None))}
+    assert divisions == {}

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xtrsim.cache import TumblingWindow
 from xtrsim.cms import SketchDims, SketchParams
-from xtrsim.limiter import (Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter,
-                            _TumblingWindow)
+from xtrsim.limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 
 
 def make_limiter(**kwargs) -> SourceRateLimiter:
@@ -212,14 +212,14 @@ def miss_streams(draw):
 
 @given(stream=miss_streams())
 def test_a_window_rolls_exactly_when_its_index_grows(stream):
-    # rolled() skips the division before its next boundary; it must still
-    # agree with `now // period` on every time, boundaries included.
+    # advance() skips the division before its next boundary; it must still
+    # count the growth of `now // period` on every time, boundaries included.
     period, misses = stream
-    window = _TumblingWindow(period)
+    window = TumblingWindow(period)
     index = 0.0
-    for t, _ in misses:
-        assert window.rolled(t) is (t // period > index)
-        index = max(index, t // period)
+    for t, _ in misses:  # in time order
+        assert window.advance(t) == t // period - index
+        index = t // period
         assert window.index == index
 
 

@@ -226,6 +226,11 @@ def test_scan_profile_validation():
             ScanProfile(scan_prefixes(2), packet_rate=1.0, duration=bad)
         with pytest.raises(ValueError):
             BackgroundProfile(n_users=1, n_destinations=5, packet_rate=bad)
+    # Each finite, but the packet total is not.
+    with pytest.raises(ValueError, match="product"):
+        ScanProfile(scan_prefixes(2), packet_rate=400.0, duration=1e307)
+    with pytest.raises(ValueError, match="product"):
+        BackgroundProfile(n_users=1, n_destinations=5, packet_rate=1e308, duration=20.0)
     with pytest.raises(ValueError):
         BackgroundProfile(n_users=0, n_destinations=5)
     with pytest.raises(ValueError):

@@ -220,11 +220,12 @@ def test_config_validation_and_timeout_default():
     with pytest.raises(ValueError):
         XtrConfig(reply_loss=1.0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        for name in ("reply_latency", "dest_period", "pending_timeout"):
+        for name in ("reply_latency", "dest_period", "pending_timeout", "age_interval"):
             with pytest.raises(ValueError, match=name):
                 XtrConfig(**{name: bad})
+    # The cache settings are checked under lru too, which never reads the aging ones.
     for name, bad in (("cache_capacity", 0), ("pending_capacity", 0), ("dest_budget", -1),
-                      ("dest_mode", "per_prefix")):
+                      ("dest_mode", "per_prefix"), ("cache_policy", "lfu"), ("age_mode", "decay")):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             XtrConfig(**{name: bad})
     assert XtrConfig(dest_budget=0).dest_budget == 0
