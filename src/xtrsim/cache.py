@@ -40,8 +40,12 @@ class TimeRegression(ValueError):
 
 
 def window_index(now: float, period: float) -> int:
-    """Index of the window of length `period`, aligned to time zero, that holds `now`."""
-    return int(now // period)
+    """Index of the window of length `period`, aligned to time zero, that holds `now`;
+    a ValueError when the quotient is not finite, as at a subnormal period."""
+    try:
+        return int(now // period)
+    except (OverflowError, ValueError):  # an infinite or NaN quotient
+        raise ValueError(f"time {now} has no finite window index at period {period}") from None
 
 
 class TumblingWindow:

@@ -149,8 +149,12 @@ def _cmd_attack(args) -> int:
 
 
 def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
-    dims = SketchDims(_convert(0, mapping.pop("limiter.w", "1000"), "limiter.w"),
-                      _convert(0, mapping.pop("limiter.d", "4"), "limiter.d"))
+    size = {}
+    for key, default in (("limiter.w", "1000"), ("limiter.d", "4")):
+        size[key] = _convert(0, mapping.pop(key, default), key)
+        if size[key] < 1:
+            raise InvalidConfig(f"{key} must be >= 1, got {size[key]}")
+    dims = SketchDims(size["limiter.w"], size["limiter.d"])
     limiter = _apply_overrides(LimiterConfig(backend="cms", sketch_dims=dims), mapping,
                                "limiter", frozen_keys=("sketch_dims",))
     return _apply_overrides(XtrConfig(limiter=limiter), mapping, "xtr", frozen_keys=("limiter",))

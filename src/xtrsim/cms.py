@@ -157,8 +157,9 @@ def _vector_limbs(keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 def _row_hash(b: int, coeffs: tuple[int, ...],
-              limbs: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """(b + sum a_i*x_i) mod p for every key, from the keys' limbs."""
+              limbs: list[tuple[int, np.ndarray | int]]) -> np.ndarray | int:
+    """(b + sum a_i*x_i) mod p for every key, from the keys' limbs: the sketch's
+    one hash, over one key's int limbs (scalar path) or int64 arrays (vector)."""
     h = b
     for i, x in limbs:
         term = coeffs[i] * x
@@ -226,8 +227,6 @@ class CountMinSketch:
         # memoryview, which skips numpy's boxing of each item.
         self._flat = memoryview(self._cells.reshape(-1))
         self._rows = [_row_coefficients(seed, r) for r in range(dims.depth)]
-        # (row offset, b, a_0) per row: a key below 2**30 is its own one limb.
-        self._one_limb = [(r * dims.width, b, a[0]) for r, (b, a) in enumerate(self._rows)]
         self._slot_memo: dict[int, list[int]] = {}
 
     @property
@@ -254,18 +253,10 @@ class CountMinSketch:
         return slots
 
     def _hash_slots(self, key: int) -> list[int]:
-        """The slots of _slots, hashed from the key.
-
-        Python ints do not overflow, so the scalar path sums every term before
-        its one reduction mod p; the vector path reduces after each term and
-        gets the same value.
-        """
+        """The slots of _slots, hashed by `_row_hash` as the vector path hashes."""
+        limbs = list(enumerate(_limbs(key)))
         width = self.dims.width
-        if type(key) is int and 0 <= key <= _LIMB_MASK:
-            return [base + (b + a0 * key) % _HASH_PRIME % width for base, b, a0 in self._one_limb]
-        limbs = _limbs(key)
-        return [row * width + (b + sum(map(operator.mul, coeffs, limbs))) % _HASH_PRIME % width
-                for row, (b, coeffs) in enumerate(self._rows)]
+        return [row * width + self._columns(row, limbs) for row in range(self.dims.depth)]
 
     def increment(self, key: int, amount: int = 1) -> int:
         """Add amount (>= 1) to the key's cell in every row, saturating.
@@ -287,7 +278,7 @@ class CountMinSketch:
         """Point estimate: minimum of the key's cells, never below the true count."""
         return min([self._flat[slot] for slot in self._slots(key)])
 
-    def _columns(self, row: int, limbs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    def _columns(self, row: int, limbs: list[tuple[int, np.ndarray | int]]) -> np.ndarray | int:
         """The row's column for every key, from the keys' limbs."""
         return _row_hash(*self._rows[row], limbs) % self.dims.width
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache import AGE_MODES, POLICIES
+from .cache import AGE_MODES, POLICIES, window_index
 from .cms import SketchDims, cell_max, flagged_by_dims
 from .limiter import LimiterConfig
 from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
@@ -196,6 +196,11 @@ class AttackConfig:
         for name in ("scan_rate", "bg_rate"):  # the packet totals
             if not getattr(self, name) * self.duration < math.inf:
                 raise InvalidConfig(f"{name} * duration must be finite")
+        for name in ("limiter_period", "dest_period", "age_interval"):  # up to the last reply
+            try:
+                window_index(self.duration + self.reply_latency, getattr(self, name))
+            except ValueError as exc:
+                raise InvalidConfig(f"{name} is too small: {exc}") from None
         # Also the fields this scenario never reads: config_hash covers them all.
         for name, allowed in (("dest_strategy", DOS_STRATEGY_BASES), ("age_mode", AGE_MODES),
                               ("attacker_timing", ATTACKER_TIMINGS), ("cache_policy", POLICIES)):

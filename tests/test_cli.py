@@ -238,6 +238,18 @@ def test_unsorted_trace_fails_with_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_trace_time_past_the_last_window_fails_with_1_without_traceback(tmp_path):
+    far = tmp_path / "far.txt"
+    far.write_text("1e308 0x1 0x2 legit\n")
+    conf = write_conf(tmp_path, "xtr.dest_period=0.5\n")
+    out = tmp_path / "o"
+    code, err = run_cli(["replay", str(far), "--config", conf, "--out", str(out)])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 BAD_TRACE_LINES = {
     "nan-time": "nan 0x1 0x3 legit",
     "inf-time": "inf 0x1 0x3 legit",
@@ -312,6 +324,13 @@ BAD_SETTINGS = {
     # A rate and duration each finite whose packet total is not.
     "attack-scan-total-overflow": (["attack", "scan"], "attack.duration=1e307", "duration"),
     "attack-bg-total-overflow": (["attack", "scan"], "attack.bg_rate=1e308", "bg_rate"),
+    # A period so small that the run's last window has no finite index.
+    "attack-limiter-period-subnormal": (["attack", "dos"], "attack.limiter_period=1e-309",
+                                        "limiter_period"),
+    "attack-dest-period-subnormal": (["attack", "dos"], "attack.dest_period=1e-309",
+                                     "dest_period"),
+    "attack-age-interval-subnormal": (["attack", "scan"], "attack.age_interval=1e-309",
+                                      "age_interval"),
     # The cache settings are checked whatever the policy, before the trace is read.
     "xtr-cache-policy": (["replay"], "xtr.cache_policy=bogus", "cache_policy"),
     "xtr-lru-age-mode": (["replay"], "xtr.age_mode=bogus", "age_mode"),
@@ -347,6 +366,8 @@ BAD_SETTINGS = {
     "attack-dest-budget": (["attack", "dos"], "attack.dest_budget=-1", "dest_budget"),
     "attack-limiter-w": (["attack", "dos"], "attack.limiter_w=0", "limiter_w"),
     "attack-limiter-d": (["attack", "dos"], "attack.limiter_d=0", "limiter_d"),
+    "limiter-w": (["replay"], "limiter.w=0", "limiter.w"),
+    "limiter-d": (["replay"], "limiter.d=0", "limiter.d"),
     # Fields that take one value refuse any other.
     "xtr-dest-mode": (["replay"], "xtr.dest_mode=per_prefix", "dest_mode"),
     "xtr-source-key": (["replay"], "xtr.source_key=1", "source_key"),
@@ -390,8 +411,9 @@ FUZZ_KEYS = {
     "replay": [f"xtr.{f.name}" for f in fields(XtrConfig)]
               + [f"limiter.{f.name}" for f in fields(LimiterConfig)] + ["limiter.w", "limiter.d"],
 }
-# No large finite number: no example may allocate or loop at scale.
-FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1,2", "none", "true"]
+# No large finite number: no example may allocate or loop at scale. The
+# smallest positive number is allowed: as a period it must be refused, not run.
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-309", "", "abc", "1,2", "none", "true"]
 TINY_TRACE = "0.0 0x1 0x10 legit\n0.001 0x2 0x11 attacker\n0.05 0x1 0x10 legit\n"
 
 

@@ -388,8 +388,9 @@ def slots_by_the_limb_formula(sketch: CountMinSketch, key) -> list[int]:
             for row, (b, coeffs) in enumerate(sketch._rows)]
 
 
-# Keys on both sides of the one-limb fast path's 2**30 edge, and key types
-# (bool, numpy integers) that must take the general path to the same cells.
+# Keys on both sides of the 2**30 edge where _vector_limbs stops taking one
+# limb, and key types (bool, numpy integers) that skip the slot memo and are
+# hashed and checked every time, landing in the same cells.
 edge_keys = st.one_of(
     st.sampled_from([0, 1, 2**30 - 1, 2**30, 2**60, 2**64 - 1, 2**128 - 1, True, False]),
     st.integers(0, 2**30 - 1), st.integers(2**30, 2**64 - 1), st.integers(2**30, 2**128 - 1),
@@ -406,9 +407,9 @@ def test_every_path_places_a_key_by_the_limb_formula_and_saturates(shape, cell_w
     sketch = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
     slots = slots_by_the_limb_formula(sketch, key)
     assert sketch._slots(key) == slots
-    assert sketch._slots(int(key)) == slots  # the one-limb fast path below 2**30
+    assert sketch._slots(int(key)) == slots  # the memoized int path
     if int(key) < 2**63:
-        assert sketch._slots(np.int64(key)) == slots  # the general limb path
+        assert sketch._slots(np.int64(key)) == slots  # the checked numpy path, never memoized
     if int(key) < 2**64:
         vector = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
         vector.add_counts(np.array([key], dtype=np.uint64), np.array([1]))

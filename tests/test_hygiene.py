@@ -118,24 +118,36 @@ def test_only_cli_writes_files():
     assert writes == {}
 
 
-# Every interval aligned to time zero is numbered by cache.window_index: a
-# window kept any other way, such as by a start time summed from intervals,
-# can roll at other times than `now // period` at a non-dyadic period.
-def floor_divisions(source: str, home: str | None = None) -> list[str]:
-    """`//` and `//=` outside the function named `home`, by line."""
+def lines_outside(source: str, home: str | None, matches) -> list[int]:
+    """Lines of the nodes that `matches` accepts outside the function named `home`."""
     found = []
 
     def visit(node: ast.AST, inside: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside or node.name == home
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv) \
-                and not inside:
-            found.append(f"line {node.lineno}: //")
+        if not inside and matches(node):
+            found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(ast.parse(source), False)
     return found
+
+
+def binary_op(node: ast.AST, op: type) -> ast.AST | None:
+    """The right operand of `a <op> b` or `a <op>= b`, or None for any other node."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, op):
+        return node.right if isinstance(node, ast.BinOp) else node.value
+    return None
+
+
+# Every interval aligned to time zero is numbered by cache.window_index: a
+# window kept any other way, such as by a start time summed from intervals,
+# can roll at other times than `now // period` at a non-dyadic period.
+def floor_divisions(source: str, home: str | None = None) -> list[str]:
+    """`//` and `//=` outside the function named `home`, by line."""
+    return [f"line {line}: //" for line in
+            lines_outside(source, home, lambda node: binary_op(node, ast.FloorDiv) is not None)]
 
 
 def test_floor_divisions_are_detected():
@@ -153,3 +165,34 @@ def test_only_window_index_floor_divides():
                  if (found := floor_divisions(p.read_text(),
                                               "window_index" if p.name == "cache.py" else None))}
     assert divisions == {}
+
+
+# The sketch has one hash, cms._row_hash, for the scalar and the vector paths:
+# a second reduction mod p is a second copy of the hash, which a change to the
+# hash (a key, wider keys) would have to find and keep in step.
+def prime_reductions(source: str, home: str | None = None) -> list[str]:
+    """`% _HASH_PRIME` and `%= _HASH_PRIME` outside the function named `home`, by line."""
+
+    def matches(node: ast.AST) -> bool:
+        modulus = binary_op(node, ast.Mod)
+        return getattr(modulus, "id", getattr(modulus, "attr", None)) == "_HASH_PRIME"
+
+    return [f"line {line}: % _HASH_PRIME" for line in lines_outside(source, home, matches)]
+
+
+def test_prime_reductions_are_detected():
+    hashes = ("def _row_hash(h, x):\n    h %= _HASH_PRIME\n    return h % _HASH_PRIME\n"
+              "slot = (b + a * key) % _HASH_PRIME % width\nh = x % cms._HASH_PRIME\n")
+    assert prime_reductions(hashes, "_row_hash") == \
+        ["line 4: % _HASH_PRIME", "line 5: % _HASH_PRIME"]
+    assert len(prime_reductions(hashes)) == 4
+    # Other moduli, and the prime used any other way, are not a reduction by it.
+    assert prime_reductions("c = h % width\na = randrange(1, _HASH_PRIME)\n"
+                            "s = 'x % _HASH_PRIME'\n") == []
+
+
+def test_only_row_hash_reduces_mod_the_hash_prime():
+    reductions = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+                  if (found := prime_reductions(p.read_text(),
+                                                "_row_hash" if p.name == "cms.py" else None))}
+    assert reductions == {}
