@@ -57,6 +57,10 @@ def _convert(default, text: str, key: str):
 
     A field whose default is None takes "none" or a float.
     """
+    if isinstance(default, tuple):
+        element = default[0] if default else 0
+        return tuple(_convert(element, part.strip(), key)
+                     for part in text.split(",") if part.strip())
     try:
         if default is None:
             return None if text.lower() == "none" else float(text)
@@ -71,10 +75,6 @@ def _convert(default, text: str, key: str):
             return int(text)
         if isinstance(default, float):
             return float(text)
-        if isinstance(default, tuple):
-            element = default[0] if default else 0
-            return tuple(_convert(element, part.strip(), key)
-                         for part in text.split(",") if part.strip())
         return text
     except ValueError as exc:
         raise InvalidConfig(f"bad value for {key}: {exc}") from exc

@@ -32,12 +32,6 @@ _KEY_LIMBS = 5  # keys below 2**150, which holds every 128-bit address
 # which is exact only for caps below 2**53.
 _CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32}
 
-# Keys whose slots a sketch memoizes before it empties its memo. A few
-# sources make most of a flood's misses, but sources are attacker-chosen, so
-# the memo is bounded: about 1.1 MB of heap when full of 128-bit keys at
-# depth 4.
-_SLOT_MEMO_CAP = 4096
-
 
 class InvalidParams(ValueError):
     """Raised for sketch parameters outside their documented domain."""
@@ -227,33 +221,14 @@ class CountMinSketch:
         # memoryview, which skips numpy's boxing of each item.
         self._flat = memoryview(self._cells.reshape(-1))
         self._rows = [_row_coefficients(seed, r) for r in range(dims.depth)]
-        self._slot_memo: dict[int, list[int]] = {}
 
     @property
     def memory_bytes(self) -> int:
         return self.dims.memory_bytes(self.cell_width_bytes)
 
-    def _slots(self, key: int) -> list[int]:
-        """Flat index of the key's cell in every row; the caller must not
-        change the list.
-
-        Only an `int` key is memoized. A key of any other type (bool, numpy,
-        float) is hashed, and checked, on every call, so it never reads the
-        entry of an int that it compares equal to.
-        """
-        if type(key) is not int:
-            return self._hash_slots(key)
-        memo = self._slot_memo
-        slots = memo.get(key)
-        if slots is None:
-            slots = self._hash_slots(key)
-            if len(memo) >= _SLOT_MEMO_CAP:
-                memo.clear()
-            memo[key] = slots
-        return slots
-
     def _hash_slots(self, key: int) -> list[int]:
-        """The slots of _slots, hashed by `_row_hash` as the vector path hashes."""
+        """Flat index of the key's cell in every row, hashed by `_row_hash` as
+        the vector path hashes."""
         limbs = list(enumerate(_limbs(key)))
         width = self.dims.width
         return [row * width + self._columns(row, limbs) for row in range(self.dims.depth)]
@@ -268,7 +243,7 @@ class CountMinSketch:
             raise ValueError(f"amount must be >= 1, got {amount}")
         flat = self._flat
         est = cap = self.cell_max
-        for slot in self._slots(key):
+        for slot in self._hash_slots(key):
             value = flat[slot] + amount
             flat[slot] = value = value if value < cap else cap
             est = value if value < est else est
@@ -276,7 +251,7 @@ class CountMinSketch:
 
     def estimate(self, key: int) -> int:
         """Point estimate: minimum of the key's cells, never below the true count."""
-        return min([self._flat[slot] for slot in self._slots(key)])
+        return min([self._flat[slot] for slot in self._hash_slots(key)])
 
     def _columns(self, row: int, limbs: list[tuple[int, np.ndarray | int]]) -> np.ndarray | int:
         """The row's column for every key, from the keys' limbs."""
@@ -305,5 +280,5 @@ class CountMinSketch:
         return est.astype(np.int64)
 
     def reset(self) -> None:
-        """Zero every cell; hash functions, placements and their memo are kept."""
+        """Zero every cell; hash functions and placements are kept."""
         self._cells[:] = 0

@@ -88,6 +88,7 @@ class SourceRateLimiter:
         self._window = TumblingWindow(config.period)
         self._counts = _ExactCounts() if config.backend == "exact" else CountMinSketch(
             config.sketch_dims, seed=seed, cell_width_bytes=config.cell_width_bytes)
+        self._flagged: set[int] = set()  # sources dropped in this window
 
     def current_count(self, source: int) -> int:
         return self._counts.estimate(source)
@@ -95,11 +96,22 @@ class SourceRateLimiter:
     def on_miss(self, source: int, now: float) -> Decision:
         """Record one miss for `source` and decide admission.
 
-        Every miss is counted, including the ones this call drops.
+        A source's misses are counted up to its first drop in a window, so
+        `current_count` stops growing there. Later drops could not change any
+        decision: cells only grow within a window, and a cell already over the
+        limit (the cap is above it) stays over it. The flagged set holds at
+        most the distinct sources that missed in the window, the exact
+        backend's bound.
         """
         if self._window.advance(now):
             self._counts.reset()
-        return _DROP if self._counts.increment(source) > self._limit else _ALLOW
+            self._flagged.clear()
+        if source in self._flagged:
+            return _DROP
+        if self._counts.increment(source) > self._limit:
+            self._flagged.add(source)
+            return _DROP
+        return _ALLOW
 
     def is_flagged(self, source: int) -> bool:
         """Read-only check of the source's standing in the current period."""

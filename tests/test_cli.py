@@ -208,6 +208,21 @@ def test_bad_config_value_fails_with_1(tmp_path, capsys):
         assert f"bad value for {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [
+    (["sweep"], "sweep.n_nodes"), (["sweep"], "sweep.legit_miss_range"),
+    (["sweep"], "sweep.attacker_miss_range"), (["sweep"], "sweep.seeds"),
+    (["attack", "dos"], "attack.legit_miss_range"),
+    (["attack", "dos"], "attack.attacker_miss_range")])
+def test_a_bad_tuple_element_names_its_key_once(tmp_path, command, key):
+    # Each element is parsed as the tuple's element type; its error must not
+    # be wrapped a second time by the tuple's own parse.
+    conf = write_conf(tmp_path, f"{key}=1e-309\n")
+    code, err = run_cli([*command, "--config", conf, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.count(f"bad value for {key}") == 1
+
+
 def test_malformed_config_line_fails_with_1(tmp_path):
     conf = write_conf(tmp_path, "justtext\n")
     assert main(["sweep", "--config", conf, "--out", str(tmp_path / "o")]) == 1

@@ -1,7 +1,5 @@
 """Sketch behavior against exact-count and high-precision sizing oracles."""
 
-import itertools
-import random
 from collections import Counter
 
 import numpy as np
@@ -10,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xtrsim.cms import (_SLOT_MEMO_CAP, CountMinSketch, InvalidParams, SketchDims,
-                        SketchParams, cell_max, dims_from_params, flagged_by_dims)
+from xtrsim.cms import (CountMinSketch, InvalidParams, SketchDims, SketchParams, cell_max,
+                        dims_from_params, flagged_by_dims)
 
 mp.dps = 60
 
@@ -168,10 +166,8 @@ def test_reset_zeroes_but_keeps_placements():
     fresh = CountMinSketch(SketchDims(97, 3), seed=13)
     for key in range(50):
         sketch.increment(key, key + 1)
-    memo = dict(sketch._slot_memo)
     sketch.reset()
     assert not sketch._cells.any()
-    assert sketch._slot_memo == memo  # the hash functions are kept, so are their slots
     assert sketch.estimate(17) == 0
     for key in range(50):
         sketch.increment(key, key + 1)
@@ -389,8 +385,8 @@ def slots_by_the_limb_formula(sketch: CountMinSketch, key) -> list[int]:
 
 
 # Keys on both sides of the 2**30 edge where _vector_limbs stops taking one
-# limb, and key types (bool, numpy integers) that skip the slot memo and are
-# hashed and checked every time, landing in the same cells.
+# limb, and key types (bool, numpy integers) that are checked and land in
+# the same cells as the equal int.
 edge_keys = st.one_of(
     st.sampled_from([0, 1, 2**30 - 1, 2**30, 2**60, 2**64 - 1, 2**128 - 1, True, False]),
     st.integers(0, 2**30 - 1), st.integers(2**30, 2**64 - 1), st.integers(2**30, 2**128 - 1),
@@ -406,10 +402,10 @@ def test_every_path_places_a_key_by_the_limb_formula_and_saturates(shape, cell_w
     dims = SketchDims(width, depth)
     sketch = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
     slots = slots_by_the_limb_formula(sketch, key)
-    assert sketch._slots(key) == slots
-    assert sketch._slots(int(key)) == slots  # the memoized int path
+    assert sketch._hash_slots(key) == slots
+    assert sketch._hash_slots(int(key)) == slots
     if int(key) < 2**63:
-        assert sketch._slots(np.int64(key)) == slots  # the checked numpy path, never memoized
+        assert sketch._hash_slots(np.int64(key)) == slots
     if int(key) < 2**64:
         vector = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
         vector.add_counts(np.array([key], dtype=np.uint64), np.array([1]))
@@ -421,48 +417,14 @@ def test_every_path_places_a_key_by_the_limb_formula_and_saturates(shape, cell_w
     assert np.flatnonzero(sketch._cells).tolist() == slots
 
 
-@settings(deadline=None)
-@given(shape=sketch_shapes, key=edge_keys)
-def test_memoized_slots_follow_the_limb_formula_across_a_clear(shape, key):
-    seed, width, depth = shape
-    sketch = CountMinSketch(SketchDims(width, depth), seed=seed)
-    memo = sketch._slot_memo
-    slots = slots_by_the_limb_formula(sketch, key)
-    assert sketch._slots(key) == slots  # hashed
-    # Only an int key is memoized; bool and numpy keys are hashed every time.
-    assert len(memo) == (1 if type(key) is int else 0)
-    assert sketch._slots(key) == slots  # a memo hit for an int key
-    fresh = (k for k in itertools.count(2**29) if k != key)
-    while len(memo) < _SLOT_MEMO_CAP:
-        sketch._slots(next(fresh))
-    sketch._slots(next(fresh))  # one key past the cap empties the memo first
-    assert len(memo) == 1
-    assert sketch._slots(key) == slots  # hashed again after the clear
-    assert sketch._slots(key) == slots
-
-
-def test_a_stream_of_fresh_wide_sources_keeps_the_memo_bounded():
-    # Sources are attacker-chosen: every one of them new and 128 bits wide.
-    rng = random.Random(12)
-    sketch = CountMinSketch(SketchDims(1000, 4), seed=1)
-    expected = np.zeros(sketch._cells.size, dtype=np.int64)
-    for _ in range(_SLOT_MEMO_CAP + 1000):
-        key = rng.getrandbits(128)
-        sketch.increment(key)
-        assert len(sketch._slot_memo) <= _SLOT_MEMO_CAP
-        expected[slots_by_the_limb_formula(sketch, key)] += 1
-    assert len(sketch._slot_memo) == 1000
-    assert np.array_equal(sketch._cells.reshape(-1), expected)
-
-
 def test_a_key_equal_to_a_memoized_int_is_still_refused():
-    # 1.0 == 1 and both hash alike, so a memo read before the type check
-    # would count a float under the int's cells.
+    # 1.0 == 1 and both hash alike, so a lookup keyed by the value before
+    # the type check would count a float under the int's cells.
     sketch = CountMinSketch(SketchDims(16, 2))
     address = 0xFD << 120 | 7
     for key in (1, 7, address):
         sketch.increment(key)
-        sketch.increment(key)  # the second one reads the memo
+        sketch.increment(key)
     for key in (1.0, 7.0, "7", (7).to_bytes(16, "big"), address.to_bytes(16, "big")):
         with pytest.raises(ValueError):
             sketch.increment(key)

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limiter_reference import ReferenceLimiter
 from xtrsim.cache import TumblingWindow
 from xtrsim.cms import SketchDims, SketchParams
+from xtrsim.experiment import _attack_stream, _attack_xtr_config, dos_defaults, overflow_defaults
 from xtrsim.limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
+from xtrsim.xtr import Xtr
 
 
 def make_limiter(**kwargs) -> SourceRateLimiter:
@@ -267,3 +270,78 @@ def test_a_stream_straddling_a_boundary_gets_twice_the_threshold_through(backend
     decisions = [limiter.on_miss(0, t) for t in [last] * threshold + [first] * threshold]
     assert decisions == [Decision.ALLOW] * (2 * threshold)
     assert limiter.on_miss(0, first) is Decision.DROP
+
+
+@pytest.mark.parametrize("backend, dims", [("exact", None), ("cms", SketchDims(4, 2))])
+def test_drops_after_the_first_leave_the_counter_alone_until_the_window_rolls(backend, dims):
+    limiter = SourceRateLimiter(LimiterConfig(threshold=3, period=1.0, backend=backend,
+                                              sketch_dims=dims), seed=4)
+    counts = limiter._counts
+
+    def cells():
+        return dict(counts) if backend == "exact" else counts._cells.tobytes()
+
+    assert [limiter.on_miss(8, 0.1) for _ in range(4)] == [Decision.ALLOW] * 3 + [Decision.DROP]
+    before = cells()
+    assert [limiter.on_miss(8, 0.5) for _ in range(50)] == [Decision.DROP] * 50
+    assert cells() == before
+    assert limiter.current_count(8) == 4
+    # The next window admits the source again, up to the threshold.
+    assert [limiter.on_miss(8, 1.0) for _ in range(4)] == [Decision.ALLOW] * 3 + [Decision.DROP]
+
+
+@st.composite
+def reference_cases(draw):
+    """A limiter config over sketches from 1x1 to 6x3 or the exact backend,
+    and a stream of bursts of misses, crowded around window boundaries, from
+    a few small or 128-bit sources."""
+    backend = draw(st.sampled_from(["exact", "cms"]))
+    dims = SketchDims(draw(st.integers(1, 6)), draw(st.integers(1, 3))) \
+        if backend == "cms" else None
+    cell_width, strict = draw(st.sampled_from([1, 2])), draw(st.booleans())
+    # Small thresholds, and the largest one 1-byte cells still reach, so
+    # bursts can saturate cells.
+    top = 254 if strict else 255
+    threshold = draw(st.one_of(st.integers(1, 6), st.just(top)))
+    config = LimiterConfig(threshold=threshold, period=draw(st.sampled_from([0.1, 1 / 3, 1.0])),
+                           backend=backend, sketch_dims=dims, cell_width_bytes=cell_width,
+                           strict_threshold=strict)
+    key = st.one_of(st.integers(0, 7), st.integers(0, 2**128 - 1))
+    sources = draw(st.lists(key, min_size=1, max_size=6, unique=True))
+    boundary = st.integers(0, 6).map(lambda k: k * config.period)
+    time = st.one_of(st.floats(0, 7 * config.period), boundary,
+                     boundary.map(lambda b: max(math.nextafter(b, -math.inf), 0.0)))
+    bursts = draw(st.lists(st.tuples(time, st.sampled_from(sources),
+                                     st.sampled_from([1, 1, 2, 3, 300])),
+                           min_size=1, max_size=30))
+    return config, draw(st.integers(0, 3)), sorted(bursts)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=reference_cases())
+def test_decisions_match_the_limiter_that_counts_every_miss(case):
+    # Past a source's first drop in a window, the reference still counts its
+    # misses; no decision, flag or count under the limit may differ.
+    config, seed, bursts = case
+    limiter, reference = SourceRateLimiter(config, seed=seed), ReferenceLimiter(config, seed=seed)
+    for t, source, repeat in bursts:
+        for _ in range(repeat):
+            assert limiter.on_miss(source, t) is reference.on_miss(source, t)
+            flagged = reference.is_flagged(source)
+            assert limiter.is_flagged(source) == flagged
+            if not flagged:
+                assert limiter.current_count(source) == reference.count(source)
+
+
+@pytest.mark.parametrize("make_config", [dos_defaults, overflow_defaults])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_router_runs_alike_on_the_reference_limiter(make_config, seed):
+    config = make_config()
+    stream = _attack_stream(config, seed)
+    xtr_config = _attack_xtr_config(config, defended=True)
+    routers = [Xtr(xtr_config, seed=seed) for _ in range(2)]
+    routers[1].source_limiter = ReferenceLimiter(xtr_config.limiter, seed=seed)
+    rows = [router.run(stream).as_row() for router in routers]
+    assert rows[0] == rows[1]
+    assert rows[0]["dropped_by_source_limiter_total"] > 0
+    assert routers[0].admitted_by_source_period == routers[1].admitted_by_source_period
