@@ -163,16 +163,17 @@ def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
 def _replay(trace: str, config: XtrConfig, seed: int) -> Xtr:
     """Run the trace file through a fresh router and return the router.
 
-    The trace text lives only until `read_trace` returns and the event list
-    only until `Xtr.run` returns, so neither is still held while the cache
-    trace is written.
+    `read_trace` parses the open file line by line, so neither the trace's
+    text nor a list of its lines is ever held. The stream is freed when this
+    returns, before the cache trace is written.
     """
     try:
-        events = read_trace(Path(trace).read_text())
+        with Path(trace).open("rb") as lines:
+            stream = read_trace(lines)
     except OSError as exc:
         raise IoFailure(f"cannot read trace {trace}: {exc}") from exc
     xtr = Xtr(config, seed=seed)
-    xtr.run(events)
+    xtr.run(stream)
     return xtr
 
 

@@ -33,12 +33,38 @@ class Role(enum.Enum):
     ATTACKER = "attacker"
 
 
+# A role's string, indexed by the attacker flag.
+_ROLE_BY_FLAG = np.array([Role.LEGIT.value, Role.ATTACKER.value], dtype=object)
+
+
 @dataclass(slots=True)
-class PacketEvent:
-    time: float
-    src: int
-    dst: int
-    role: Role = Role.LEGIT
+class Stream:
+    """A packet stream in time order, as four parallel columns.
+
+    A role is the string "legit" or "attacker": the `Role` value, the `Tally`
+    field the router counts the packet under, and the trace's fourth field.
+    The columns are lists, not arrays: the router iterates them in Python,
+    and addresses are 128-bit.
+    """
+
+    times: list[float]
+    srcs: list[int]
+    dsts: list[int]
+    roles: list[str]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+def _in_time_order(times: np.ndarray, srcs: np.ndarray, dsts: np.ndarray,
+                   attacker: np.ndarray) -> Stream:
+    """The rows as a Stream sorted by time; rows with equal times keep their order.
+
+    A column of 128-bit addresses is an object array of Python ints.
+    """
+    order = np.argsort(times, kind="stable")
+    return Stream(times[order].tolist(), srcs[order].tolist(), dsts[order].tolist(),
+                  _ROLE_BY_FLAG[attacker[order].astype(np.intp)].tolist())
 
 
 @dataclass(frozen=True)
@@ -108,7 +134,7 @@ DOS_STRATEGY_BASES = {
 
 def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated", *,
                    duration: float = 1.0, popular_pool: int = 50,
-                   attacker_timing: str = "uniform") -> list[PacketEvent]:
+                   attacker_timing: str = "uniform") -> Stream:
     """Miss-flood stream: attackers spray never-before-seen destinations.
 
     Every attacker emits exactly its drawn miss count, each packet to a fresh
@@ -126,24 +152,20 @@ def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated
     base = DOS_STRATEGY_BASES[dest_strategy]
     if dest_strategy == "non_popular":
         base += popular_pool  # non-popular indices start after the pool's
-    events: list[PacketEvent] = []
-    fresh = 0
-    for source, count, is_attacker in zip(draw.sources.tolist(), draw.counts.tolist(),
-                                          draw.attacker_mask.tolist()):
-        times = rng.uniform(0.0, duration, size=count)
+    times: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    for count, is_attacker in zip(draw.counts.tolist(), draw.attacker_mask.tolist()):
+        source_times = rng.uniform(0.0, duration, size=count)
         if is_attacker:
-            if attacker_timing == "burst":
-                times = times * 0.1
-            for t in times:
-                events.append(PacketEvent(float(t), source, base + fresh, Role.ATTACKER))
-                fresh += 1
+            times.append(source_times * 0.1 if attacker_timing == "burst" else source_times)
+            dsts.append(np.arange(base, base + count, dtype=object))
+            base += count
         else:
-            pool_picks = rng.integers(0, popular_pool, size=count)
-            for t, pick in zip(times, pool_picks):
-                events.append(PacketEvent(float(t), source,
-                                          POPULAR_DST_BASE + int(pick), Role.LEGIT))
-    events.sort(key=lambda e: e.time)
-    return events
+            times.append(source_times)
+            picks = rng.integers(0, popular_pool, size=count)
+            dsts.append(picks.astype(object) + POPULAR_DST_BASE)
+    return _in_time_order(np.concatenate(times), np.repeat(draw.sources, draw.counts),
+                          np.concatenate(dsts), np.repeat(draw.attacker_mask, draw.counts))
 
 
 @dataclass(frozen=True)
@@ -200,73 +222,85 @@ def zipf_probabilities(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def gen_scan_stream(scan: ScanProfile, background: BackgroundProfile) -> list[PacketEvent]:
-    """Scanner sweep merged in time order with Zipf background traffic."""
+def gen_scan_stream(scan: ScanProfile, background: BackgroundProfile) -> Stream:
+    """Scanner sweep merged in time order with Zipf background traffic.
+
+    The scanner's rows come before the background's, so at equal times the
+    scanner's packet goes first.
+    """
     rng = np.random.default_rng(scan.seed)
     n_prefixes = len(scan.prefix_list)
     total = int(round(scan.packet_rate * scan.duration))
-    order = np.arange(n_prefixes)
-    events: list[PacketEvent] = []
-    for i in range(total):
-        slot = i % n_prefixes
-        if slot == 0 and scan.reshuffle_each_pass:
-            order = rng.permutation(n_prefixes)
-        prefix = scan.prefix_list[int(order[slot])]
-        events.append(PacketEvent(i / scan.packet_rate, SCANNER_SRC,
-                                  prefix.address, Role.ATTACKER))
+    passes, rest = divmod(total, n_prefixes)
+    # A fresh permutation at the start of each pass; the last may be cut short.
+    slots = [rng.permutation(n_prefixes) if scan.reshuffle_each_pass else np.arange(n_prefixes)
+             for _ in range(passes + (rest > 0))]
+    if rest:
+        slots[-1] = slots[-1][:rest]
+    addresses = np.array([prefix.address for prefix in scan.prefix_list], dtype=object)
+    times = [np.arange(total) / scan.packet_rate]
+    srcs = [SCANNER_SRC]
+    dsts = [addresses[slot] for slot in slots]
 
     bg_rng = np.random.default_rng(background.seed)
     probs = zipf_probabilities(background.n_destinations, background.zipf_exponent)
     per_user = int(round(background.packet_rate * background.duration))
     for user in range(background.n_users):
-        times = bg_rng.uniform(0.0, background.duration, size=per_user)
+        times.append(bg_rng.uniform(0.0, background.duration, size=per_user))
         ranks = bg_rng.choice(background.n_destinations, size=per_user, p=probs)
-        src = BACKGROUND_SRC_BASE + user
-        for t, rank in zip(times, ranks):
-            events.append(PacketEvent(float(t), src,
-                                      BACKGROUND_DST_BASE + int(rank), Role.LEGIT))
-    events.sort(key=lambda e: e.time)
-    return events
+        srcs.append(BACKGROUND_SRC_BASE + user)
+        dsts.append(ranks.astype(object) + BACKGROUND_DST_BASE)
+    repeats = [total] + [per_user] * background.n_users
+    return _in_time_order(np.concatenate(times), np.repeat(np.array(srcs, dtype=object), repeats),
+                          np.concatenate(dsts), np.arange(sum(repeats)) < total)
 
 
-def write_trace(events: Iterable[PacketEvent]) -> str:
-    """Serialize a stream as one 'ts src dst role' line per event."""
-    return "".join(f"{e.time!r} {e.src:#x} {e.dst:#x} {e.role.value}\n" for e in events)
+def write_trace(stream: Stream) -> str:
+    """Serialize a stream as one 'ts src dst role' line per packet."""
+    return "".join(f"{time!r} {src:#x} {dst:#x} {role}\n" for time, src, dst, role
+                   in zip(stream.times, stream.srcs, stream.dsts, stream.roles))
 
 
-_ROLES = {role.value: role for role in Role}
+_ROLES = {role.value: role.value for role in Role}
 
 
-def read_trace(text: str) -> list[PacketEvent]:
-    """Parse the 'ts src dst role' lines of write_trace; '#' lines are comments.
+def read_trace(lines: Iterable[bytes]) -> Stream:
+    """Parse the UTF-8 'ts src dst role' lines of write_trace; '#' lines are comments.
 
-    A bad line raises ValueError that names it: a wrong field count, a
-    timestamp that is not finite, is negative or goes back, an address
+    `lines` is any iterable of byte lines, such as a file opened in binary
+    mode, so the trace is read one line at a time. A bad line raises
+    ValueError that names it: bytes that are not UTF-8, a wrong field count,
+    a timestamp that is not finite, is negative or goes back, an address
     outside [0, 2**128), or an unknown role.
     """
-    events: list[PacketEvent] = []
+    stream = Stream([], [], [], [])
+    times, srcs, dsts, roles = stream.times, stream.srcs, stream.dsts, stream.roles
     last = 0.0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()  # splits on the whitespace that strip() would strip
-        if not parts or parts[0].startswith("#"):
-            continue
+    for lineno, raw in enumerate(lines, start=1):
         try:
+            line = raw.decode()
+            parts = line.split()  # splits on the whitespace that strip() would strip
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) != 4:
                 raise ValueError(f"expected 'ts src dst role', got {line.strip()!r}")
             ts, src, dst, role = parts
             time = float(ts)
             if not 0.0 <= time < math.inf:
                 raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+            src, dst = _address(src), _address(dst)
             # Role(role) only raises: it words the error for an unknown role.
-            event = PacketEvent(time, _address(src), _address(dst),
-                                _ROLES.get(role) or Role(role))
+            role = _ROLES.get(role) or Role(role).value
             if time < last:
                 raise ValueError(f"timestamp {time} is before the previous {last}")
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from exc
         last = time
-        events.append(event)
-    return events
+        times.append(time)
+        srcs.append(src)
+        dsts.append(dst)
+        roles.append(role)
+    return stream
 
 
 def _address(text: str) -> int:

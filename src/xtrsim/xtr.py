@@ -17,11 +17,10 @@ import math
 import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
-from typing import Iterable
 
 from .cache import AGE_MODES, POLICIES, EidPrefix, MapCache, window_index
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
-from .workloads import PacketEvent, Role
+from .workloads import Role, Stream
 
 
 class StepOutcome(enum.Enum):
@@ -35,7 +34,7 @@ class StepOutcome(enum.Enum):
 
 # Bound once, in definition order: on Python 3.11 a lookup on an Enum class is slow.
 _FORWARDED, _REQUESTED, _PENDING, _SOURCE_LIMITED, _DEST_LIMITED, _TABLE_FULL = StepOutcome
-_ATTACKER, _DROP = Role.ATTACKER, Decision.DROP
+_DROP = Decision.DROP
 
 
 @dataclass
@@ -100,7 +99,7 @@ class XtrMetrics:
 class _Pending:
     prefix: EidPrefix
     deadline: float
-    role: Role
+    role: str  # the `Role` value, which names the `Tally` field to bump
 
 
 class PendingRequestTable:
@@ -130,7 +129,7 @@ class PendingRequestTable:
     def has_prefix(self, prefix: EidPrefix) -> bool:
         return prefix in self._by_prefix
 
-    def insert(self, prefix: EidPrefix, now: float, role: Role) -> int:
+    def insert(self, prefix: EidPrefix, now: float, role: str) -> int:
         if self.is_full:
             raise OverflowError("pending table full")
         nonce = next(self._nonces)
@@ -229,7 +228,7 @@ class Xtr:
     def _expire_pending(self, now: float) -> None:
         timeouts = self.metrics.pending_timeouts.__dict__
         for entry in self.pending.expire_due(now):
-            timeouts["attacker" if entry.role is _ATTACKER else "legit"] += 1
+            timeouts[entry.role] += 1
 
     def deliver_reply(self, nonce: int, now: float) -> bool:
         """Consume a Map-Reply. Unknown (expired or bogus) nonces are discarded.
@@ -240,7 +239,7 @@ class Xtr:
         if entry is None:
             self.metrics.stale_replies += 1
             return False
-        role = "attacker" if entry.role is _ATTACKER else "legit"  # the Tally field to bump
+        role = entry.role
         self.metrics.map_replies_received.__dict__[role] += 1
         prefix = entry.prefix
         # A prefix is pending only while uncached, so this is never a DuplicateInstall.
@@ -256,13 +255,13 @@ class Xtr:
                 self._expire_pending(reply_time)
             self.deliver_reply(nonce, reply_time)
 
-    def step(self, event: PacketEvent) -> StepOutcome:
-        """Process one data packet. The cache's clock is the router's: a time
-        that goes back, or NaN, raises TimeRegression before any counter moves."""
-        now = event.time
-        hit = self.cache.lookup(event.dst, now) is not None
+    def step(self, now: float, src: int, dst: int, role: str) -> StepOutcome:
+        """Process one data packet; `role` is a `Role` value, "legit" or "attacker".
+
+        The cache's clock is the router's: a time that goes back, or NaN,
+        raises TimeRegression before any counter moves."""
+        hit = self.cache.lookup(dst, now) is not None
         metrics = self.metrics
-        role = "attacker" if event.role is _ATTACKER else "legit"  # the Tally field to bump
         metrics.packets_in.__dict__[role] += 1
 
         if hit:
@@ -270,13 +269,12 @@ class Xtr:
             return _FORWARDED
         metrics.cache_misses.__dict__[role] += 1
 
-        prefix = EidPrefix.host(event.dst)
+        prefix = EidPrefix.host(dst)
         if self.pending.has_prefix(prefix):
             metrics.suppressed_while_pending.__dict__[role] += 1
             return _PENDING
 
-        source = event.src
-        if self.source_limiter is not None and self.source_limiter.on_miss(source, now) is _DROP:
+        if self.source_limiter is not None and self.source_limiter.on_miss(src, now) is _DROP:
             metrics.dropped_by_source_limiter.__dict__[role] += 1
             return _SOURCE_LIMITED
 
@@ -288,27 +286,29 @@ class Xtr:
             metrics.nonce_table_overflows.__dict__[role] += 1
             return _TABLE_FULL
 
-        nonce = self.pending.insert(prefix, now, event.role)
+        nonce = self.pending.insert(prefix, now, role)
         metrics.map_requests_sent.__dict__[role] += 1
-        self.admitted_by_source_period[(source, window_index(now, self.config.limiter.period))] += 1
+        self.admitted_by_source_period[(src, window_index(now, self.config.limiter.period))] += 1
         if self.config.reply_loss == 0.0 or self._loss_rng.random() >= self.config.reply_loss:
             self._reply_queue.append((now + self.config.reply_latency, nonce))
         return _REQUESTED
 
-    def run(self, events: Iterable[PacketEvent]) -> XtrMetrics:
+    def run(self, stream: Stream) -> XtrMetrics:
         """Drive the xTR through a whole stream, interleaving scheduled replies.
 
         Replies and expiries are processed only when the head of the reply
         queue or of the pending table is due; before that they change nothing.
+        Each packet goes through one call of `self.step`, looked up once, so
+        a wrapper of `step` on the class or the instance sees every packet.
         """
         replies, pending = self._reply_queue, self.pending._by_nonce
-        for event in events:
-            now = event.time
+        step = self.step
+        for now, src, dst, role in zip(stream.times, stream.srcs, stream.dsts, stream.roles):
             if replies and replies[0][0] <= now:
                 self._deliver_due_replies(now)
             if pending and next(iter(pending.values())).deadline <= now:
                 self._expire_pending(now)
-            self.step(event)
+            step(now, src, dst, role)
         # Drain replies already in flight past the last packet.
         self._deliver_due_replies(float("inf"))
         return self.metrics

@@ -17,7 +17,7 @@ import math
 from xtrsim.cms import CountMinSketch, SketchDims
 from xtrsim.experiment import dos_defaults
 from xtrsim.limiter import LimiterConfig
-from xtrsim.workloads import UNALLOCATED_DST_BASE, PacketEvent, Role
+from xtrsim.workloads import UNALLOCATED_DST_BASE
 from xtrsim.xtr import StepOutcome, Xtr, XtrConfig
 
 DOS = dos_defaults()  # threshold 100, a 1000 x 4 sketch, one-second windows
@@ -54,9 +54,8 @@ def frame(sources: list[int], backend: str = "cms") -> tuple[Xtr, list[StepOutco
     fresh = itertools.count(UNALLOCATED_DST_BASE)
     for _ in range(DOS.threshold + 1):
         for source in sources:
-            xtr.step(PacketEvent(0.0, source, next(fresh), Role.ATTACKER))
-    return xtr, [xtr.step(PacketEvent(t, VICTIM, next(fresh), Role.LEGIT))
-                 for t in VICTIM_TIMES]
+            xtr.step(0.0, source, next(fresh), "attacker")
+    return xtr, [xtr.step(t, VICTIM, next(fresh), "legit") for t in VICTIM_TIMES]
 
 
 def test_the_router_key_lets_d_sources_deny_the_victim_for_the_window():
@@ -69,7 +68,7 @@ def test_the_router_key_lets_d_sources_deny_the_victim_for_the_window():
     # The victim never sent more than the threshold: the sketch framed it.
     assert len(VICTIM_TIMES) <= DOS.threshold
     # The next window starts clean.
-    later = xtr.step(PacketEvent(1.0, VICTIM, UNALLOCATED_DST_BASE - 1, Role.LEGIT))
+    later = xtr.step(1.0, VICTIM, UNALLOCATED_DST_BASE - 1, "legit")
     assert later is StepOutcome.MISS_PENDING_REQUEST
 
 

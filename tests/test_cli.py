@@ -66,10 +66,10 @@ def write_conf(tmp_path, text, name="conf.txt"):
 
 def make_trace(tmp_path):
     profile = PopulationProfile(8, 0.25, attacker_miss_range=(20, 30), seed=4)
-    events = gen_dos_stream(profile, duration=0.2)
+    stream = gen_dos_stream(profile, duration=0.2)
     path = tmp_path / "trace.txt"
-    path.write_text(write_trace(events))
-    return str(path), len(events)
+    path.write_text(write_trace(stream))
+    return str(path), len(stream)
 
 
 def test_sweep_writes_outputs_and_reruns_identically(tmp_path, capsys):
@@ -184,7 +184,8 @@ def test_cache_trace_export_holds_no_copy_of_the_trace(tmp_path):
                                        "--out", str(tmp_path / f"out-{recorded}")])
     xtr = Xtr(XtrConfig(source_limiter_enabled=False, cache_capacity=64,
                         record_cache_trace=True))
-    xtr.run(read_trace(trace.read_text()))
+    with trace.open("rb") as lines:
+        xtr.run(read_trace(lines))
     lines = xtr.cache.trace
     assert len(lines) > 10_000
     held = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
@@ -284,6 +285,21 @@ def test_bad_trace_line_fails_with_1_naming_the_line(tmp_path, capsys, line):
     assert main(["replay", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: trace line 2: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [b"0.3 0x1 0x\xff legit", b"# caf\xe9"], ids=["field", "comment"])
+def test_non_utf8_trace_line_fails_with_1_naming_the_line(tmp_path, capsys, bad):
+    # Far enough in that the line does not sit in the file's first read buffer.
+    good = b"".join(b"%r 0x1 0x%x legit\n" % (i / 1000, i) for i in range(2000))
+    trace = tmp_path / "bad.txt"
+    trace.write_bytes(good + bad + b"\n")
+    out = tmp_path / "o"
+    assert main(["replay", str(trace), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 2001: 'utf-8' codec can't decode byte ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()

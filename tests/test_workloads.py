@@ -6,10 +6,15 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stream_reference
 from xtrsim.workloads import (
+    ATTACKER_TIMINGS,
     BACKGROUND_DST_BASE,
     BACKGROUND_SRC_BASE,
+    DOS_STRATEGY_BASES,
     NEGATIVE_DST_BASE,
     NONPOPULAR_DST_BASE,
     POPULAR_DST_BASE,
@@ -17,10 +22,10 @@ from xtrsim.workloads import (
     SCANNER_SRC,
     UNALLOCATED_DST_BASE,
     BackgroundProfile,
-    PacketEvent,
     PopulationProfile,
     Role,
     ScanProfile,
+    Stream,
     gen_dos_stream,
     gen_miss_counts,
     gen_scan_stream,
@@ -35,8 +40,8 @@ NO_BACKGROUND = BackgroundProfile(n_users=1, n_destinations=1,
                                   packet_rate=0.1, duration=1.0)
 
 
-def as_tuples(events):
-    return [(e.time, e.src, e.dst, e.role) for e in events]
+def rows(stream):
+    return list(zip(stream.times, stream.srcs, stream.dsts, stream.roles))
 
 
 # ------------------------------------------------------------- populations
@@ -97,50 +102,49 @@ DOS_PROFILE = PopulationProfile(20, 0.2, legit_miss_range=(1, 10),
 
 def test_dos_stream_emits_exactly_the_drawn_counts():
     draw = gen_miss_counts(DOS_PROFILE)
-    events = gen_dos_stream(DOS_PROFILE)
-    assert len(events) == int(draw.counts.sum())
-    per_source = collections.Counter(e.src for e in events)
+    stream = gen_dos_stream(DOS_PROFILE)
+    assert len(stream) == int(draw.counts.sum())
+    per_source = collections.Counter(stream.srcs)
     for source, count in zip(draw.sources, draw.counts):
         assert per_source[int(source)] == count
-    for e in events:
-        assert (e.role is Role.ATTACKER) == bool(draw.attacker_mask[e.src])
+    for src, role in zip(stream.srcs, stream.roles):
+        assert (role == Role.ATTACKER.value) == bool(draw.attacker_mask[src])
 
 
 def test_dos_attacker_destinations_are_all_fresh():
     for strategy, first in (("unallocated", UNALLOCATED_DST_BASE),
                             ("non_popular", NONPOPULAR_DST_BASE + 8)):
-        events = gen_dos_stream(DOS_PROFILE, strategy, popular_pool=8)
-        attacker_dsts = [e.dst for e in events if e.role is Role.ATTACKER]
+        stream = gen_dos_stream(DOS_PROFILE, strategy, popular_pool=8)
+        attacker_dsts = [d for d, r in zip(stream.dsts, stream.roles) if r == "attacker"]
         assert len(set(attacker_dsts)) == len(attacker_dsts)
         assert min(attacker_dsts) == first
 
 
 def test_dos_legit_traffic_stays_in_popular_pool():
-    events = gen_dos_stream(DOS_PROFILE, popular_pool=8)
-    legit_dsts = {e.dst for e in events if e.role is Role.LEGIT}
+    stream = gen_dos_stream(DOS_PROFILE, popular_pool=8)
+    legit_dsts = {d for d, r in zip(stream.dsts, stream.roles) if r == "legit"}
     assert legit_dsts <= {POPULAR_DST_BASE + i for i in range(8)}
 
 
 def test_dos_stream_is_time_sorted_within_duration():
-    events = gen_dos_stream(DOS_PROFILE, duration=2.5)
-    times = [e.time for e in events]
+    times = gen_dos_stream(DOS_PROFILE, duration=2.5).times
     assert times == sorted(times)
     assert 0.0 <= times[0] and times[-1] < 2.5
 
 
 def test_dos_burst_front_loads_attackers_only():
-    events = gen_dos_stream(DOS_PROFILE, duration=1.0, attacker_timing="burst")
-    attacker_times = [e.time for e in events if e.role is Role.ATTACKER]
-    legit_times = [e.time for e in events if e.role is Role.LEGIT]
+    stream = gen_dos_stream(DOS_PROFILE, duration=1.0, attacker_timing="burst")
+    attacker_times = [t for t, r in zip(stream.times, stream.roles) if r == "attacker"]
+    legit_times = [t for t, r in zip(stream.times, stream.roles) if r == "legit"]
     assert max(attacker_times) <= 0.1
     assert max(legit_times) > 0.1
 
 
 def test_dos_strategy_selects_address_corner():
     neg = gen_dos_stream(DOS_PROFILE, "negative_prefixes")
-    assert all(e.dst >= NEGATIVE_DST_BASE for e in neg if e.role is Role.ATTACKER)
+    assert all(d >= NEGATIVE_DST_BASE for d, r in zip(neg.dsts, neg.roles) if r == "attacker")
     non_pop = gen_dos_stream(DOS_PROFILE, "non_popular", popular_pool=8)
-    dsts = [e.dst for e in non_pop if e.role is Role.ATTACKER]
+    dsts = [d for d, r in zip(non_pop.dsts, non_pop.roles) if r == "attacker"]
     assert all(d >= NONPOPULAR_DST_BASE + 8 for d in dsts)
 
 
@@ -149,7 +153,7 @@ def test_dos_stream_validation_and_determinism():
         gen_dos_stream(DOS_PROFILE, "popular")
     with pytest.raises(ValueError):
         gen_dos_stream(DOS_PROFILE, attacker_timing="ramp")
-    assert as_tuples(gen_dos_stream(DOS_PROFILE)) == as_tuples(gen_dos_stream(DOS_PROFILE))
+    assert gen_dos_stream(DOS_PROFILE) == gen_dos_stream(DOS_PROFILE)
 
 
 # -------------------------------------------------------------- scan stream
@@ -171,47 +175,46 @@ def test_zipf_probabilities_shape():
 
 def test_scan_sweep_covers_every_prefix_each_pass():
     scan = ScanProfile(scan_prefixes(5), packet_rate=10.0, duration=1.0, seed=2)
-    events = gen_scan_stream(scan, NO_BACKGROUND)
-    assert len(events) == 10
-    assert [e.time for e in events] == [i / 10.0 for i in range(10)]
-    assert all(e.src == SCANNER_SRC and e.role is Role.ATTACKER for e in events)
+    stream = gen_scan_stream(scan, NO_BACKGROUND)
+    assert len(stream) == 10
+    assert stream.times == [i / 10.0 for i in range(10)]
+    assert stream.srcs == [SCANNER_SRC] * 10 and stream.roles == ["attacker"] * 10
     want = {p.address for p in scan.prefix_list}
-    assert {e.dst for e in events[:5]} == want
-    assert {e.dst for e in events[5:]} == want
+    assert set(stream.dsts[:5]) == want
+    assert set(stream.dsts[5:]) == want
 
 
 def test_scan_partial_final_pass_has_no_repeats():
     scan = ScanProfile(scan_prefixes(5), packet_rate=7.0, duration=1.0, seed=2)
-    events = gen_scan_stream(scan, NO_BACKGROUND)
-    assert len(events) == 7
-    tail = [e.dst for e in events[5:]]
+    stream = gen_scan_stream(scan, NO_BACKGROUND)
+    assert len(stream) == 7
+    tail = stream.dsts[5:]
     assert len(set(tail)) == 2
 
 
 def test_scan_reshuffle_toggle():
     fixed = ScanProfile(scan_prefixes(6), packet_rate=12.0, duration=1.0,
                         reshuffle_each_pass=False, seed=0)
-    events = gen_scan_stream(fixed, NO_BACKGROUND)
-    assert [e.dst for e in events[:6]] == [e.dst for e in events[6:]]
+    dsts = gen_scan_stream(fixed, NO_BACKGROUND).dsts
+    assert dsts[:6] == dsts[6:]
     shuffled = ScanProfile(scan_prefixes(6), packet_rate=12.0, duration=1.0,
                            reshuffle_each_pass=True, seed=0)
-    events = gen_scan_stream(shuffled, NO_BACKGROUND)
-    assert [e.dst for e in events[:6]] != [e.dst for e in events[6:]]
+    dsts = gen_scan_stream(shuffled, NO_BACKGROUND).dsts
+    assert dsts[:6] != dsts[6:]
 
 
 def test_background_traffic_shape_and_popularity():
     bg = BackgroundProfile(n_users=4, n_destinations=30, zipf_exponent=1.5,
                            packet_rate=500.0, duration=1.0, seed=9)
     scan = ScanProfile(scan_prefixes(3), packet_rate=3.0, duration=1.0, seed=1)
-    events = gen_scan_stream(scan, bg)
-    legit = [e for e in events if e.role is Role.LEGIT]
+    stream = gen_scan_stream(scan, bg)
+    legit = [(src, dst) for _, src, dst, role in rows(stream) if role == "legit"]
     assert len(legit) == 4 * 500
-    assert {e.src for e in legit} == {BACKGROUND_SRC_BASE + u for u in range(4)}
-    assert all(BACKGROUND_DST_BASE <= e.dst < BACKGROUND_DST_BASE + 30 for e in legit)
-    popularity = collections.Counter(e.dst for e in legit)
+    assert {src for src, _ in legit} == {BACKGROUND_SRC_BASE + u for u in range(4)}
+    assert all(BACKGROUND_DST_BASE <= dst < BACKGROUND_DST_BASE + 30 for _, dst in legit)
+    popularity = collections.Counter(dst for _, dst in legit)
     assert popularity.most_common(1)[0][0] == BACKGROUND_DST_BASE
-    times = [e.time for e in events]
-    assert times == sorted(times)
+    assert stream.times == sorted(stream.times)
 
 
 def test_scan_profile_validation():
@@ -240,25 +243,91 @@ def test_scan_profile_validation():
 # ------------------------------------------------------------------- traces
 
 def test_trace_round_trip_is_exact():
-    events = gen_dos_stream(DOS_PROFILE)[:200]
-    text = write_trace(events)
-    back = read_trace(text)
-    assert as_tuples(back) == as_tuples(events)
+    stream = gen_dos_stream(DOS_PROFILE)
+    back = read_trace(write_trace(stream).encode().splitlines())
+    assert back == stream
 
 
 def test_trace_format_is_one_line_per_event():
-    line = write_trace([PacketEvent(0.25, 0x1, 0xAB << 120, Role.ATTACKER)])
+    line = write_trace(Stream([0.25], [0x1], [0xAB << 120], ["attacker"]))
     assert line == f"0.25 0x1 {0xAB << 120:#x} attacker\n"
 
 
 def test_trace_reader_skips_comments_and_blanks():
     text = "# header\n\n0.5 0x2 0x30 legit\n   \n"
-    events = read_trace(text)
-    assert as_tuples(events) == [(0.5, 0x2, 0x30, Role.LEGIT)]
+    assert rows(read_trace(text.encode().splitlines())) == [(0.5, 0x2, 0x30, "legit")]
 
 
 def test_trace_reader_rejects_malformed_lines():
     with pytest.raises(ValueError, match="line 2"):
-        read_trace("0.5 0x2 0x30 legit\n0.6 0x2 0x30\n")
+        read_trace([b"0.5 0x2 0x30 legit\n", b"0.6 0x2 0x30\n"])
     with pytest.raises(ValueError):
-        read_trace("0.5 0x2 0x30 eavesdropper\n")
+        read_trace([b"0.5 0x2 0x30 eavesdropper\n"])
+
+
+# ------------------------------------------- the columnar producers, pinned
+
+# Besides ordinary spans, a duration of two subnormal steps makes most drawn
+# times tie, so only a stable sort keeps the rows in generation order.
+DURATIONS = st.sampled_from([1.0, 0.25, 2.5, 7.0, 1e-323])
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_nodes=st.integers(1, 12), attacker_fraction=st.floats(0.0, 1.0),
+       attacker_max=st.integers(1, 40), seed=st.integers(0, 2**32),
+       strategy=st.sampled_from(sorted(DOS_STRATEGY_BASES)),
+       timing=st.sampled_from(ATTACKER_TIMINGS), duration=DURATIONS,
+       popular_pool=st.integers(1, 60))
+def test_dos_stream_matches_the_packet_at_a_time_reference(
+        n_nodes, attacker_fraction, attacker_max, seed, strategy, timing, duration, popular_pool):
+    profile = PopulationProfile(n_nodes, attacker_fraction, legit_miss_range=(1, 5),
+                                attacker_miss_range=(1, attacker_max), seed=seed)
+    kwargs = dict(duration=duration, popular_pool=popular_pool, attacker_timing=timing)
+    assert rows(gen_dos_stream(profile, strategy, **kwargs)) == \
+        stream_reference.gen_dos_stream(profile, strategy, **kwargs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_prefixes=st.integers(1, 12), packets=st.integers(0, 40), reshuffle=st.booleans(),
+       seed=st.integers(0, 2**32), n_users=st.integers(1, 4), n_destinations=st.integers(1, 20),
+       zipf_exponent=st.sampled_from([0.0, 1.0, 1.7]), per_user=st.integers(0, 15),
+       duration=st.sampled_from([1.0, 0.25, 2.5, 7.0]))
+def test_scan_stream_matches_the_packet_at_a_time_reference(
+        n_prefixes, packets, reshuffle, seed, n_users, n_destinations, zipf_exponent, per_user,
+        duration):
+    # `packets` is the scanner's packet total: a multiple of the prefix count
+    # or not, so the last pass may be cut short. A rate rounds to its total.
+    scan = ScanProfile(scan_prefixes(n_prefixes), packet_rate=packets + 0.25, duration=1.0,
+                       reshuffle_each_pass=reshuffle, seed=seed)
+    bg = BackgroundProfile(n_users, n_destinations, zipf_exponent,
+                           packet_rate=(per_user + 0.25) / duration, duration=duration,
+                           seed=seed + 1)
+    assert rows(gen_scan_stream(scan, bg)) == stream_reference.gen_scan_stream(scan, bg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_nodes=st.integers(1, 8), seed=st.integers(0, 2**32), duration=DURATIONS)
+def test_a_written_trace_reads_back_as_the_stream(n_nodes, seed, duration):
+    profile = PopulationProfile(n_nodes, 0.3, attacker_miss_range=(1, 30), seed=seed)
+    stream = gen_dos_stream(profile, duration=duration)
+    text = write_trace(stream)
+    back = read_trace(text.encode().splitlines(keepends=True))
+    assert back == stream
+    assert rows(back) == stream_reference.read_trace(text)
+
+
+@st.composite
+def traces_with_repeated_times(draw):
+    ticks = sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=40)))
+    address = st.integers(0, 2**128 - 1)
+    return [(tick / 8, draw(address), draw(address), draw(st.sampled_from(["legit", "attacker"])))
+            for tick in ticks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(packets=traces_with_repeated_times(), comment=st.sampled_from(["", "# c\n", "\n"]))
+def test_a_trace_with_repeated_times_keeps_its_order(packets, comment):
+    text = comment + "".join(f"{t!r} {s:#x} {d:#x} {r}\n" for t, s, d, r in packets)
+    stream = read_trace(text.encode().splitlines(keepends=True))
+    assert rows(stream) == packets == stream_reference.read_trace(text)
+    assert write_trace(stream) == text.removeprefix(comment)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from xtrsim.cache import EidPrefix, TimeRegression
 from xtrsim.experiment import dos_defaults, overflow_defaults, run_attack
 from xtrsim.limiter import LimiterConfig
-from xtrsim.workloads import PacketEvent, PopulationProfile, Role, gen_dos_stream
+from xtrsim.workloads import PopulationProfile, Role, Stream, gen_dos_stream
 from xtrsim.xtr import (
     PendingRequestTable,
     StepOutcome,
@@ -27,8 +27,13 @@ def mk_config(**overrides) -> XtrConfig:
     return XtrConfig(**base)
 
 
-def pkt(t: float, src: int, dst: int, role: Role = Role.LEGIT) -> PacketEvent:
-    return PacketEvent(t, src, dst, role)
+def pkt(t: float, src: int, dst: int, role: str = "legit") -> tuple[float, int, int, str]:
+    """One packet as the arguments of `Xtr.step`."""
+    return t, src, dst, role
+
+
+def stream(*packets: tuple[float, int, int, str]) -> Stream:
+    return Stream(*map(list, zip(*packets)))
 
 
 # ------------------------------------------------------------ pending table
@@ -36,35 +41,35 @@ def pkt(t: float, src: int, dst: int, role: Role = Role.LEGIT) -> PacketEvent:
 def test_pending_table_round_trip():
     table = PendingRequestTable(2, 0.5)
     p = EidPrefix.host(0x1)
-    nonce = table.insert(p, 0.25, Role.LEGIT)
+    nonce = table.insert(p, 0.25, "legit")
     assert table.has_prefix(p) and len(table) == 1
     entry = table.consume(nonce)
-    assert entry.prefix == p and entry.deadline == 0.75 and entry.role is Role.LEGIT
+    assert entry.prefix == p and entry.deadline == 0.75 and entry.role == "legit"
     assert table.consume(nonce) is None
     assert not table.has_prefix(p) and len(table) == 0
     # Nonces are distinct and rise in send order, also past a consumed one.
     nonces = [nonce]
     for i in range(2, 6):
-        nonces.append(table.insert(EidPrefix.host(i), 1.0, Role.LEGIT))
+        nonces.append(table.insert(EidPrefix.host(i), 1.0, "legit"))
         table.consume(nonces[-1])
     assert nonces == sorted(set(nonces))
 
 
 def test_pending_table_capacity():
     table = PendingRequestTable(1, 1.0)
-    table.insert(EidPrefix.host(1), 0.0, Role.LEGIT)
+    table.insert(EidPrefix.host(1), 0.0, "legit")
     assert table.is_full
     with pytest.raises(OverflowError):
-        table.insert(EidPrefix.host(2), 0.0, Role.LEGIT)
+        table.insert(EidPrefix.host(2), 0.0, "legit")
     with pytest.raises(ValueError):
         PendingRequestTable(0, 1.0)
 
 
 def test_pending_expiry_is_fifo_and_skips_consumed():
     table = PendingRequestTable(8, 2.5)
-    table.insert(EidPrefix.host(0), 0.0, Role.LEGIT)
-    n1 = table.insert(EidPrefix.host(1), 1.0, Role.ATTACKER)
-    table.insert(EidPrefix.host(2), 2.0, Role.LEGIT)
+    table.insert(EidPrefix.host(0), 0.0, "legit")
+    n1 = table.insert(EidPrefix.host(1), 1.0, "attacker")
+    table.insert(EidPrefix.host(2), 2.0, "legit")
     expired = table.expire_due(2.5)
     assert [e.prefix for e in expired] == [EidPrefix.host(0)]
     table.consume(n1)  # reply beat the timeout
@@ -77,7 +82,7 @@ def test_pending_expiry_is_fifo_and_skips_consumed():
 
 def test_miss_reply_install_hit_cycle():
     x = Xtr(mk_config(), seed=1)
-    m = x.run([pkt(0.0, 1, 0xD1), pkt(0.01, 1, 0xD1), pkt(0.05, 1, 0xD1)])
+    m = x.run(stream(pkt(0.0, 1, 0xD1), pkt(0.01, 1, 0xD1), pkt(0.05, 1, 0xD1)))
     assert m.packets_in.legit == 3
     assert m.cache_misses.legit == 2
     assert m.suppressed_while_pending.legit == 1
@@ -85,20 +90,20 @@ def test_miss_reply_install_hit_cycle():
     assert m.map_replies_received.legit == 1
     assert m.cache_hits.legit == 1
     assert EidPrefix.host(0xD1) in x.cache
-    assert x.step(pkt(0.06, 1, 0xD1)) is StepOutcome.FORWARDED
+    assert x.step(*pkt(0.06, 1, 0xD1)) is StepOutcome.FORWARDED
 
 
 def test_reply_at_equal_timestamp_lands_before_the_packet():
     x = Xtr(mk_config(reply_latency=0.04), seed=1)
-    m = x.run([pkt(0.0, 1, 0xD2), pkt(0.04, 1, 0xD2)])
+    m = x.run(stream(pkt(0.0, 1, 0xD2), pkt(0.04, 1, 0xD2)))
     assert m.cache_hits.legit == 1
     assert m.suppressed_while_pending.legit == 0
 
 
 def test_step_outcome_for_pending_dedup():
     x = Xtr(mk_config(), seed=0)
-    assert x.step(pkt(0.0, 1, 0xD3)) is StepOutcome.MISS_PENDING_REQUEST
-    assert x.step(pkt(0.001, 2, 0xD3)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
+    assert x.step(*pkt(0.0, 1, 0xD3)) is StepOutcome.MISS_PENDING_REQUEST
+    assert x.step(*pkt(0.001, 2, 0xD3)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
 
 
 # ------------------------------------------------------------ gate outcomes
@@ -107,47 +112,47 @@ def test_source_limiter_suppression_and_window_reset():
     cfg = mk_config(source_limiter_enabled=True,
                     limiter=LimiterConfig(threshold=2, period=1.0))
     x = Xtr(cfg, seed=0)
-    outcomes = [x.step(pkt(i * 1e-3, 7, 0xE0 + i)) for i in range(3)]
+    outcomes = [x.step(*pkt(i * 1e-3, 7, 0xE0 + i)) for i in range(3)]
     assert outcomes == [StepOutcome.MISS_PENDING_REQUEST,
                         StepOutcome.MISS_PENDING_REQUEST,
                         StepOutcome.SUPPRESSED_SOURCE_LIMITED]
     assert x.metrics.dropped_by_source_limiter.legit == 1
     # Next window: the same source gets a fresh allowance.
-    assert x.step(pkt(1.5, 7, 0xEF)) is StepOutcome.MISS_PENDING_REQUEST
+    assert x.step(*pkt(1.5, 7, 0xEF)) is StepOutcome.MISS_PENDING_REQUEST
 
 
 def test_dest_budget_suppression():
     x = Xtr(mk_config(dest_budget=2), seed=0)
-    outcomes = [x.step(pkt(i * 1e-3, 100 + i, 0xF0 + i)) for i in range(3)]
+    outcomes = [x.step(*pkt(i * 1e-3, 100 + i, 0xF0 + i)) for i in range(3)]
     assert outcomes[-1] is StepOutcome.SUPPRESSED_DEST_LIMITED
     assert x.metrics.dropped_by_dest_limiter.legit == 1
 
 
 def test_pending_capacity_overflow():
     x = Xtr(mk_config(pending_capacity=2), seed=0)
-    outcomes = [x.step(pkt(i * 1e-3, 200 + i, 0x900 + i)) for i in range(3)]
+    outcomes = [x.step(*pkt(i * 1e-3, 200 + i, 0x900 + i)) for i in range(3)]
     assert outcomes[-1] is StepOutcome.SUPPRESSED_NONCE_TABLE_FULL
     assert x.metrics.nonce_table_overflows.legit == 1
 
 
 def test_time_regression_raises():
     x = Xtr(mk_config(), seed=0)
-    x.step(pkt(1.0, 1, 0xAA))
+    x.step(*pkt(1.0, 1, 0xAA))
     before = x.metrics.as_row()
     # NaN, a step back, and a step back after NaN: each is refused, and no
     # counter moves.
     for t in (float("nan"), 0.5, float("nan"), 0.5):
         with pytest.raises(TimeRegression):
-            x.step(pkt(t, 1, 0xAB))
+            x.step(*pkt(t, 1, 0xAB))
         assert x.metrics.as_row() == before
-    assert x.step(pkt(1.0, 1, 0xAA)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
+    assert x.step(*pkt(1.0, 1, 0xAA)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
 
 
 # ------------------------------------------------- timeouts, loss, staleness
 
 def test_timeout_shorter_than_latency_makes_every_reply_stale():
     x = Xtr(mk_config(pending_timeout=0.01), seed=0)
-    m = x.run([pkt(0.0, 1, 0xB1), pkt(1.0, 1, 0xB2)])
+    m = x.run(stream(pkt(0.0, 1, 0xB1), pkt(1.0, 1, 0xB2)))
     assert m.map_requests_sent.legit == 2
     assert m.pending_timeouts.legit == 2
     assert m.stale_replies == 2
@@ -157,7 +162,7 @@ def test_timeout_shorter_than_latency_makes_every_reply_stale():
 
 def test_expired_prefix_can_be_rerequested():
     x = Xtr(mk_config(pending_timeout=0.01), seed=0)
-    m = x.run([pkt(0.0, 1, 0xB3), pkt(0.02, 1, 0xB3)])
+    m = x.run(stream(pkt(0.0, 1, 0xB3), pkt(0.02, 1, 0xB3)))
     # The first entry expired at 0.01, so the second packet is a fresh
     # request rather than a pending-dedup suppression.
     assert m.map_requests_sent.legit == 2
@@ -175,7 +180,7 @@ def test_reply_loss_is_deterministic_and_accounted():
 
     def run_once():
         x = Xtr(cfg, seed=11)
-        m = x.run([pkt(i * 1e-4, i, 0x500 + i) for i in range(100)])
+        m = x.run(stream(*(pkt(i * 1e-4, i, 0x500 + i) for i in range(100))))
         return x, m
 
     x1, m1 = run_once()
@@ -194,22 +199,22 @@ def test_reply_loss_is_deterministic_and_accounted():
        loss=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 3))
 def test_replies_install_in_send_order(ticks, latency, loss, seed):
     # Nondecreasing times with repeats, each packet to its own destination.
-    events = [pkt(tick / 100, 1, 0xD00 + i) for i, tick in enumerate(sorted(ticks))]
+    packets = stream(*(pkt(tick / 100, 1, 0xD00 + i) for i, tick in enumerate(sorted(ticks))))
     x = Xtr(mk_config(cache_capacity=4, reply_latency=latency, reply_loss=loss,
                       record_cache_trace=True), seed=seed)
     sent = []
     step = x.step
 
-    def recording_step(event):
-        outcome = step(event)
+    def recording_step(now, src, dst, role):
+        outcome = step(now, src, dst, role)
         if outcome is StepOutcome.MISS_PENDING_REQUEST:
-            sent.append(str(EidPrefix.host(event.dst)))
+            sent.append(str(EidPrefix.host(dst)))
         return outcome
 
     x.step = recording_step
-    x.run(events)
+    x.run(packets)
     installed = [line.split()[2] for line in x.cache.trace if " install " in line]
-    assert sent == [str(EidPrefix.host(e.dst)) for e in events]
+    assert sent == [str(EidPrefix.host(dst)) for dst in packets.dsts]
     kept = set(installed)  # lost replies install nothing
     assert installed == [prefix for prefix in sent if prefix in kept]
     if loss == 0.0:
@@ -292,13 +297,13 @@ def test_the_audit_books_admissions_under_the_limiter_window():
     x = Xtr(mk_config(source_limiter_enabled=True,
                       limiter=LimiterConfig(threshold=2, period=0.1)))
     for i, t in enumerate((0.35, 0.35, 0.4, 0.4, 0.4)):
-        x.step(pkt(t, 5, 100 + i))
+        x.step(*pkt(t, 5, 100 + i))
     assert dict(x.admitted_by_source_period) == {(5, 3): 2, (5, 4): 2}
     assert x.metrics.dropped_by_source_limiter.total == 1
 
 
-def reference_run(x: Xtr, events) -> XtrMetrics:
-    """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every event.
+def reference_run(x: Xtr, packets: Stream) -> XtrMetrics:
+    """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every packet.
 
     Before each reply it calls the expiry at the reply's time, whether or not
     anything is due. After every step it checks that no pending prefix is
@@ -310,10 +315,10 @@ def reference_run(x: Xtr, events) -> XtrMetrics:
             x._expire_pending(reply_time)
             x.deliver_reply(nonce, reply_time)
 
-    for event in events:
-        deliver_due(event.time)
-        x._expire_pending(event.time)
-        x.step(event)
+    for now, src, dst, role in zip(packets.times, packets.srcs, packets.dsts, packets.roles):
+        deliver_due(now)
+        x._expire_pending(now)
+        x.step(now, src, dst, role)
         assert not any(entry.prefix in x.cache for entry in x.pending._by_nonce.values())
     deliver_due(float("inf"))
     return x.metrics
@@ -334,19 +339,19 @@ def router_streams(draw):
                        pending_timeout=timeout, reply_loss=draw(st.sampled_from([0.0, 0.3])),
                        record_cache_trace=True)
     packet = st.tuples(st.integers(0, 30), st.integers(1, 3), st.integers(0, 6), st.booleans())
-    packets = sorted(draw(st.lists(packet, min_size=1, max_size=60)))
-    events = [pkt(tick / 100, src, 0xD00 + dst, Role.ATTACKER if attacker else Role.LEGIT)
-              for tick, src, dst, attacker in packets]
-    return config, events, draw(st.integers(0, 3))
+    rows = sorted(draw(st.lists(packet, min_size=1, max_size=60)))
+    packets = stream(*(pkt(tick / 100, src, 0xD00 + dst, "attacker" if attacker else "legit")
+                       for tick, src, dst, attacker in rows))
+    return config, packets, draw(st.integers(0, 3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=router_streams())
 def test_run_matches_the_deliver_expire_step_loop(case):
-    config, events, seed = case
+    config, packets, seed = case
     fast, slow = Xtr(config, seed=seed), Xtr(config, seed=seed)
-    fast.run(events)
-    reference_run(slow, events)
+    fast.run(packets)
+    reference_run(slow, packets)
     assert fast.metrics.as_row() == slow.metrics.as_row()
     assert fast.cache.trace == slow.cache.trace
     assert fast.admitted_by_source_period == slow.admitted_by_source_period
