@@ -33,14 +33,10 @@ _KEY_LIMBS = 5  # keys below 2**150, which holds every 128-bit address
 _CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32}
 
 
-class InvalidParams(ValueError):
-    """Raised for sketch parameters outside their documented domain."""
-
-
 def cell_max(cell_width_bytes: int) -> int:
     """Largest count a cell of this many bytes holds; it saturates there."""
     if cell_width_bytes not in _CELL_DTYPES:
-        raise InvalidParams(f"cell width must be one of {sorted(_CELL_DTYPES)} bytes")
+        raise ValueError(f"cell_width_bytes must be one of {sorted(_CELL_DTYPES)}")
     return (1 << (8 * cell_width_bytes)) - 1
 
 
@@ -57,9 +53,9 @@ class SketchParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 2.0:
-            raise InvalidParams(f"epsilon must be in (0, 2], got {self.epsilon}")
+            raise ValueError(f"epsilon must be in (0, 2], got {self.epsilon}")
         if not 0.0 <= self.delta < 1.0:
-            raise InvalidParams(f"delta must be in [0, 1), got {self.delta}")
+            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +67,9 @@ class SketchDims:
 
     def __post_init__(self) -> None:
         if self.width < 1:
-            raise InvalidParams(f"width must be >= 1, got {self.width}")
+            raise ValueError(f"width must be >= 1, got {self.width}")
         if self.depth < 1:
-            raise InvalidParams(f"depth must be >= 1, got {self.depth}")
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
 
     def memory_bytes(self, cell_width_bytes: int = 2) -> int:
         return self.width * self.depth * cell_width_bytes
@@ -96,7 +92,7 @@ def dims_from_params(params: SketchParams) -> SketchDims:
     width = _guarded_ceil(2.0 / params.epsilon)
     depth = _guarded_ceil(math.log1p(-params.delta) / math.log(0.5))
     if depth < 1:
-        raise InvalidParams(f"delta={params.delta} yields depth {depth} (< 1)")
+        raise ValueError(f"delta={params.delta} yields depth {depth} (< 1)")
     return SketchDims(width, depth)
 
 

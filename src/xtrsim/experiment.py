@@ -20,7 +20,7 @@ from .cache import AGE_MODES, POLICIES, window_index
 from .cms import SketchDims, cell_max, flagged_by_dims
 from .limiter import LimiterConfig
 from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
-                        BackgroundProfile, ScanProfile, Role, gen_dos_stream, gen_miss_counts,
+                        BackgroundProfile, ScanProfile, LEGIT, gen_dos_stream, gen_miss_counts,
                         gen_scan_stream, scan_prefixes)
 from .xtr import Xtr, XtrConfig, XtrMetrics
 
@@ -316,8 +316,8 @@ def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> li
             runs.append(AttackRun(
                 scenario=config.scenario, defense=label, seed=seed, config_hash=digest,
                 metrics=metrics,
-                victim_admission_ratio=metrics.admission_ratio(Role.LEGIT),
-                legit_hit_rate=metrics.hit_rate(Role.LEGIT),
+                victim_admission_ratio=metrics.admission_ratio(LEGIT),
+                legit_hit_rate=metrics.hit_rate(LEGIT),
                 overflow_events=metrics.nonce_table_overflows.total))
     return runs
 

@@ -7,7 +7,6 @@ are simulated seconds.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -28,21 +27,18 @@ SCANNER_SRC = 0xA7 << 96
 BACKGROUND_SRC_BASE = 0xB0 << 96
 
 
-class Role(enum.Enum):
-    LEGIT = "legit"
-    ATTACKER = "attacker"
-
-
+# The two roles, the one vocabulary for them: a role is its string.
+ROLES = LEGIT, ATTACKER = ("legit", "attacker")
 # A role's string, indexed by the attacker flag.
-_ROLE_BY_FLAG = np.array([Role.LEGIT.value, Role.ATTACKER.value], dtype=object)
+_ROLE_BY_FLAG = np.array(ROLES, dtype=object)
 
 
 @dataclass(slots=True)
 class Stream:
     """A packet stream in time order, as four parallel columns.
 
-    A role is the string "legit" or "attacker": the `Role` value, the `Tally`
-    field the router counts the packet under, and the trace's fourth field.
+    A role is one of the `ROLES` strings: the `Tally` field the router counts
+    the packet under, and the trace's fourth field.
     The columns are lists, not arrays: the router iterates them in Python,
     and addresses are 128-bit.
     """
@@ -261,7 +257,8 @@ def write_trace(stream: Stream) -> str:
                    in zip(stream.times, stream.srcs, stream.dsts, stream.roles))
 
 
-_ROLES = {role.value: role.value for role in Role}
+# Maps each role to its `ROLES` object, so a read trace holds two role strings.
+_INTERNED_ROLES = {role: role for role in ROLES}
 
 
 def read_trace(lines: Iterable[bytes]) -> Stream:
@@ -284,13 +281,13 @@ def read_trace(lines: Iterable[bytes]) -> Stream:
                 continue
             if len(parts) != 4:
                 raise ValueError(f"expected 'ts src dst role', got {line.strip()!r}")
-            ts, src, dst, role = parts
+            ts, src, dst, name = parts
             time = float(ts)
             if not 0.0 <= time < math.inf:
                 raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
             src, dst = _address(src), _address(dst)
-            # Role(role) only raises: it words the error for an unknown role.
-            role = _ROLES.get(role) or Role(role).value
+            if (role := _INTERNED_ROLES.get(name)) is None:
+                raise ValueError(f"role must be one of {ROLES}, got {name!r}")
             if time < last:
                 raise ValueError(f"timestamp {time} is before the previous {last}")
         except ValueError as exc:

@@ -2,17 +2,16 @@
 
 A data packet either hits the map-cache and is forwarded, or triggers the
 miss path: pending-request dedup per prefix, the per-source limiter, the
-destination budget, then a Map-Request with a fresh nonce. The mapping system
-answers after a fixed latency (unless loss is injected) and the reply installs
-the mapping. Replies scheduled at time t are delivered before a data packet
-carrying the same timestamp. Simulated time starts at 0: the limiter windows
-and LFU aging intervals are `cache.TumblingWindow`s aligned to it.
+destination budget, then a Map-Request. The mapping system answers after a
+fixed latency (unless loss is injected) with a reply that carries its request
+and installs the mapping. Replies scheduled at time t are delivered before a
+data packet carrying the same timestamp. Simulated time starts at 0: the limiter
+windows and LFU aging intervals are `cache.TumblingWindow`s aligned to it.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import random
 from collections import OrderedDict, defaultdict, deque
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 from .cache import AGE_MODES, POLICIES, EidPrefix, MapCache, window_index
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
-from .workloads import Role, Stream
+from .workloads import ROLES, Stream
 
 
 class StepOutcome(enum.Enum):
@@ -71,87 +70,74 @@ class XtrMetrics:
             value = getattr(self, f.name)
             if isinstance(value, Tally):
                 row[f"{f.name}_total"] = value.total
-                row[f"{f.name}_legit"] = value.legit
-                row[f"{f.name}_attacker"] = value.attacker
+                row.update((f"{f.name}_{role}", getattr(value, role)) for role in ROLES)
             else:
                 row[f.name] = value
         return row
 
-    def admission_ratio(self, role: Role) -> float:
+    def admission_ratio(self, role: str) -> float:
         """Admitted fraction of this role's misses that reached the limiter chain.
 
         Misses suppressed by pending dedup never asked for admission and are
         excluded. Returns 1.0 when nothing asked.
         """
-        sent, *refused = (getattr(t, role.value) for t in (
+        sent, *refused = (getattr(t, role) for t in (
             self.map_requests_sent, self.dropped_by_source_limiter,
             self.dropped_by_dest_limiter, self.nonce_table_overflows))
         attempts = sent + sum(refused)
         return sent / attempts if attempts else 1.0
 
-    def hit_rate(self, role: Role) -> float:
+    def hit_rate(self, role: str) -> float:
         """Cache hits over packets for one role; 0.0 when the role sent nothing."""
-        packets = getattr(self.packets_in, role.value)
-        return getattr(self.cache_hits, role.value) / packets if packets else 0.0
+        packets = getattr(self.packets_in, role)
+        return getattr(self.cache_hits, role) / packets if packets else 0.0
 
 
 @dataclass(slots=True)
 class _Pending:
     prefix: EidPrefix
     deadline: float
-    role: str  # the `Role` value, which names the `Tally` field to bump
+    role: str  # one of `ROLES`, which names the `Tally` field to bump
 
 
-class PendingRequestTable:
-    """Outstanding Map-Requests keyed by nonce, one per uncached prefix.
+class PendingRequestTable(OrderedDict):
+    """Outstanding Map-Requests: each uncached prefix -> its `_Pending`, in send order.
 
-    Nonces count up in send order; each request expires `timeout` after it
-    was sent.
+    Each request expires `timeout` after it was sent, so send order is deadline
+    order and the front entry expires first. It stays an OrderedDict: popping the
+    front of a plain dict leaves deleted slots that each later `next(iter(...))` scans.
     """
 
     def __init__(self, capacity: int, timeout: float):
+        super().__init__()
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.timeout = timeout
-        self._nonces = itertools.count()
-        # In send order, hence in deadline order: the oldest entry expires first.
-        self._by_nonce: OrderedDict[int, _Pending] = OrderedDict()
-        self._by_prefix: dict[EidPrefix, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_nonce)
 
     @property
     def is_full(self) -> bool:
-        return len(self._by_nonce) >= self.capacity
+        return len(self) >= self.capacity
 
-    def has_prefix(self, prefix: EidPrefix) -> bool:
-        return prefix in self._by_prefix
-
-    def insert(self, prefix: EidPrefix, now: float, role: str) -> int:
+    def insert(self, prefix: EidPrefix, now: float, role: str) -> _Pending:
+        """Add the request for `prefix`, which is not pending, and return it."""
         if self.is_full:
             raise OverflowError("pending table full")
-        nonce = next(self._nonces)
-        self._by_nonce[nonce] = _Pending(prefix, now + self.timeout, role)
-        self._by_prefix[prefix] = nonce
-        return nonce
-
-    def consume(self, nonce: int) -> _Pending | None:
-        entry = self._by_nonce.pop(nonce, None)
-        if entry is not None:
-            del self._by_prefix[entry.prefix]
+        entry = self[prefix] = _Pending(prefix, now + self.timeout, role)
         return entry
+
+    def consume(self, entry: _Pending) -> bool:
+        """Remove `entry` if it is still its prefix's request; False when it is not."""
+        if self.get(entry.prefix) is not entry:
+            return False
+        del self[entry.prefix]
+        return True
 
     def expire_due(self, now: float) -> list[_Pending]:
         """Remove and return entries whose deadline has passed."""
         expired = []
-        by_nonce = self._by_nonce
-        while by_nonce:
-            nonce = next(iter(by_nonce))
-            if by_nonce[nonce].deadline > now:
-                break
-            expired.append(self.consume(nonce))
+        while self and next(iter(self.values())).deadline <= now:
+            expired.append(self.popitem(last=False)[1])
         return expired
 
 
@@ -218,25 +204,25 @@ class Xtr:
         # the source limiter's window rolls on.
         self.admitted_by_source_period: dict[tuple[int, int], int] = defaultdict(int)
         self._loss_rng = random.Random(f"loss-{seed}")
-        # (due, nonce) in send order. `step` schedules each reply at
+        # (due, request) in send order. `step` schedules each reply at
         # now + reply_latency with a fixed latency, and the cache's clock
         # refuses a time that goes back, so due times arrive in nondecreasing
         # order and a FIFO pops them exactly as a (due, send sequence) heap
         # would; PendingRequestTable's expiry relies on the same fact.
-        self._reply_queue: deque[tuple[float, int]] = deque()
+        self._reply_queue: deque[tuple[float, _Pending]] = deque()
 
     def _expire_pending(self, now: float) -> None:
         timeouts = self.metrics.pending_timeouts.__dict__
         for entry in self.pending.expire_due(now):
             timeouts[entry.role] += 1
 
-    def deliver_reply(self, nonce: int, now: float) -> bool:
-        """Consume a Map-Reply. Unknown (expired or bogus) nonces are discarded.
+    def deliver_reply(self, entry: _Pending, now: float) -> bool:
+        """Consume the Map-Reply to the request `entry`; True when it installed a mapping.
 
-        Returns True when the reply installed a mapping.
+        A reply whose request has expired is stale and discarded, even if its
+        prefix has been requested again since.
         """
-        entry = self.pending.consume(nonce)
-        if entry is None:
+        if not self.pending.consume(entry):
             self.metrics.stale_replies += 1
             return False
         role = entry.role
@@ -248,21 +234,27 @@ class Xtr:
         return True
 
     def _deliver_due_replies(self, upto: float) -> None:
-        replies, pending = self._reply_queue, self.pending._by_nonce
+        replies, pending = self._reply_queue, self.pending
         while replies and replies[0][0] <= upto:
-            reply_time, nonce = replies.popleft()
+            reply_time, entry = replies.popleft()
             if pending and next(iter(pending.values())).deadline <= reply_time:
                 self._expire_pending(reply_time)
-            self.deliver_reply(nonce, reply_time)
+            self.deliver_reply(entry, reply_time)
 
     def step(self, now: float, src: int, dst: int, role: str) -> StepOutcome:
-        """Process one data packet; `role` is a `Role` value, "legit" or "attacker".
+        """Process one data packet; `role` is one of `ROLES`.
 
-        The cache's clock is the router's: a time that goes back, or NaN,
-        raises TimeRegression before any counter moves."""
-        hit = self.cache.lookup(dst, now) is not None
+        A role outside them raises ValueError, and the cache's clock is the
+        router's: a time that goes back, or NaN, raises TimeRegression. Either
+        is raised before the cache or any counter moves."""
         metrics = self.metrics
-        metrics.packets_in.__dict__[role] += 1
+        packets_in = metrics.packets_in.__dict__
+        try:
+            packets = packets_in[role]
+        except KeyError:
+            raise ValueError(f"role must be one of {ROLES}, got {role!r}") from None
+        hit = self.cache.lookup(dst, now) is not None
+        packets_in[role] = packets + 1
 
         if hit:
             metrics.cache_hits.__dict__[role] += 1
@@ -270,7 +262,7 @@ class Xtr:
         metrics.cache_misses.__dict__[role] += 1
 
         prefix = EidPrefix.host(dst)
-        if self.pending.has_prefix(prefix):
+        if prefix in self.pending:
             metrics.suppressed_while_pending.__dict__[role] += 1
             return _PENDING
 
@@ -286,11 +278,11 @@ class Xtr:
             metrics.nonce_table_overflows.__dict__[role] += 1
             return _TABLE_FULL
 
-        nonce = self.pending.insert(prefix, now, role)
+        entry = self.pending.insert(prefix, now, role)
         metrics.map_requests_sent.__dict__[role] += 1
         self.admitted_by_source_period[(src, window_index(now, self.config.limiter.period))] += 1
         if self.config.reply_loss == 0.0 or self._loss_rng.random() >= self.config.reply_loss:
-            self._reply_queue.append((now + self.config.reply_latency, nonce))
+            self._reply_queue.append((now + self.config.reply_latency, entry))
         return _REQUESTED
 
     def run(self, stream: Stream) -> XtrMetrics:
@@ -301,7 +293,7 @@ class Xtr:
         Each packet goes through one call of `self.step`, looked up once, so
         a wrapper of `step` on the class or the instance sees every packet.
         """
-        replies, pending = self._reply_queue, self.pending._by_nonce
+        replies, pending = self._reply_queue, self.pending
         step = self.step
         for now, src, dst, role in zip(stream.times, stream.srcs, stream.dsts, stream.roles):
             if replies and replies[0][0] <= now:

@@ -75,7 +75,7 @@ from xtrsim.experiment import (
     sweep_csv,
     sweep_schedule,
 )
-from xtrsim.workloads import PopulationProfile, Role, gen_dos_stream, write_trace
+from xtrsim.workloads import LEGIT, PopulationProfile, gen_dos_stream, write_trace
 from xtrsim.xtr import Xtr
 
 from cache_reference import ReferenceCache
@@ -358,8 +358,8 @@ def test_criterion_07_pending_table_protected(overflow_runs):
 
 
 def test_criterion_08_victim_admission_restored(dos_pairs):
-    on_ratios = [m_on.admission_ratio(Role.LEGIT) for _, _, m_on, _ in dos_pairs]
-    off_ratios = [m_off.admission_ratio(Role.LEGIT) for _, _, _, m_off in dos_pairs]
+    on_ratios = [m_on.admission_ratio(LEGIT) for _, _, m_on, _ in dos_pairs]
+    off_ratios = [m_off.admission_ratio(LEGIT) for _, _, _, m_off in dos_pairs]
     ok = all(r == 1.0 for r in on_ratios) and all(r < 1.0 for r in off_ratios)
     verdict(8, "flooded budget starves victims unless limited", ok,
             f"defended min {min(on_ratios)}, undefended max {max(off_ratios):.3f}")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xtrsim.cms import (CountMinSketch, InvalidParams, SketchDims, SketchParams, cell_max,
+from xtrsim.cms import (CountMinSketch, SketchDims, SketchParams, cell_max,
                         dims_from_params, flagged_by_dims)
 
 mp.dps = 60
@@ -52,25 +52,25 @@ def test_dims_pinned_values():
 
 
 def test_params_domain_is_enforced():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="epsilon"):
         SketchParams(0.0, 0.5)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="epsilon"):
         SketchParams(-0.1, 0.5)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="epsilon"):
         SketchParams(2.1, 0.5)  # epsilon capped at 2
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="delta"):
         SketchParams(0.5, 1.0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="delta"):
         SketchParams(0.5, -0.01)
     # delta = 0 is in the type's domain but sizes to depth 0
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="delta"):
         dims_from_params(SketchParams(0.5, 0.0))
 
 
 def test_dims_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="width"):
         SketchDims(0, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="depth"):
         SketchDims(10, 0)
 
 
@@ -78,9 +78,9 @@ def test_cell_max_per_width():
     assert [cell_max(w) for w in (1, 2, 4)] == [255, 65535, 2**32 - 1]
     assert CountMinSketch(SketchDims(4, 1), cell_width_bytes=1).cell_max == 255
     for width in (0, 3, 8, 16):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValueError, match="cell_width_bytes"):
             cell_max(width)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValueError, match="cell_width_bytes"):
             CountMinSketch(SketchDims(4, 1), cell_width_bytes=width)
 
 

@@ -1,10 +1,14 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks: what the package's modules may and may not contain."""
 
 from __future__ import annotations
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from xtrsim.workloads import ROLES
+from xtrsim.xtr import Tally
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xtrsim"
 
@@ -192,3 +196,45 @@ def test_only_row_hash_reduces_mod_the_hash_prime():
                   if (found := prime_reductions(p.read_text(),
                                                 "_row_hash" if p.name == "cms.py" else None))}
     assert reductions == {}
+
+
+# A role is one of the two strings of workloads.ROLES, which are also the
+# Tally's field names: a role spelled out anywhere else is a second
+# vocabulary that a renamed or added role would miss.
+def role_literals(source: str, home: str | None = None) -> list[str]:
+    """String constants "legit" and "attacker", by line, outside docstrings and
+    outside the value assigned to the name `home`."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.body and isinstance(node.body[0], ast.Expr):
+                exempt.add(id(node.body[0].value))
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == home
+                                                  for t in node.targets):
+            exempt.update(map(id, ast.walk(node.value)))
+    found = sorted((node.lineno, node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in ("legit", "attacker")
+                   and id(node) not in exempt)
+    return [f"line {line}: {value!r}" for line, value in found]
+
+
+def test_role_literals_are_detected():
+    source = ('ROLES = LEGIT, ATTACKER = ("legit", "attacker")\n'
+              'def f(role="legit"):\n    """attacker"""\n    return role == \'attacker\'\n'
+              'n = {"legit": 1}\n')
+    assert role_literals(source, "ROLES") == \
+        ["line 2: 'legit'", "line 4: 'attacker'", "line 5: 'legit'"]
+    assert len(role_literals(source)) == 5
+    # A docstring, a longer string, a field named after a role and an
+    # f-string's other text are not a role spelled out.
+    assert role_literals('"""legit"""\ns = "legit_hit_rate"\nm.legit += 1\n'
+                         'c = f"{name}_attacker"\n') == []
+
+
+def test_only_workloads_roles_spells_a_role():
+    spelled = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+               if (found := role_literals(p.read_text(),
+                                          "ROLES" if p.name == "workloads.py" else None))}
+    assert spelled == {}
+    assert tuple(f.name for f in fields(Tally)) == ROLES

@@ -11,19 +11,21 @@ from hypothesis import strategies as st
 
 import stream_reference
 from xtrsim.workloads import (
+    ATTACKER,
     ATTACKER_TIMINGS,
     BACKGROUND_DST_BASE,
     BACKGROUND_SRC_BASE,
     DOS_STRATEGY_BASES,
+    LEGIT,
     NEGATIVE_DST_BASE,
     NONPOPULAR_DST_BASE,
     POPULAR_DST_BASE,
+    ROLES,
     SCAN_DST_BASE,
     SCANNER_SRC,
     UNALLOCATED_DST_BASE,
     BackgroundProfile,
     PopulationProfile,
-    Role,
     ScanProfile,
     Stream,
     gen_dos_stream,
@@ -108,7 +110,7 @@ def test_dos_stream_emits_exactly_the_drawn_counts():
     for source, count in zip(draw.sources, draw.counts):
         assert per_source[int(source)] == count
     for src, role in zip(stream.srcs, stream.roles):
-        assert (role == Role.ATTACKER.value) == bool(draw.attacker_mask[src])
+        assert (role == ATTACKER) == bool(draw.attacker_mask[src])
 
 
 def test_dos_attacker_destinations_are_all_fresh():
@@ -261,8 +263,21 @@ def test_trace_reader_skips_comments_and_blanks():
 def test_trace_reader_rejects_malformed_lines():
     with pytest.raises(ValueError, match="line 2"):
         read_trace([b"0.5 0x2 0x30 legit\n", b"0.6 0x2 0x30\n"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^trace line 1: role must be one of "
+                                         r"\('legit', 'attacker'\), got 'eavesdropper'$"):
         read_trace([b"0.5 0x2 0x30 eavesdropper\n"])
+
+
+def test_every_role_is_one_of_the_two_role_objects():
+    # So a stream holds two role strings, not one per packet: each line of a
+    # read trace decodes its role to a new string, which is swapped for its
+    # ROLES object.
+    dos = gen_dos_stream(DOS_PROFILE)
+    scan = gen_scan_stream(ScanProfile(scan_prefixes(8), packet_rate=40.0, duration=1.0),
+                           BackgroundProfile(n_users=2, n_destinations=5))
+    for stream in (dos, scan, read_trace(write_trace(dos).encode().splitlines())):
+        assert set(stream.roles) == set(ROLES)
+        assert all(role is LEGIT or role is ATTACKER for role in stream.roles)
 
 
 # ------------------------------------------- the columnar producers, pinned

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from xtrsim.cache import EidPrefix, TimeRegression
 from xtrsim.experiment import dos_defaults, overflow_defaults, run_attack
 from xtrsim.limiter import LimiterConfig
-from xtrsim.workloads import PopulationProfile, Role, Stream, gen_dos_stream
+from xtrsim.workloads import ATTACKER, LEGIT, ROLES, PopulationProfile, Stream, gen_dos_stream
 from xtrsim.xtr import (
     PendingRequestTable,
     StepOutcome,
@@ -41,18 +41,27 @@ def stream(*packets: tuple[float, int, int, str]) -> Stream:
 def test_pending_table_round_trip():
     table = PendingRequestTable(2, 0.5)
     p = EidPrefix.host(0x1)
-    nonce = table.insert(p, 0.25, "legit")
-    assert table.has_prefix(p) and len(table) == 1
-    entry = table.consume(nonce)
+    entry = table.insert(p, 0.25, "legit")
+    assert table[p] is entry and len(table) == 1
     assert entry.prefix == p and entry.deadline == 0.75 and entry.role == "legit"
-    assert table.consume(nonce) is None
-    assert not table.has_prefix(p) and len(table) == 0
-    # Nonces are distinct and rise in send order, also past a consumed one.
-    nonces = [nonce]
-    for i in range(2, 6):
-        nonces.append(table.insert(EidPrefix.host(i), 1.0, "legit"))
-        table.consume(nonces[-1])
-    assert nonces == sorted(set(nonces))
+    assert table.consume(entry) is True
+    assert table.consume(entry) is False
+    assert p not in table and len(table) == 0
+    # A new request for the prefix is a new entry, which the old one cannot consume.
+    newer = table.insert(p, 1.0, "attacker")
+    assert table.consume(entry) is False and table[p] is newer
+
+
+def test_a_prefix_requested_again_after_its_reply_goes_to_the_back():
+    table = PendingRequestTable(4, 1.0)
+    a, b = EidPrefix.host(1), EidPrefix.host(2)
+    first = table.insert(a, 0.0, "legit")
+    table.insert(b, 0.1, "legit")
+    assert table.consume(first)
+    again = table.insert(a, 0.2, "legit")
+    assert list(table) == [b, a]
+    assert [e.prefix for e in table.expire_due(1.15)] == [b]
+    assert table.expire_due(1.2) == [again]
 
 
 def test_pending_table_capacity():
@@ -68,11 +77,11 @@ def test_pending_table_capacity():
 def test_pending_expiry_is_fifo_and_skips_consumed():
     table = PendingRequestTable(8, 2.5)
     table.insert(EidPrefix.host(0), 0.0, "legit")
-    n1 = table.insert(EidPrefix.host(1), 1.0, "attacker")
+    e1 = table.insert(EidPrefix.host(1), 1.0, "attacker")
     table.insert(EidPrefix.host(2), 2.0, "legit")
     expired = table.expire_due(2.5)
     assert [e.prefix for e in expired] == [EidPrefix.host(0)]
-    table.consume(n1)  # reply beat the timeout
+    table.consume(e1)  # reply beat the timeout
     expired = table.expire_due(10.0)
     assert [e.prefix for e in expired] == [EidPrefix.host(2)]
     assert len(table) == 0
@@ -135,6 +144,16 @@ def test_pending_capacity_overflow():
     assert x.metrics.nonce_table_overflows.legit == 1
 
 
+def test_an_unknown_role_is_refused_before_the_router_moves():
+    x = Xtr(XtrConfig(record_cache_trace=True))
+    before = x.metrics.as_row()
+    with pytest.raises(ValueError, match="role must be one of .*'eve'"):
+        x.step(0.5, 1, 2, "eve")
+    assert x.cache.trace == []
+    assert x.metrics.as_row() == before
+    assert x.step(0.4, 1, 2, "legit") is StepOutcome.MISS_PENDING_REQUEST
+
+
 def test_time_regression_raises():
     x = Xtr(mk_config(), seed=0)
     x.step(*pkt(1.0, 1, 0xAA))
@@ -169,10 +188,25 @@ def test_expired_prefix_can_be_rerequested():
     assert m.suppressed_while_pending.legit == 0
 
 
-def test_unknown_nonce_counts_as_stale():
-    x = Xtr(mk_config(), seed=0)
-    assert x.deliver_reply(0xDEADBEEF, 0.1) is False
-    assert x.metrics.stale_replies == 1
+def test_a_reply_to_an_expired_request_is_stale_though_its_prefix_is_pending_again():
+    x = Xtr(mk_config(pending_timeout=0.03), seed=0)
+    p = EidPrefix.host(0xB4)
+    x.step(*pkt(0.0, 1, 0xB4))
+    old = x.pending[p]
+    assert x.pending.expire_due(0.035) == [old]
+    assert x.step(*pkt(0.035, 1, 0xB4)) is StepOutcome.MISS_PENDING_REQUEST
+    new = x.pending[p]
+    assert [entry for _, entry in x._reply_queue] == [old, new]
+    assert x.deliver_reply(old, 0.04) is False
+    assert x.metrics.stale_replies == 1 and x.pending[p] is new and p not in x.cache
+    assert x.deliver_reply(new, 0.05) is True
+    assert p in x.cache and p not in x.pending
+    assert x.metrics.map_replies_received.legit == 1 and x.metrics.stale_replies == 1
+    # Through run: the first reply, due at 0.04, meets the request sent at
+    # 0.035 (deadline 0.045) and is stale; that request then times out.
+    x = Xtr(mk_config(pending_timeout=0.01), seed=0)
+    m = x.run(stream(pkt(0.0, 1, 0xB4), pkt(0.035, 1, 0xB4)))
+    assert (m.stale_replies, m.pending_timeouts.legit, m.map_replies_received.legit) == (2, 2, 0)
 
 
 def test_reply_loss_is_deterministic_and_accounted():
@@ -252,10 +286,10 @@ def test_metrics_row_and_ratios():
     assert row["packets_in_attacker"] == 0
     assert row["map_requests_sent_attacker"] == 2
     assert row["stale_replies"] == 0
-    assert m.admission_ratio(Role.ATTACKER) == pytest.approx(0.25)
-    assert m.admission_ratio(Role.LEGIT) == 1.0  # nothing asked for admission
-    assert m.hit_rate(Role.LEGIT) == pytest.approx(0.75)
-    assert m.hit_rate(Role.ATTACKER) == 0.0
+    assert m.admission_ratio(ATTACKER) == pytest.approx(0.25)
+    assert m.admission_ratio(LEGIT) == 1.0  # nothing asked for admission
+    assert m.hit_rate(LEGIT) == pytest.approx(0.75)
+    assert m.hit_rate(ATTACKER) == 0.0
 
 
 def test_accounting_identities_on_a_mixed_stream():
@@ -268,8 +302,7 @@ def test_accounting_identities_on_a_mixed_stream():
     x = Xtr(cfg, seed=3)
     m = x.run(events)
 
-    for role in Role:
-        name = role.value
+    for name in ROLES:
         assert getattr(m.packets_in, name) == \
             getattr(m.cache_hits, name) + getattr(m.cache_misses, name)
         assert getattr(m.cache_misses, name) == (
@@ -311,15 +344,15 @@ def reference_run(x: Xtr, packets: Stream) -> XtrMetrics:
     """
     def deliver_due(upto: float) -> None:
         while x._reply_queue and x._reply_queue[0][0] <= upto:
-            reply_time, nonce = x._reply_queue.popleft()
+            reply_time, entry = x._reply_queue.popleft()
             x._expire_pending(reply_time)
-            x.deliver_reply(nonce, reply_time)
+            x.deliver_reply(entry, reply_time)
 
     for now, src, dst, role in zip(packets.times, packets.srcs, packets.dsts, packets.roles):
         deliver_due(now)
         x._expire_pending(now)
         x.step(now, src, dst, role)
-        assert not any(entry.prefix in x.cache for entry in x.pending._by_nonce.values())
+        assert not any(prefix in x.cache for prefix in x.pending)
     deliver_due(float("inf"))
     return x.metrics
 
