@@ -10,7 +10,8 @@ carry a section prefix, e.g.::
     attack.threshold=50
     xtr.cache_capacity=512
 
-Exit codes: 0 on success, 1 for invalid configuration, 2 for I/O failures.
+Exit codes: 0 on success, 1 for invalid configuration (a run that does not
+fit in memory included), 2 for I/O failures.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a run larger than the memory it can get
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -28,6 +28,10 @@ _LIMB_BITS = 30
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _KEY_LIMBS = 5  # keys below 2**150, which holds every 128-bit address
 
+# Widest sketch row: every row hash is below p, so a column at p or past it
+# is never reached. A width up to p also fits the uint32 that `_column` uses.
+MAX_WIDTH = _HASH_PRIME
+
 # No 8-byte cells: the vector path merges through float64 and returns int64,
 # which is exact only for caps below 2**53.
 _CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32}
@@ -68,6 +72,9 @@ class SketchDims:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.width > MAX_WIDTH:
+            raise ValueError(f"width must be <= {MAX_WIDTH}, the row hash's range: "
+                             f"no key reaches a cell past it, got {self.width}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
 
@@ -159,6 +166,27 @@ def _row_hash(b: int, coeffs: tuple[int, ...],
     return h
 
 
+def _column(h: np.ndarray | int, width: int) -> np.ndarray | int:
+    """h mod width for row hashes h below p and a width of at most p: the
+    sketch's one column reduction, an intp array for array hashes.
+
+    Arrays are reduced in uint32 as h - (h // width) * width: numpy has no
+    vector loop for integer remainder, but divides by a scalar with a vector
+    multiply-and-shift (Granlund & Montgomery 1994). It is exact, as
+    (h // width) * width never exceeds h.
+    """
+    if isinstance(h, int):
+        return h % width
+    h = np.asarray(h, dtype=np.uint32)
+    # The result is allocated before the uint32 temporary: the other way
+    # round, the freed temporary left a hole that raised the sweep's peak
+    # RSS by 2 MB.
+    col = np.empty(h.shape, dtype=np.intp)
+    below = h // width
+    below *= width
+    return np.subtract(h, below, out=col)
+
+
 def _weights(counts: np.ndarray) -> np.ndarray:
     """Per-key counts (each >= 1) as bincount weights.
 
@@ -188,11 +216,11 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     limbs = _vector_limbs(keys)
     flagged = [np.packbits(np.ones(len(weights), dtype=bool)) for _ in dims_list]
     for row in range(max((dims.depth for dims in dims_list), default=0)):
-        h = _row_hash(*_row_coefficients(seed, row), limbs)
+        h = _row_hash(*_row_coefficients(seed, row), limbs).astype(np.uint32)
         for i, dims in enumerate(dims_list):
             if dims.depth <= row:
                 continue
-            cols = h % dims.width
+            cols = _column(h, dims.width)
             cells = np.bincount(cols, weights=weights, minlength=dims.width)
             np.minimum(cells, cap, out=cells)
             flagged[i] &= np.packbits((cells > threshold).take(cols))
@@ -227,7 +255,8 @@ class CountMinSketch:
         the vector path hashes."""
         limbs = list(enumerate(_limbs(key)))
         width = self.dims.width
-        return [row * width + self._columns(row, limbs) for row in range(self.dims.depth)]
+        return [row * width + _column(_row_hash(b, coeffs, limbs), width)
+                for row, (b, coeffs) in enumerate(self._rows)]
 
     def increment(self, key: int, amount: int = 1) -> int:
         """Add amount (>= 1) to the key's cell in every row, saturating.
@@ -251,7 +280,7 @@ class CountMinSketch:
 
     def _columns(self, row: int, limbs: list[tuple[int, np.ndarray | int]]) -> np.ndarray | int:
         """The row's column for every key, from the keys' limbs."""
-        return _row_hash(*self._rows[row], limbs) % self.dims.width
+        return _column(_row_hash(*self._rows[row], limbs), self.dims.width)
 
     def add_counts(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Vectorized bulk increment of an integer key array (keys up to 64

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .cache import AGE_MODES, POLICIES, window_index
-from .cms import SketchDims, cell_max, flagged_by_dims
+from .cms import MAX_WIDTH, SketchDims, cell_max, flagged_by_dims
 from .limiter import LimiterConfig
 from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
                         BackgroundProfile, ScanProfile, LEGIT, gen_dos_stream, gen_miss_counts,
@@ -66,6 +66,10 @@ class SweepConfig:
             raise InvalidConfig("iterations must be >= 1")
         if self.w_start < 1 or self.w_step < 0:
             raise InvalidConfig("w_start must be >= 1 and w_step >= 0")
+        last_width = self.w_start + (self.iterations - 1) * self.w_step
+        if last_width > MAX_WIDTH:
+            raise InvalidConfig(f"the last width, w_start + (iterations - 1) * w_step = "
+                                f"{last_width}, is above the sketch's widest row {MAX_WIDTH}")
         if self.threshold < 1:
             raise InvalidConfig("threshold must be >= 1")
         # The sweep flags on estimate > threshold, which saturated cells

@@ -120,7 +120,13 @@ class PendingRequestTable(OrderedDict):
         return len(self) >= self.capacity
 
     def insert(self, prefix: EidPrefix, now: float, role: str) -> _Pending:
-        """Add the request for `prefix`, which is not pending, and return it."""
+        """Add the request for `prefix`, which is not pending, and return it.
+
+        A second request for a pending prefix is refused: it would keep the
+        first one's place, and send order would stop being deadline order.
+        """
+        if prefix in self:
+            raise ValueError(f"{prefix} is already pending")
         if self.is_full:
             raise OverflowError("pending table full")
         entry = self[prefix] = _Pending(prefix, now + self.timeout, role)

@@ -398,6 +398,9 @@ BAD_SETTINGS = {
     "attack-limiter-w": (["attack", "dos"], "attack.limiter_w=0", "limiter_w"),
     "attack-limiter-d": (["attack", "dos"], "attack.limiter_d=0", "limiter_d"),
     "limiter-w": (["replay"], "limiter.w=0", "limiter.w"),
+    # A sketch wider than the row hash's range, whose extra cells no key reaches.
+    "attack-limiter-w-past-the-hash": (["attack", "dos"], "attack.limiter_w=3000000000", "width"),
+    "limiter-w-past-the-hash": (["replay"], "limiter.w=2147483648", "width"),
     "limiter-d": (["replay"], "limiter.d=0", "limiter.d"),
     # Fields that take one value refuse any other.
     "xtr-dest-mode": (["replay"], "xtr.dest_mode=per_prefix", "dest_mode"),
@@ -416,6 +419,33 @@ def test_unusable_setting_fails_with_1_naming_the_field(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+    assert not out.exists()
+
+
+# Sweep widths no key can reach once died in np.bincount with a MemoryError
+# traceback; they are refused before any population is drawn.
+@pytest.mark.parametrize("w_start", [1 << 40, 3_000_000_000])
+def test_a_sweep_width_past_the_hash_fails_with_1_before_running(tmp_path, capsys, monkeypatch,
+                                                                  w_start):
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("the sweep ran"))
+    conf = write_conf(tmp_path, f"sweep.n_nodes=100\nsweep.w_start={w_start}\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", conf, "--out", str(out), "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "width" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_running_out_of_memory_fails_with_1_without_traceback(tmp_path, capsys, monkeypatch):
+    def run_sweep(config):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    out = tmp_path / "o"
+    assert main(["sweep", "--out", str(out), "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
     assert not out.exists()
 
 

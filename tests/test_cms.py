@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xtrsim.cms import (CountMinSketch, SketchDims, SketchParams, cell_max,
+from xtrsim.cms import (CountMinSketch, SketchDims, SketchParams, _column, cell_max,
                         dims_from_params, flagged_by_dims)
 
 mp.dps = 60
+
+HASH_PRIME = (1 << 31) - 1
 
 
 def oracle_dims(epsilon: float, delta: float) -> tuple[int, int]:
@@ -70,6 +72,11 @@ def test_params_domain_is_enforced():
 def test_dims_validation():
     with pytest.raises(ValueError, match="width"):
         SketchDims(0, 1)
+    # A row hash is below p, so no key reaches a column at p or past it.
+    assert SketchDims(HASH_PRIME, 1).width == HASH_PRIME
+    for width in (HASH_PRIME + 1, 3_000_000_000, 1 << 40):
+        with pytest.raises(ValueError, match="width"):
+            SketchDims(width, 1)
     with pytest.raises(ValueError, match="depth"):
         SketchDims(10, 0)
 
@@ -216,9 +223,6 @@ def test_snapshot_golden_bytes():
     assert sketch._cells.tolist() == [[1, 0, 3, 2], [3, 0, 2, 1]]
 
 
-HASH_PRIME = (1 << 31) - 1
-
-
 def test_keys_congruent_mod_the_hash_prime_do_not_share_cells():
     # Keys victim + i*p agreed with the victim mod p, and once hashed every
     # row's cell with it: 2,000 of them gave a never-seen victim an estimate
@@ -311,11 +315,16 @@ def test_add_counts_matches_scalar_increments(shape, width_batches):
         assert np.array_equal(bulk._cells, looped._cells)
 
 
+# The default sweep's widths, which its 500k-key cells reduce hashes by.
+SWEEP_WIDTHS = range(1000, 26001, 1000)
+
+
 @st.composite
 def flagging_cases(draw):
     """Keys with repeats (many past 2**30), counts up to the cell cap and past
     2**53, a threshold at or just below the cap or small, and a list of
-    shapes whose widths (1 included) and depths repeat and go up and down."""
+    shapes whose widths (1 and the sweep's included) and depths repeat and go
+    up and down."""
     cell_width = draw(st.sampled_from([1, 2, 4]))
     cap = cell_max(cell_width)
     pool = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(2**30, 2**64 - 1)),
@@ -324,7 +333,8 @@ def flagging_cases(draw):
                       st.integers(2**53 - 2, 2**62))
     pairs = draw(st.lists(st.tuples(st.sampled_from(pool), count), min_size=1, max_size=40))
     threshold = draw(st.one_of(st.sampled_from([cap - 1, cap]), st.integers(0, 300)))
-    dims = st.builds(SketchDims, st.one_of(st.integers(1, 16), st.integers(1, 300)),
+    dims = st.builds(SketchDims, st.one_of(st.integers(1, 16), st.integers(1, 300),
+                                           st.sampled_from(SWEEP_WIDTHS)),
                      st.integers(1, 5))
     return cell_width, pairs, threshold, draw(st.lists(dims, min_size=1, max_size=6))
 
@@ -342,6 +352,33 @@ def test_flagged_by_dims_matches_a_fresh_sketch_per_shape(seed, case):
         sketch = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
         sketch.add_counts(keys, counts)
         assert np.array_equal(bits, np.packbits(sketch.estimate_many(keys) > threshold))
+
+
+EDGE_HASHES = [0, 1, 2**30 - 1, 2**30, HASH_PRIME - 1]
+EDGE_WIDTHS = [1, 2, 2**16, HASH_PRIME - 1, HASH_PRIME]
+
+
+def assert_column_is_the_remainder(hashes: list[int], width: int) -> None:
+    """`_column` is h % width for each hash as an int, and as uint32 and int64 arrays."""
+    expected = [h % width for h in hashes]
+    assert [_column(h, width) for h in hashes] == expected
+    for dtype in (np.uint32, np.int64):
+        columns = _column(np.array(hashes, dtype=dtype), width)
+        assert columns.dtype == np.intp and columns.tolist() == expected
+
+
+def test_column_is_the_remainder_at_the_edges():
+    for width in EDGE_WIDTHS:
+        assert_column_is_the_remainder(EDGE_HASHES, width)
+
+
+@settings(deadline=None)
+@given(hashes=st.lists(st.one_of(st.sampled_from(EDGE_HASHES), st.integers(0, HASH_PRIME - 1)),
+                       min_size=1, max_size=50),
+       width=st.one_of(st.sampled_from([*EDGE_WIDTHS, *SWEEP_WIDTHS]),
+                       st.integers(1, HASH_PRIME)))
+def test_column_is_the_remainder(hashes, width):
+    assert_column_is_the_remainder(hashes, width)
 
 
 def test_flagged_by_dims_rejects_counts_below_one():

@@ -69,6 +69,17 @@ def test_sweep_config_validation():
         SweepConfig(w_start=0)
 
 
+def test_sweep_widths_stay_within_the_row_hash_range():
+    # The last width is the schedule's widest; a row hash never reaches past p - 1.
+    p = 2**31 - 1
+    assert SweepConfig(w_start=p, iterations=1).w_start == p
+    assert sweep_schedule(SweepConfig(w_start=p - 25, w_step=1))[-1] == (26, p, 13)
+    for overrides in ({"w_start": 3_000_000_000}, {"w_start": 1 << 40},
+                      {"w_start": p - 24, "w_step": 1}, {"w_step": 100_000_000}):
+        with pytest.raises(InvalidConfig, match="width"):
+            SweepConfig(**overrides)
+
+
 def test_sweep_threshold_must_stay_below_the_cell_cap():
     # The sweep flags on estimate > threshold; estimates cap at the cell max.
     assert SweepConfig(threshold=65534).threshold == 65534

@@ -143,7 +143,13 @@ def binary_op(node: ast.AST, op: type) -> ast.AST | None:
 
 # Every interval aligned to time zero is numbered by cache.window_index: a
 # window kept any other way, such as by a start time summed from intervals,
-# can roll at other times than `now // period` at a non-dyadic period.
+# can roll at other times than `now // period` at a non-dyadic period. The
+# one other floor division is cms._column's, of a sketch hash by a width,
+# not of a time by a period: numpy has a vector loop for `//` by a scalar
+# and none for `%`, so the column is h - (h // width) * width.
+FLOOR_DIVISION_HOMES = {"cache.py": "window_index", "cms.py": "_column"}
+
+
 def floor_divisions(source: str, home: str | None = None) -> list[str]:
     """`//` and `//=` outside the function named `home`, by line."""
     return [f"line {line}: //" for line in
@@ -160,10 +166,9 @@ def test_floor_divisions_are_detected():
     assert floor_divisions("s = 'now // period'\nx = a / b\n") == []
 
 
-def test_only_window_index_floor_divides():
+def test_only_window_index_and_the_column_reduction_floor_divide():
     divisions = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
-                 if (found := floor_divisions(p.read_text(),
-                                              "window_index" if p.name == "cache.py" else None))}
+                 if (found := floor_divisions(p.read_text(), FLOOR_DIVISION_HOMES.get(p.name)))}
     assert divisions == {}
 
 
@@ -196,6 +201,60 @@ def test_only_row_hash_reduces_mod_the_hash_prime():
                   if (found := prime_reductions(p.read_text(),
                                                 "_row_hash" if p.name == "cms.py" else None))}
     assert reductions == {}
+
+
+# cms.py reduces twice: _row_hash mod p and _column mod the width. A third
+# `%` or `//`, or the same reduction spelled as a call, is a second hash or a
+# second column reduction that the scalar and vector paths could disagree on.
+REDUCING_CALLS = {"divmod", "floor", "floor_divide", "fmod", "mod", "remainder"}
+
+
+def stray_reductions(source: str) -> list[str]:
+    """`%`, `//`, their augmented forms and calls in REDUCING_CALLS, by line,
+    except `% _HASH_PRIME` whose innermost function is `_row_hash` and anything
+    whose innermost function is `_column`."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if function != "_column":
+            for op, sign in ((ast.Mod, "%"), (ast.FloorDiv, "//")):
+                right = binary_op(node, op)
+                by_prime = getattr(right, "id", getattr(right, "attr", None)) == "_HASH_PRIME"
+                if right is not None and not (function == "_row_hash" and by_prime):
+                    found.append(f"line {node.lineno}: {sign}")
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in REDUCING_CALLS:
+                    found.append(f"line {node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_stray_reductions_are_detected():
+    homes = ("def _row_hash(h):\n    h %= _HASH_PRIME\n    return h % _HASH_PRIME\n"
+             "def _column(h, w):\n    c = h // w\n    return h - c * w if c else h % w\n")
+    assert stray_reductions(homes) == []
+    strays = ("def _row_hash(h, w):\n    return h % _HASH_PRIME % w\n"
+              "def _columns(h, w):\n    return h % w\n"
+              "def flagged(h, w):\n    h //= w\n    return np.floor_divide(h, w)\n"
+              "q, r = divmod(h, w)\nr = np.remainder(h, w) + np.mod(h, w) + np.fmod(h, w)\n"
+              "q = np.floor(h / w)\n")
+    assert stray_reductions(strays) == [
+        "line 2: %", "line 4: %", "line 6: //", "line 7: floor_divide", "line 8: divmod",
+        "line 9: remainder", "line 9: mod", "line 9: fmod", "line 10: floor"]
+    # The home is the function itself, not one defined inside it; text in a
+    # string and true division are not reductions.
+    assert stray_reductions("def _column(h, w):\n    def f():\n        return h // w\n"
+                            "s = 'h % w'\nx = h / w\n") == ["line 3: //"]
+
+
+def test_cms_reduces_only_in_row_hash_and_column():
+    assert stray_reductions((PACKAGE / "cms.py").read_text()) == []
 
 
 # A role is one of the two strings of workloads.ROLES, which are also the

@@ -64,6 +64,20 @@ def test_a_prefix_requested_again_after_its_reply_goes_to_the_back():
     assert table.expire_due(1.2) == [again]
 
 
+def test_a_pending_prefix_is_not_inserted_again():
+    # Re-inserting p kept p's first place with the later deadline, so the
+    # front was not due and q, due at 1.1, was never expired.
+    table = PendingRequestTable(4, 1.0)
+    p, q = EidPrefix.host(1), EidPrefix.host(2)
+    first = table.insert(p, 0.0, "legit")
+    second = table.insert(q, 0.1, "attacker")
+    with pytest.raises(ValueError, match="already pending"):
+        table.insert(p, 0.2, "legit")
+    assert list(table.items()) == [(p, first), (q, second)]
+    assert first.deadline == 1.0
+    assert table.expire_due(1.15) == [first, second]
+
+
 def test_pending_table_capacity():
     table = PendingRequestTable(1, 1.0)
     table.insert(EidPrefix.host(1), 0.0, "legit")
