@@ -7,7 +7,7 @@ last aging, where `now // age_interval` grows, so hit attribution equals that
 of a cache aged eagerly at each such boundary, whatever calls came before. A
 lookup that misses changes nothing.
 
-Cache time never goes back: lookup, install and age raise TimeRegression
+Cache time never goes back: lookup, install and age raise ValueError
 for a `now` earlier than the latest one the cache has seen, or NaN, and leave
 the cache unchanged.
 
@@ -33,10 +33,6 @@ _FULL_MASK = (1 << ADDRESS_BITS) - 1
 # _MASKS[n] keeps the top n address bits of a /n prefix.
 _MASKS = tuple(_FULL_MASK ^ ((1 << (ADDRESS_BITS - n)) - 1) for n in range(ADDRESS_BITS + 1))
 POLICIES, AGE_MODES = ("lru", "lfu-aging"), ("halve", "zero")
-
-
-class TimeRegression(ValueError):
-    """A time earlier than one the cache has already seen, or NaN."""
 
 
 def window_index(now: float, period: float) -> int:
@@ -72,14 +68,6 @@ class TumblingWindow:
         self.index += crossed
         self._next = (self.index + 1) * self.period
         return crossed
-
-
-class DuplicateInstall(Exception):
-    """Install of a prefix that is already cached."""
-
-
-class PolicyMismatch(Exception):
-    """Aging requested on a cache whose policy does not age."""
 
 
 class EidPrefix(tuple):
@@ -200,7 +188,7 @@ class MapCache:
 
     def _advance(self, now: float) -> None:
         if not now >= self._clock:  # also rejects NaN
-            raise TimeRegression(f"cache time must not go back: {now} after {self._clock}")
+            raise ValueError(f"cache time must not go back: {now} after {self._clock}")
         self._clock = now
 
     def _catch_up_aging(self, now: float) -> None:
@@ -269,10 +257,10 @@ class MapCache:
         """Insert a mapping, evicting one victim if the cache is full.
 
         New entries always start with hit_count 0. Returns the evicted prefix
-        or None. Raises DuplicateInstall if the prefix is already present.
+        or None. Raises ValueError if the prefix is already present.
         """
         if prefix in self._entries:
-            raise DuplicateInstall(str(prefix))
+            raise ValueError(f"{prefix} is already cached")
         locators = tuple(locators)
         if not locators:
             raise ValueError("locators must be non-empty")
@@ -301,7 +289,7 @@ class MapCache:
     def age(self, now: float) -> None:
         """Apply any pending aging now; only meaningful under lfu-aging."""
         if self._aging is None:
-            raise PolicyMismatch("age() on an lru cache")
+            raise ValueError("age() on an lru cache")
         self._advance(now)
         self._catch_up_aging(now)
         if self._record_trace:

@@ -23,9 +23,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .cms import SketchDims
-from .experiment import (DEFAULT_SEEDS, PLOT_SCRIPT, SCENARIOS, InvalidConfig, IoFailure,
-                         SweepConfig, attack_csv, attack_summary_csv, config_hash, run_attack,
-                         run_sweep, sweep_csv)
+from .experiment import (DEFAULT_SEEDS, PLOT_SCRIPT, SCENARIOS, SweepConfig, attack_csv,
+                         attack_summary_csv, config_hash, run_attack, run_sweep, sweep_csv)
 from .limiter import LimiterConfig
 from .workloads import read_trace
 from .xtr import Xtr, XtrConfig
@@ -33,14 +32,14 @@ from .xtr import Xtr, XtrConfig
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors are configuration errors
-        raise InvalidConfig(message)
+        raise ValueError(message)
 
 
 def _parse_kv_file(path: Path) -> dict[str, str]:
     try:
         text = path.read_text()
     except FileNotFoundError as exc:
-        raise InvalidConfig(f"config file not found: {path}") from exc
+        raise ValueError(f"config file not found: {path}") from exc
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -48,7 +47,7 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
-            raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         mapping[key.strip()] = value.strip()
     return mapping
 
@@ -78,7 +77,7 @@ def _convert(default, text: str, key: str):
             return float(text)
         return text
     except ValueError as exc:
-        raise InvalidConfig(f"bad value for {key}: {exc}") from exc
+        raise ValueError(f"bad value for {key}: {exc}") from exc
 
 
 def _apply_overrides(config, mapping: dict[str, str], prefix: str, *,
@@ -91,9 +90,9 @@ def _apply_overrides(config, mapping: dict[str, str], prefix: str, *,
         if section != prefix:
             continue
         if name in frozen_keys:
-            raise InvalidConfig(f"{key} is fixed by the subcommand")
+            raise ValueError(f"{key} is fixed by the subcommand")
         if name not in known:
-            raise InvalidConfig(f"unknown config key: {key}")
+            raise ValueError(f"unknown config key: {key}")
         updates[name] = _convert(known[name], text, key)
     return replace(config, **updates) if updates else config
 
@@ -103,15 +102,15 @@ def _seed_list(args, default: tuple[int, ...]) -> tuple[int, ...]:
         return default
     base = args.seed if args.seed is not None else default[0]
     if base < 0:
-        raise InvalidConfig(f"--seed must be >= 0, got {base}")
+        raise ValueError(f"--seed must be >= 0, got {base}")
     count = args.seeds if args.seeds is not None else len(default)
     if count < 1:
-        raise InvalidConfig("--seeds must be >= 1")
+        raise ValueError("--seeds must be >= 1")
     return tuple(base + i for i in range(count))
 
 
 def _write(path: Path, pieces: Iterable[str]) -> Path:
-    """Write the pieces, in order, as one text file; a failure is an IoFailure.
+    """Write the pieces, in order, as one text file; a failure is an OSError naming the path.
 
     Pieces are written as they come, so a large output never has to be
     joined into one string first.
@@ -121,7 +120,7 @@ def _write(path: Path, pieces: Iterable[str]) -> Path:
         with path.open("w") as file:
             file.writelines(pieces)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -154,7 +153,7 @@ def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
     for key, default in (("limiter.w", "1000"), ("limiter.d", "4")):
         size[key] = _convert(0, mapping.pop(key, default), key)
         if size[key] < 1:
-            raise InvalidConfig(f"{key} must be >= 1, got {size[key]}")
+            raise ValueError(f"{key} must be >= 1, got {size[key]}")
     dims = SketchDims(size["limiter.w"], size["limiter.d"])
     limiter = _apply_overrides(LimiterConfig(backend="cms", sketch_dims=dims), mapping,
                                "limiter", frozen_keys=("sketch_dims",))
@@ -172,7 +171,7 @@ def _replay(trace: str, config: XtrConfig, seed: int) -> Xtr:
         with Path(trace).open("rb") as lines:
             stream = read_trace(lines)
     except OSError as exc:
-        raise IoFailure(f"cannot read trace {trace}: {exc}") from exc
+        raise OSError(f"cannot read trace {trace}: {exc}") from exc
     xtr = Xtr(config, seed=seed)
     xtr.run(stream)
     return xtr
@@ -225,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

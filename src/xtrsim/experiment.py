@@ -25,14 +25,6 @@ from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
 from .xtr import Xtr, XtrConfig, XtrMetrics
 
 
-class InvalidConfig(ValueError):
-    """Configuration that cannot describe a runnable experiment."""
-
-
-class IoFailure(Exception):
-    """An output path could not be written."""
-
-
 DEFAULT_SEEDS = tuple(range(1, 11))
 
 SWEEP_CSV_HEADER = "n_nodes,attacker_fraction,w,d,size_bytes,seed,fp_rate,fn_rate"
@@ -59,26 +51,29 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if not self.n_nodes or any(n < 1 for n in self.n_nodes):
-            raise InvalidConfig("n_nodes must be a non-empty list of positive sizes")
+            raise ValueError("n_nodes must be a non-empty list of positive sizes")
         if not self.attacker_fractions or any(not 0 <= f <= 1 for f in self.attacker_fractions):
-            raise InvalidConfig("attacker_fractions must be non-empty, each in [0, 1]")
+            raise ValueError("attacker_fractions must be non-empty, each in [0, 1]")
         if self.iterations < 1:
-            raise InvalidConfig("iterations must be >= 1")
+            raise ValueError("iterations must be >= 1")
         if self.w_start < 1 or self.w_step < 0:
-            raise InvalidConfig("w_start must be >= 1 and w_step >= 0")
+            raise ValueError("w_start must be >= 1 and w_step >= 0")
         last_width = self.w_start + (self.iterations - 1) * self.w_step
         if last_width > MAX_WIDTH:
-            raise InvalidConfig(f"the last width, w_start + (iterations - 1) * w_step = "
-                                f"{last_width}, is above the sketch's widest row {MAX_WIDTH}")
+            raise ValueError(f"the last width, w_start + (iterations - 1) * w_step = "
+                             f"{last_width}, is above the sketch's widest row {MAX_WIDTH}")
         if self.threshold < 1:
-            raise InvalidConfig("threshold must be >= 1")
+            raise ValueError("threshold must be >= 1")
         # The sweep flags on estimate > threshold, which saturated cells
         # cannot reach once the threshold is at the cell cap.
         if self.threshold >= cell_max(self.cell_width_bytes):
-            raise InvalidConfig(f"threshold {self.threshold} is unreachable with "
-                                f"{self.cell_width_bytes}-byte cells")
+            raise ValueError(f"threshold {self.threshold} is unreachable with "
+                             f"{self.cell_width_bytes}-byte cells")
         if not self.seeds or min(self.seeds) < 0:
-            raise InvalidConfig("seeds must be non-empty and each >= 0")
+            raise ValueError("seeds must be non-empty and each >= 0")
+        # The profile checks the miss ranges, as AttackConfig's does.
+        PopulationProfile(1, 0.0, legit_miss_range=self.legit_miss_range,
+                          attacker_miss_range=self.attacker_miss_range)
 
 
 @dataclass(frozen=True)
@@ -190,30 +185,30 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
-            raise InvalidConfig(f"unknown scenario {self.scenario!r}")
+            raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.n_legit < 1 or self.n_attackers < 0:
-            raise InvalidConfig("population must have >= 1 legit and >= 0 attackers")
+            raise ValueError("population must have >= 1 legit and >= 0 attackers")
         for name in ("duration", "limiter_period", "dest_period", "reply_latency",
                      "age_interval", "scan_rate", "bg_rate"):
             if not 0 < getattr(self, name) < math.inf:
-                raise InvalidConfig(f"{name} must be finite and > 0, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("scan_rate", "bg_rate"):  # the packet totals
             if not getattr(self, name) * self.duration < math.inf:
-                raise InvalidConfig(f"{name} * duration must be finite")
+                raise ValueError(f"{name} * duration must be finite")
         for name in ("limiter_period", "dest_period", "age_interval"):  # up to the last reply
             try:
                 window_index(self.duration + self.reply_latency, getattr(self, name))
             except ValueError as exc:
-                raise InvalidConfig(f"{name} is too small: {exc}") from None
+                raise ValueError(f"{name} is too small: {exc}") from None
         # Also the fields this scenario never reads: config_hash covers them all.
         for name, allowed in (("dest_strategy", DOS_STRATEGY_BASES), ("age_mode", AGE_MODES),
                               ("attacker_timing", ATTACKER_TIMINGS), ("cache_policy", POLICIES)):
             if (value := getattr(self, name)) not in allowed:
-                raise InvalidConfig(f"{name} must be one of {sorted(allowed)}, got {value!r}")
+                raise ValueError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
         for name in ("scan_n_prefixes", "popular_pool", "bg_users", "bg_destinations",
                      "limiter_w", "limiter_d"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         # Each profile checks its own fields; ScanProfile would allocate the prefixes.
         self.population(seed=0)
         self.background(seed=0)
@@ -308,7 +303,7 @@ def config_hash(config: object) -> str:
 def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> list[AttackRun]:
     """Run the scenario defended and undefended on identical traffic per seed."""
     if not seeds:
-        raise InvalidConfig("seeds must be non-empty")
+        raise ValueError("seeds must be non-empty")
     digest = config_hash(config)
     _, on_label, off_label, _ = SCENARIOS[config.scenario]
     runs = []
@@ -329,7 +324,7 @@ def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> li
 def attack_csv(runs: Sequence[AttackRun]) -> str:
     """One row per run: identity, all counters, then the scenario summaries."""
     if not runs:
-        raise InvalidConfig("no runs to export")
+        raise ValueError("no runs to export")
     metric_cols = list(runs[0].metrics.as_row())
     header = ["scenario", "defense", "seed", "config_hash", *metric_cols,
               "victim_admission_ratio", "legit_hit_rate", "overflow_events"]
@@ -347,7 +342,7 @@ def attack_csv(runs: Sequence[AttackRun]) -> str:
 def attack_summary_csv(runs: Sequence[AttackRun]) -> str:
     """Per-seed defended/undefended pairs of the scenario's headline metric."""
     if not runs:
-        raise InvalidConfig("no runs to export")
+        raise ValueError("no runs to export")
     scenario = runs[0].scenario
     _, on_label, off_label, metric = SCENARIOS[scenario]
     by_seed: dict[int, dict[str, AttackRun]] = {}

@@ -128,7 +128,7 @@ class PendingRequestTable(OrderedDict):
         if prefix in self:
             raise ValueError(f"{prefix} is already pending")
         if self.is_full:
-            raise OverflowError("pending table full")
+            raise ValueError("pending table full")
         entry = self[prefix] = _Pending(prefix, now + self.timeout, role)
         return entry
 
@@ -147,7 +147,7 @@ class PendingRequestTable(OrderedDict):
         return expired
 
 
-@dataclass
+@dataclass(frozen=True)
 class XtrConfig:
     cache_capacity: int = 1024
     cache_policy: str = "lru"
@@ -234,7 +234,7 @@ class Xtr:
         role = entry.role
         self.metrics.map_replies_received.__dict__[role] += 1
         prefix = entry.prefix
-        # A prefix is pending only while uncached, so this is never a DuplicateInstall.
+        # A prefix is pending only while uncached, so the install never finds it cached.
         if self.cache.install(prefix, (prefix[0],), now) is not None:
             self.metrics.evictions.__dict__[role] += 1
         return True
@@ -250,9 +250,9 @@ class Xtr:
     def step(self, now: float, src: int, dst: int, role: str) -> StepOutcome:
         """Process one data packet; `role` is one of `ROLES`.
 
-        A role outside them raises ValueError, and the cache's clock is the
-        router's: a time that goes back, or NaN, raises TimeRegression. Either
-        is raised before the cache or any counter moves."""
+        A role outside them, and a time that goes back or NaN (the cache's
+        clock is the router's), raise ValueError before the cache or any
+        counter moves."""
         metrics = self.metrics
         packets_in = metrics.packets_in.__dict__
         try:

@@ -7,7 +7,7 @@ behavioral divergence between this and xtrsim.cache is a bug in one of them.
 
 from dataclasses import dataclass
 
-from xtrsim.cache import DuplicateInstall, EidPrefix, PolicyMismatch
+from xtrsim.cache import EidPrefix
 
 
 @dataclass
@@ -57,7 +57,7 @@ class ReferenceCache:
 
     def install(self, prefix, locators, now):
         if any(rec.prefix == prefix for rec in self.records):
-            raise DuplicateInstall(str(prefix))
+            raise ValueError(f"{prefix} is already cached")
         self._age(now)
         evicted = None
         if len(self.records) >= self.capacity:
@@ -74,7 +74,7 @@ class ReferenceCache:
 
     def age(self, now):
         if self.policy != "lfu-aging":
-            raise PolicyMismatch("age() on an lru cache")
+            raise ValueError("age() on an lru cache")
         self._age(now)
 
     def state(self):

@@ -56,7 +56,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from xtrsim.cache import DuplicateInstall, EidPrefix, MapCache
+from xtrsim.cache import EidPrefix, MapCache
 from xtrsim.cli import main
 from xtrsim.cms import CountMinSketch, SketchDims, SketchParams, dims_from_params
 from xtrsim.experiment import (
@@ -387,11 +387,13 @@ def _enumerate_equivalence(prefixes, lookups, cfg, alphabet, capacity,
                     got = want = None
                     try:
                         got = cache.install(prefix, (idx + 1,), now)
-                    except DuplicateInstall:
+                    except ValueError as exc:
+                        assert "already cached" in str(exc)
                         impl_dup = True
                     try:
                         want = ref.install(prefix, (idx + 1,), now)
-                    except DuplicateInstall:
+                    except ValueError as exc:
+                        assert "already cached" in str(exc)
                         ref_dup = True
                     assert impl_dup == ref_dup and got == want
                 else:

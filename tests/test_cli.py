@@ -378,6 +378,10 @@ BAD_SETTINGS = {
                                         "bg_destinations"),
     # A value of the wrong shape names its field.
     "sweep-legit-range-one-value": (["sweep"], "sweep.legit_miss_range=-1", "legit_miss_range"),
+    # A miss range the population cannot draw from, refused when the config is built.
+    "sweep-legit-range-from-0": (["sweep"], "sweep.legit_miss_range=0,5", "legit_miss_range"),
+    "sweep-attacker-range-reversed": (["sweep"], "sweep.attacker_miss_range=9,3",
+                                      "attacker_miss_range"),
     "attack-popular-pool-negative": (["attack", "dos"], "attack.popular_pool=-1",
                                      "popular_pool"),
     "attack-bg-zipf-nan": (["attack", "scan"], "attack.bg_zipf_exponent=nan", "zipf_exponent"),

@@ -16,7 +16,6 @@ from xtrsim.experiment import (
     PLOT_SCRIPT,
     SWEEP_CSV_HEADER,
     AttackConfig,
-    InvalidConfig,
     SweepConfig,
     SweepRow,
     attack_csv,
@@ -53,20 +52,29 @@ def test_schedule_grows_width_linearly_and_depth_every_other_step():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^n_nodes"):
         SweepConfig(n_nodes=())
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^attacker_fractions"):
         SweepConfig(attacker_fractions=(1.5,))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^iterations must be >= 1"):
         SweepConfig(iterations=0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^seeds must be non-empty"):
         SweepConfig(seeds=())
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^seeds must be non-empty and each >= 0"):
         SweepConfig(seeds=(1, -1))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^threshold must be >= 1"):
         SweepConfig(threshold=0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^w_start must be >= 1"):
         SweepConfig(w_start=0)
+
+
+def test_sweep_miss_ranges_are_checked_when_built():
+    # As AttackConfig's are: a bad range once built and failed inside run_sweep.
+    for name in ("legit_miss_range", "attacker_miss_range"):
+        for bad in ((0, 5), (5, 1), (3,), ()):
+            with pytest.raises(ValueError, match=f"^{name} must be a pair lo,hi"):
+                SweepConfig(**{name: bad})
+    assert SweepConfig(legit_miss_range=(1, 1)).legit_miss_range == (1, 1)
 
 
 def test_sweep_widths_stay_within_the_row_hash_range():
@@ -76,17 +84,17 @@ def test_sweep_widths_stay_within_the_row_hash_range():
     assert sweep_schedule(SweepConfig(w_start=p - 25, w_step=1))[-1] == (26, p, 13)
     for overrides in ({"w_start": 3_000_000_000}, {"w_start": 1 << 40},
                       {"w_start": p - 24, "w_step": 1}, {"w_step": 100_000_000}):
-        with pytest.raises(InvalidConfig, match="width"):
+        with pytest.raises(ValueError, match="^the last width"):
             SweepConfig(**overrides)
 
 
 def test_sweep_threshold_must_stay_below_the_cell_cap():
     # The sweep flags on estimate > threshold; estimates cap at the cell max.
     assert SweepConfig(threshold=65534).threshold == 65534
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^threshold 65535 is unreachable"):
         SweepConfig(threshold=65535)
     assert SweepConfig(threshold=254, cell_width_bytes=1).threshold == 254
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^threshold 255 is unreachable"):
         SweepConfig(threshold=255, cell_width_bytes=1)
     with pytest.raises(ValueError):
         SweepConfig(cell_width_bytes=8)
@@ -206,17 +214,17 @@ def test_scenario_factories_and_hash():
 
 
 def test_attack_config_validation():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^unknown scenario 'eclipse'"):
         AttackConfig(scenario="eclipse")
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^population must have >= 1 legit"):
         AttackConfig(n_legit=0)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         for name in ("duration", "limiter_period", "dest_period", "reply_latency",
                      "age_interval", "scan_rate", "bg_rate"):
-            with pytest.raises(InvalidConfig, match=name):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 AttackConfig(**{name: bad})
     for name in ("limiter_w", "limiter_d"):
-        with pytest.raises(InvalidConfig, match=f"^{name} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
             AttackConfig(**{name: 0})
     # The profile of another scenario checks its fields all the same.
     with pytest.raises(ValueError, match="zipf_exponent"):
@@ -265,7 +273,7 @@ def test_run_attack_scan_arms_are_cache_policies():
 
 
 def test_run_attack_rejects_empty_seeds():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^seeds must be non-empty"):
         run_attack(TINY_DOS, seeds=())
 
 
@@ -283,7 +291,7 @@ def test_attack_csv_layout():
     firsts = [line.split(",")[:3] for line in lines[1:]]
     assert firsts == [["dos", "limiter_off", "1"], ["dos", "limiter_on", "1"],
                       ["dos", "limiter_off", "2"], ["dos", "limiter_on", "2"]]
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValueError, match="^no runs to export"):
         attack_csv([])
 
 

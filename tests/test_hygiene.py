@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -74,6 +75,64 @@ def test_only_cms_names_the_sketch_hash():
     named = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "cms.py" and (found := HASH_NAMES.findall(p.read_text()))}
     assert named == {}
+
+
+# cli.main maps a ValueError (a bad input) to exit 1 and an OSError (a failed
+# read or write) to exit 2. A failure of any other type would escape it as a
+# traceback, and an exception class of the package's own is a second name for
+# one of the two that no caller needs.
+RAISABLE = {"ValueError", "OSError"}
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def foreign_failures(source: str) -> list[str]:
+    """Classes that derive from an exception, and raises of a type outside
+    RAISABLE, by line; a bare `raise` re-raises and is allowed."""
+
+    def name(node: ast.AST | None) -> str | None:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    exceptions = set(BUILTIN_EXCEPTIONS)
+    found = []
+    nodes = sorted((n for n in ast.walk(ast.parse(source))
+                    if isinstance(n, (ast.ClassDef, ast.Raise))), key=lambda n: n.lineno)
+    for node in nodes:
+        if isinstance(node, ast.ClassDef):
+            bases = {name(base) for base in node.bases}
+            if bases & exceptions or any(str(b).endswith(("Error", "Exception")) for b in bases):
+                exceptions.add(node.name)
+                found.append(f"line {node.lineno}: class {node.name}")
+        elif node.exc is not None and name(node.exc) not in RAISABLE:
+            found.append(f"line {node.lineno}: raise {name(node.exc)}")
+    return found
+
+
+def test_foreign_failures_are_detected():
+    allowed = ("def f(x):\n    if x:\n        raise ValueError(f'bad {x}') from None\n"
+               "    try:\n        g()\n    except OSError as exc:\n"
+               "        raise OSError(f'cannot read: {exc}') from exc\n"
+               "    except KeyError:\n        raise\n")
+    assert foreign_failures(allowed) == []
+    strays = ("class Bad(ValueError):\n    pass\nclass Worse(Bad):\n    pass\n"
+              "class Io(Exception):\n    pass\nclass Lib(errors.LibError):\n    pass\n"
+              "raise OverflowError('full')\nraise Bad\nraise errors.Mismatch('x')\n"
+              "raise exc from None\n")
+    assert foreign_failures(strays) == [
+        "line 1: class Bad", "line 3: class Worse", "line 5: class Io", "line 7: class Lib",
+        "line 9: raise OverflowError", "line 10: raise Bad", "line 11: raise Mismatch",
+        "line 12: raise exc"]
+    # Other classes, and a raise that is only text in a string, are not failures.
+    assert foreign_failures("class P(argparse.ArgumentParser):\n    pass\n"
+                            "class C:\n    x: int\ns = 'raise KeyError'\n") == []
+
+
+def test_the_package_raises_only_value_and_os_errors():
+    foreign = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+               if (found := foreign_failures(p.read_text()))}
+    assert foreign == {}
 
 
 # cli.py writes every output file: a second writer elsewhere would escape

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xtrsim.cache import EidPrefix, TimeRegression
+from xtrsim.cache import EidPrefix
 from xtrsim.experiment import dos_defaults, overflow_defaults, run_attack
 from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import ATTACKER, LEGIT, ROLES, PopulationProfile, Stream, gen_dos_stream
@@ -82,7 +84,7 @@ def test_pending_table_capacity():
     table = PendingRequestTable(1, 1.0)
     table.insert(EidPrefix.host(1), 0.0, "legit")
     assert table.is_full
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="^pending table full$"):
         table.insert(EidPrefix.host(2), 0.0, "legit")
     with pytest.raises(ValueError):
         PendingRequestTable(0, 1.0)
@@ -175,7 +177,7 @@ def test_time_regression_raises():
     # NaN, a step back, and a step back after NaN: each is refused, and no
     # counter moves.
     for t in (float("nan"), 0.5, float("nan"), 0.5):
-        with pytest.raises(TimeRegression):
+        with pytest.raises(ValueError, match="^cache time must not go back"):
             x.step(*pkt(t, 1, 0xAB))
         assert x.metrics.as_row() == before
     assert x.step(*pkt(1.0, 1, 0xAA)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
@@ -284,6 +286,18 @@ def test_config_validation_and_timeout_default():
     assert XtrConfig(dest_budget=0).dest_budget == 0
     assert XtrConfig(reply_latency=0.05).effective_pending_timeout == pytest.approx(0.15)
     assert XtrConfig(pending_timeout=0.2).effective_pending_timeout == 0.2
+
+
+def test_config_is_frozen_so_its_checks_cannot_be_skipped():
+    # An assignment after __post_init__ would skip every check: reply_loss=2.0
+    # once dropped every reply and reply_latency=-1.0 expired every request.
+    cfg = XtrConfig()
+    for name, value in (("reply_loss", 2.0), ("reply_latency", -1.0), ("cache_capacity", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == XtrConfig()
+    with pytest.raises(ValueError, match="^reply_loss must be in"):
+        replace(cfg, reply_loss=2.0)
 
 
 # ---------------------------------------------------------------- metrics
