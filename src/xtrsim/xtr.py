@@ -1,7 +1,7 @@
 """Event-driven model of a pull-based border router (xTR).
 
 A data packet either hits the map-cache and is forwarded, or triggers the
-miss path: pending-request dedup per prefix, the per-source limiter, the
+miss path: pending-request dedup per destination, the per-source limiter, the
 destination budget, then a Map-Request. The mapping system answers after a
 fixed latency (unless loss is injected) with a reply that carries its request
 and installs the mapping. Replies scheduled at time t are delivered before a
@@ -17,7 +17,7 @@ import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
 
-from .cache import AGE_MODES, POLICIES, EidPrefix, MapCache, window_index
+from .cache import ADDRESS_BITS, AGE_MODES, POLICIES, EidPrefix, MapCache, window_index
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import ROLES, Stream
 
@@ -95,17 +95,17 @@ class XtrMetrics:
 
 @dataclass(slots=True)
 class _Pending:
-    prefix: EidPrefix
+    address: int  # the destination; its reply installs `EidPrefix.host(address)`
     deadline: float
     role: str  # one of `ROLES`, which names the `Tally` field to bump
 
 
 class PendingRequestTable(OrderedDict):
-    """Outstanding Map-Requests: each uncached prefix -> its `_Pending`, in send order.
+    """Outstanding Map-Requests: each uncached destination address -> its `_Pending`.
 
-    Each request expires `timeout` after it was sent, so send order is deadline
-    order and the front entry expires first. It stays an OrderedDict: popping the
-    front of a plain dict leaves deleted slots that each later `next(iter(...))` scans.
+    Entries are in send order, which is deadline order: each expires `timeout`
+    after it was sent. It stays an OrderedDict: popping the front of a plain dict
+    leaves deleted slots that each later `next(iter(...))` scans.
     """
 
     def __init__(self, capacity: int, timeout: float):
@@ -119,24 +119,26 @@ class PendingRequestTable(OrderedDict):
     def is_full(self) -> bool:
         return len(self) >= self.capacity
 
-    def insert(self, prefix: EidPrefix, now: float, role: str) -> _Pending:
-        """Add the request for `prefix`, which is not pending, and return it.
+    def insert(self, address: int, now: float, role: str) -> _Pending:
+        """Add the request for `address`, which is not pending, and return it.
 
-        A second request for a pending prefix is refused: it would keep the
+        A second request for a pending address is refused: it would keep the
         first one's place, and send order would stop being deadline order.
         """
-        if prefix in self:
-            raise ValueError(f"{prefix} is already pending")
+        if address < 0 or address >> ADDRESS_BITS:
+            raise ValueError(f"address {address!r} is not an integer in the 128-bit range")
+        if address in self:
+            raise ValueError(f"{address:#x} is already pending")
         if self.is_full:
             raise ValueError("pending table full")
-        entry = self[prefix] = _Pending(prefix, now + self.timeout, role)
+        entry = self[address] = _Pending(address, now + self.timeout, role)
         return entry
 
     def consume(self, entry: _Pending) -> bool:
-        """Remove `entry` if it is still its prefix's request; False when it is not."""
-        if self.get(entry.prefix) is not entry:
+        """Remove `entry` if it is still its address's request; False when it is not."""
+        if self.get(entry.address) is not entry:
             return False
-        del self[entry.prefix]
+        del self[entry.address]
         return True
 
     def expire_due(self, now: float) -> list[_Pending]:
@@ -226,16 +228,15 @@ class Xtr:
         """Consume the Map-Reply to the request `entry`; True when it installed a mapping.
 
         A reply whose request has expired is stale and discarded, even if its
-        prefix has been requested again since.
+        address has been requested again since. A fresh one installs the /128.
         """
         if not self.pending.consume(entry):
             self.metrics.stale_replies += 1
             return False
         role = entry.role
         self.metrics.map_replies_received.__dict__[role] += 1
-        prefix = entry.prefix
-        # A prefix is pending only while uncached, so the install never finds it cached.
-        if self.cache.install(prefix, (prefix[0],), now) is not None:
+        # An address is pending only while uncached, so the install never finds it cached.
+        if self.cache.install(EidPrefix.host(entry.address), (entry.address,), now) is not None:
             self.metrics.evictions.__dict__[role] += 1
         return True
 
@@ -267,8 +268,7 @@ class Xtr:
             return _FORWARDED
         metrics.cache_misses.__dict__[role] += 1
 
-        prefix = EidPrefix.host(dst)
-        if prefix in self.pending:
+        if dst in self.pending:
             metrics.suppressed_while_pending.__dict__[role] += 1
             return _PENDING
 
@@ -284,7 +284,7 @@ class Xtr:
             metrics.nonce_table_overflows.__dict__[role] += 1
             return _TABLE_FULL
 
-        entry = self.pending.insert(prefix, now, role)
+        entry = self.pending.insert(dst, now, role)
         metrics.map_requests_sent.__dict__[role] += 1
         self.admitted_by_source_period[(src, window_index(now, self.config.limiter.period))] += 1
         if self.config.reply_loss == 0.0 or self._loss_rng.random() >= self.config.reply_loss:

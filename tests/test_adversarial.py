@@ -1,4 +1,4 @@
-"""Sources the attacker picks: framing a victim through the sketch limiter's key.
+"""Sources the attacker picks: framing a victim, and outnumbering the per-source cap.
 
 The per-source limiter's false-positive bound q(w, d) = (1 - (1 - 1/w)^A)^d
 holds for sources that do not depend on the sketch's hash key, which is the
@@ -7,17 +7,23 @@ sources that each share the victim's cell in one row. d * (threshold + 1)
 misses from them then deny the victim for the rest of the window. The same
 search run against another key frames the victim only by chance, at most
 q(w, d) with A = d. The exact backend keeps no shared cells to collide in.
+
+The cap is per source, not per attacker (a Sybil attack: Douceur, IPTPS
+2002). S sources get S * threshold admissions a window, so from
+S* = ceil(dest_budget / threshold) sources on they spend the whole shared
+budget while each one stays within its cap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 from xtrsim.cms import CountMinSketch, SketchDims
-from xtrsim.experiment import dos_defaults
+from xtrsim.experiment import _attack_stream, _attack_xtr_config, dos_defaults
 from xtrsim.limiter import LimiterConfig
-from xtrsim.workloads import UNALLOCATED_DST_BASE
+from xtrsim.workloads import ATTACKER, LEGIT, UNALLOCATED_DST_BASE
 from xtrsim.xtr import StepOutcome, Xtr, XtrConfig
 
 DOS = dos_defaults()  # threshold 100, a 1000 x 4 sketch, one-second windows
@@ -107,3 +113,22 @@ def test_allowed_failures_is_a_binomial_quantile():
     assert allowed_failures(10, 0.0) == 0
     assert allowed_failures(10, 1.0) == 10
     assert allowed_failures(1000, 0.01) == 28  # the same sum in exact fractions
+
+
+def test_the_per_source_cap_protects_the_budget_only_below_budget_over_threshold_sources():
+    s_star = math.ceil(DOS.dest_budget / DOS.threshold)  # 20 at the dos defaults
+    for sources in (s_star // 2, s_star):
+        config = replace(DOS, n_attackers=sources)
+        for seed in (1, 2, 3):
+            stream = _attack_stream(config, seed)
+            assert len({src for src, role in zip(stream.srcs, stream.roles)
+                        if role == ATTACKER}) == sources
+            xtr = Xtr(_attack_xtr_config(config, defended=True), seed=seed)
+            m = xtr.run(stream)
+            # Criterion 6's property holds in every run: no source outgrows its cap.
+            assert max(xtr.admitted_by_source_period.values()) <= DOS.threshold
+            if sources < s_star:
+                assert m.dropped_by_dest_limiter.legit == 0
+            else:
+                assert m.dropped_by_dest_limiter.legit > 0
+                assert m.admission_ratio(LEGIT) < 0.5

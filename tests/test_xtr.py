@@ -42,27 +42,32 @@ def stream(*packets: tuple[float, int, int, str]) -> Stream:
 
 def test_pending_table_round_trip():
     table = PendingRequestTable(2, 0.5)
-    p = EidPrefix.host(0x1)
-    entry = table.insert(p, 0.25, "legit")
-    assert table[p] is entry and len(table) == 1
-    assert entry.prefix == p and entry.deadline == 0.75 and entry.role == "legit"
+    a = 0x1
+    entry = table.insert(a, 0.25, "legit")
+    assert table[a] is entry and len(table) == 1
+    assert entry.address == a and entry.deadline == 0.75 and entry.role == "legit"
     assert table.consume(entry) is True
     assert table.consume(entry) is False
-    assert p not in table and len(table) == 0
-    # A new request for the prefix is a new entry, which the old one cannot consume.
-    newer = table.insert(p, 1.0, "attacker")
-    assert table.consume(entry) is False and table[p] is newer
+    assert a not in table and len(table) == 0
+    # A new request for the address is a new entry, which the old one cannot consume.
+    newer = table.insert(a, 1.0, "attacker")
+    assert table.consume(entry) is False and table[a] is newer
+    # No key outside the address space gets in, so none reaches the install.
+    for bad in (-1, 1 << 128):
+        with pytest.raises(ValueError, match="not an integer in the 128-bit range"):
+            table.insert(bad, 1.0, "legit")
+    assert list(table) == [a]
 
 
 def test_a_prefix_requested_again_after_its_reply_goes_to_the_back():
     table = PendingRequestTable(4, 1.0)
-    a, b = EidPrefix.host(1), EidPrefix.host(2)
+    a, b = 1, 2
     first = table.insert(a, 0.0, "legit")
     table.insert(b, 0.1, "legit")
     assert table.consume(first)
     again = table.insert(a, 0.2, "legit")
     assert list(table) == [b, a]
-    assert [e.prefix for e in table.expire_due(1.15)] == [b]
+    assert [e.address for e in table.expire_due(1.15)] == [b]
     assert table.expire_due(1.2) == [again]
 
 
@@ -70,10 +75,10 @@ def test_a_pending_prefix_is_not_inserted_again():
     # Re-inserting p kept p's first place with the later deadline, so the
     # front was not due and q, due at 1.1, was never expired.
     table = PendingRequestTable(4, 1.0)
-    p, q = EidPrefix.host(1), EidPrefix.host(2)
+    p, q = 0xA1, 0xA2
     first = table.insert(p, 0.0, "legit")
     second = table.insert(q, 0.1, "attacker")
-    with pytest.raises(ValueError, match="already pending"):
+    with pytest.raises(ValueError, match="^0xa1 is already pending$"):
         table.insert(p, 0.2, "legit")
     assert list(table.items()) == [(p, first), (q, second)]
     assert first.deadline == 1.0
@@ -82,25 +87,40 @@ def test_a_pending_prefix_is_not_inserted_again():
 
 def test_pending_table_capacity():
     table = PendingRequestTable(1, 1.0)
-    table.insert(EidPrefix.host(1), 0.0, "legit")
+    table.insert(1, 0.0, "legit")
     assert table.is_full
     with pytest.raises(ValueError, match="^pending table full$"):
-        table.insert(EidPrefix.host(2), 0.0, "legit")
+        table.insert(2, 0.0, "legit")
     with pytest.raises(ValueError):
         PendingRequestTable(0, 1.0)
 
 
 def test_pending_expiry_is_fifo_and_skips_consumed():
     table = PendingRequestTable(8, 2.5)
-    table.insert(EidPrefix.host(0), 0.0, "legit")
-    e1 = table.insert(EidPrefix.host(1), 1.0, "attacker")
-    table.insert(EidPrefix.host(2), 2.0, "legit")
+    table.insert(0, 0.0, "legit")
+    e1 = table.insert(1, 1.0, "attacker")
+    table.insert(2, 2.0, "legit")
     expired = table.expire_due(2.5)
-    assert [e.prefix for e in expired] == [EidPrefix.host(0)]
+    assert [e.address for e in expired] == [0]
     table.consume(e1)  # reply beat the timeout
     expired = table.expire_due(10.0)
-    assert [e.prefix for e in expired] == [EidPrefix.host(2)]
+    assert [e.address for e in expired] == [2]
     assert len(table) == 0
+
+
+def test_only_an_installed_reply_builds_a_host_prefix(monkeypatch):
+    # The pending table is keyed by the destination address, so the miss path
+    # builds no EidPrefix: each /128 is built once, by the install of its reply.
+    calls = []
+    host = EidPrefix.host.__func__
+    monkeypatch.setattr(EidPrefix, "host", classmethod(
+        lambda cls, address: calls.append(address) or host(cls, address)))
+    config = replace(dos_defaults(), n_legit=20, n_attackers=2, attacker_miss_range=(300, 600),
+                     dest_budget=300)
+    runs = run_attack(config, seeds=(1,))  # one defended and one undefended run
+    assert len(calls) == sum(run.metrics.map_replies_received.total for run in runs)
+    for m in (run.metrics for run in runs):
+        assert 0 < m.map_replies_received.total < m.cache_misses.total
 
 
 # -------------------------------------------------------------- happy path
@@ -208,15 +228,15 @@ def test_a_reply_to_an_expired_request_is_stale_though_its_prefix_is_pending_aga
     x = Xtr(mk_config(pending_timeout=0.03), seed=0)
     p = EidPrefix.host(0xB4)
     x.step(*pkt(0.0, 1, 0xB4))
-    old = x.pending[p]
+    old = x.pending[0xB4]
     assert x.pending.expire_due(0.035) == [old]
     assert x.step(*pkt(0.035, 1, 0xB4)) is StepOutcome.MISS_PENDING_REQUEST
-    new = x.pending[p]
+    new = x.pending[0xB4]
     assert [entry for _, entry in x._reply_queue] == [old, new]
     assert x.deliver_reply(old, 0.04) is False
-    assert x.metrics.stale_replies == 1 and x.pending[p] is new and p not in x.cache
+    assert x.metrics.stale_replies == 1 and x.pending[0xB4] is new and p not in x.cache
     assert x.deliver_reply(new, 0.05) is True
-    assert p in x.cache and p not in x.pending
+    assert p in x.cache and 0xB4 not in x.pending
     assert x.metrics.map_replies_received.legit == 1 and x.metrics.stale_replies == 1
     # Through run: the first reply, due at 0.04, meets the request sent at
     # 0.035 (deadline 0.045) and is stale; that request then times out.
@@ -367,8 +387,8 @@ def reference_run(x: Xtr, packets: Stream) -> XtrMetrics:
     """`Xtr.run` as a plain loop: deliver due replies, expire, then step, every packet.
 
     Before each reply it calls the expiry at the reply's time, whether or not
-    anything is due. After every step it checks that no pending prefix is
-    cached, which is why a reply never meets its prefix already installed.
+    anything is due. After every step it checks that no pending address's /128
+    is cached, which is why a reply never meets its prefix already installed.
     """
     def deliver_due(upto: float) -> None:
         while x._reply_queue and x._reply_queue[0][0] <= upto:
@@ -380,7 +400,7 @@ def reference_run(x: Xtr, packets: Stream) -> XtrMetrics:
         deliver_due(now)
         x._expire_pending(now)
         x.step(now, src, dst, role)
-        assert not any(prefix in x.cache for prefix in x.pending)
+        assert not any(EidPrefix.host(address) in x.cache for address in x.pending)
     deliver_due(float("inf"))
     return x.metrics
 
