@@ -205,6 +205,9 @@ class MapCache:
 
     def lookup(self, dst: int, now: float) -> tuple[int, ...] | None:
         """Longest-prefix match; a hit refreshes the entry, a miss changes nothing."""
+        # Masked, an address outside 128 bits would alias one inside them.
+        if type(dst) is not int or not 0 <= dst <= _FULL_MASK:
+            raise ValueError(f"address {dst!r} is not an integer in the 128-bit range")
         self._advance(now)
         for plen in self._lens_desc:
             entry = self._by_len[plen].get(dst & _MASKS[plen])

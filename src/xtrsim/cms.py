@@ -1,4 +1,4 @@
-"""Count-Min Sketch with saturating fixed-width counters.
+"""Count-Min Sketch with saturating uint16 counters.
 
 The sketch keeps a depth x width matrix of small counters. Every row owns a
 hash function drawn from a universal family over keys of up to 150 bits (so
@@ -32,16 +32,15 @@ _KEY_LIMBS = 5  # keys below 2**150, which holds every 128-bit address
 # is never reached. A width up to p also fits the uint32 that `_column` uses.
 MAX_WIDTH = _HASH_PRIME
 
-# No 8-byte cells: the vector path merges through float64 and returns int64,
-# which is exact only for caps below 2**53.
-_CELL_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32}
+# Every cell is a uint16 that saturates at CELL_MAX instead of wrapping.
+CELL_MAX = 65535
 
 
-def cell_max(cell_width_bytes: int) -> int:
-    """Largest count a cell of this many bytes holds; it saturates there."""
-    if cell_width_bytes not in _CELL_DTYPES:
-        raise ValueError(f"cell_width_bytes must be one of {sorted(_CELL_DTYPES)}")
-    return (1 << (8 * cell_width_bytes)) - 1
+def check_reachable(threshold: int) -> None:
+    """Refuse a threshold that a saturated cell's count cannot exceed: flagging
+    on count > threshold would then be switched off without a word."""
+    if threshold >= CELL_MAX:
+        raise ValueError(f"threshold {threshold} is unreachable: cells saturate at {CELL_MAX}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ class SketchDims:
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
 
-    def memory_bytes(self, cell_width_bytes: int = 2) -> int:
-        return self.width * self.depth * cell_width_bytes
+    def memory_bytes(self) -> int:
+        return self.width * self.depth * 2  # a uint16 cell is 2 bytes
 
 
 def _guarded_ceil(x: float) -> int:
@@ -191,8 +190,8 @@ def _weights(counts: np.ndarray) -> np.ndarray:
     """Per-key counts (each >= 1) as bincount weights.
 
     bincount sums in float64, exactly while a cell's added mass stays below
-    2**53; past that the sum still exceeds every cell cap, so clamping at the
-    cap gives the exact saturated value.
+    2**53; past that the sum still exceeds CELL_MAX, so clamping at it gives
+    the exact saturated value.
     """
     counts = np.asarray(counts)
     if np.any(counts < 1):
@@ -201,8 +200,7 @@ def _weights(counts: np.ndarray) -> np.ndarray:
 
 
 def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[SketchDims],
-                    threshold: int, *, seed: int = 0,
-                    cell_width_bytes: int = 2) -> list[np.ndarray]:
+                    threshold: int, *, seed: int = 0) -> list[np.ndarray]:
     """For each shape in dims_list, which keys a fresh sketch of that shape
     estimates above threshold after add_counts(keys, counts).
 
@@ -211,7 +209,6 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     cells does, so rows run outside and shapes inside: each row is hashed
     once for all shapes, and a shape keeps only the keys still flagged.
     """
-    cap = cell_max(cell_width_bytes)
     weights = _weights(counts)
     limbs = _vector_limbs(keys)
     flagged = [np.packbits(np.ones(len(weights), dtype=bool)) for _ in dims_list]
@@ -222,7 +219,7 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
                 continue
             cols = _column(h, dims.width)
             cells = np.bincount(cols, weights=weights, minlength=dims.width)
-            np.minimum(cells, cap, out=cells)
+            np.minimum(cells, CELL_MAX, out=cells)
             flagged[i] &= np.packbits((cells > threshold).take(cols))
     return flagged
 
@@ -230,25 +227,19 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
 class CountMinSketch:
     """Frequency sketch over integer keys.
 
-    Cells are fixed-width unsigned counters that saturate at their maximum
-    value instead of wrapping; saturation is silent and only ever preserves
-    the no-underestimation guarantee for counts below the cap.
+    Cells are uint16 counters that saturate at CELL_MAX instead of wrapping;
+    saturation is silent and only ever preserves the no-underestimation
+    guarantee for counts below the cap.
     """
 
-    def __init__(self, dims: SketchDims, *, seed: int = 0, cell_width_bytes: int = 2):
-        self.cell_max = cell_max(cell_width_bytes)
+    def __init__(self, dims: SketchDims, *, seed: int = 0):
         self.dims = dims
         self.seed = seed
-        self.cell_width_bytes = cell_width_bytes
-        self._cells = np.zeros((dims.depth, dims.width), dtype=_CELL_DTYPES[cell_width_bytes])
+        self._cells = np.zeros((dims.depth, dims.width), dtype=np.uint16)
         # Scalar updates read and write the same cells through a flat
         # memoryview, which skips numpy's boxing of each item.
         self._flat = memoryview(self._cells.reshape(-1))
         self._rows = [_row_coefficients(seed, r) for r in range(dims.depth)]
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.dims.memory_bytes(self.cell_width_bytes)
 
     def _hash_slots(self, key: int) -> list[int]:
         """Flat index of the key's cell in every row, hashed by `_row_hash` as
@@ -267,7 +258,7 @@ class CountMinSketch:
         if amount < 1:
             raise ValueError(f"amount must be >= 1, got {amount}")
         flat = self._flat
-        est = cap = self.cell_max
+        est = cap = CELL_MAX
         for slot in self._hash_slots(key):
             value = flat[slot] + amount
             flat[slot] = value = value if value < cap else cap
@@ -292,7 +283,7 @@ class CountMinSketch:
             added = np.bincount(self._columns(row, limbs), weights=weights,
                                 minlength=self.dims.width)
             merged = self._cells[row] + added
-            np.minimum(merged, self.cell_max, out=merged)
+            np.minimum(merged, CELL_MAX, out=merged)
             self._cells[row] = merged.astype(self._cells.dtype)
 
     def estimate_many(self, keys: np.ndarray) -> np.ndarray:

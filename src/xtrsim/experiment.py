@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .cache import AGE_MODES, POLICIES, window_index
-from .cms import MAX_WIDTH, SketchDims, cell_max, flagged_by_dims
+from .cms import MAX_WIDTH, SketchDims, check_reachable, flagged_by_dims
 from .limiter import LimiterConfig
 from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
                         BackgroundProfile, ScanProfile, LEGIT, gen_dos_stream, gen_miss_counts,
@@ -44,7 +44,6 @@ class SweepConfig:
     w_start: int = 1000
     w_step: int = 1000
     iterations: int = 26
-    cell_width_bytes: int = 2
     legit_miss_range: tuple[int, int] = (1, 10)
     attacker_miss_range: tuple[int, int] = (1000, 10000)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
@@ -64,11 +63,7 @@ class SweepConfig:
                              f"{last_width}, is above the sketch's widest row {MAX_WIDTH}")
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
-        # The sweep flags on estimate > threshold, which saturated cells
-        # cannot reach once the threshold is at the cell cap.
-        if self.threshold >= cell_max(self.cell_width_bytes):
-            raise ValueError(f"threshold {self.threshold} is unreachable with "
-                             f"{self.cell_width_bytes}-byte cells")
+        check_reachable(self.threshold)
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError("seeds must be non-empty and each >= 0")
         # The profile checks the miss ranges, as AttackConfig's does.
@@ -124,15 +119,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 legit = np.packbits(~draw.attacker_mask)
                 oracle = np.packbits(draw.counts > config.threshold)
                 flagged = flagged_by_dims(draw.sources, draw.counts, dims_list, config.threshold,
-                                          seed=seed, cell_width_bytes=config.cell_width_bytes)
+                                          seed=seed)
                 for dims, bits in zip(dims_list, flagged):
                     false_pos = int(np.count_nonzero(np.unpackbits(bits & legit)))
                     false_neg = int(np.count_nonzero(np.unpackbits(oracle & ~bits)))
                     fp_rate = false_pos / n_legit if n_legit else 0.0
                     fn_rate = false_neg / n_attackers if n_attackers else 0.0
                     rows.append(SweepRow(n, fraction, dims.width, dims.depth,
-                                         dims.memory_bytes(config.cell_width_bytes),
-                                         seed, fp_rate, fn_rate))
+                                         dims.memory_bytes(), seed, fp_rate, fn_rate))
     rows.sort(key=lambda r: (r.n_nodes, r.attacker_fraction, r.w, r.d,
                              r.size_bytes, r.seed))
     return rows

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .cache import TumblingWindow
-from .cms import CountMinSketch, SketchDims, cell_max
+from .cms import CountMinSketch, SketchDims, check_reachable
 
 
 class Decision(enum.Enum):
@@ -27,9 +27,8 @@ _ALLOW, _DROP = Decision  # bound once: on Python 3.11 a lookup on the class is 
 class LimiterConfig:
     """Sizing and policy of the per-source miss limiter.
 
-    threshold: misses a source may accumulate per period before flagging.
-    strict_threshold: flag only when the count exceeds the threshold; set
-        False to flag at exactly the threshold too.
+    threshold: misses a source may accumulate per period; it is flagged
+        when its count exceeds the threshold.
     backend: "exact" keeps a per-source hash table, "cms" shares a sketch.
     """
 
@@ -37,7 +36,8 @@ class LimiterConfig:
     period: float = 1.0
     backend: str = "exact"
     sketch_dims: SketchDims | None = None
-    sketch_params: None = None  # single-valued: deleting it would move every config_hash
+    # Single-valued: deleting them would move every config_hash.
+    sketch_params: None = None
     cell_width_bytes: int = 2
     strict_threshold: bool = True
 
@@ -48,17 +48,15 @@ class LimiterConfig:
             raise ValueError(f"period must be finite and > 0, got {self.period}")
         if self.backend not in ("exact", "cms"):
             raise ValueError(f"backend must be 'exact' or 'cms', got {self.backend!r}")
-        if self.sketch_params is not None:
-            raise ValueError(f"sketch_params must be None, got {self.sketch_params!r}")
+        for name, pinned in (("sketch_params", None), ("cell_width_bytes", 2),
+                             ("strict_threshold", True)):
+            value = getattr(self, name)
+            if type(value) is not type(pinned) or value != pinned:
+                raise ValueError(f"{name} must be {pinned!r}, got {value!r}")
         if self.backend == "cms":
             if self.sketch_dims is None:
                 raise ValueError("cms backend needs sketch_dims")
-            # Cells saturate at the cap, so a threshold the capped count can
-            # never cross would switch the defence off without a word.
-            cap = cell_max(self.cell_width_bytes)
-            if self.threshold > (cap - 1 if self.strict_threshold else cap):
-                raise ValueError(f"threshold {self.threshold} is unreachable: "
-                                 f"{self.cell_width_bytes}-byte cells saturate at {cap}")
+            check_reachable(self.threshold)
 
 
 class _ExactCounts(dict):
@@ -84,10 +82,10 @@ class SourceRateLimiter:
 
     def __init__(self, config: LimiterConfig, *, seed: int = 0):
         self.config = config
-        self._limit = config.threshold - (0 if config.strict_threshold else 1)  # flag above
+        self._limit = config.threshold  # flag above
         self._window = TumblingWindow(config.period)
         self._counts = _ExactCounts() if config.backend == "exact" else CountMinSketch(
-            config.sketch_dims, seed=seed, cell_width_bytes=config.cell_width_bytes)
+            config.sketch_dims, seed=seed)
         self._flagged: set[int] = set()  # sources dropped in this window
 
     def current_count(self, source: int) -> int:

@@ -251,9 +251,9 @@ class Xtr:
     def step(self, now: float, src: int, dst: int, role: str) -> StepOutcome:
         """Process one data packet; `role` is one of `ROLES`.
 
-        A role outside them, and a time that goes back or NaN (the cache's
-        clock is the router's), raise ValueError before the cache or any
-        counter moves."""
+        A role outside them, a `dst` that is not an int in [0, 2**128), and a
+        time that goes back or NaN (the cache's clock is the router's), raise
+        ValueError before the cache or any counter moves."""
         metrics = self.metrics
         packets_in = metrics.packets_in.__dict__
         try:

@@ -22,8 +22,7 @@ class ReferenceLimiter:
     def _fresh_counts(self):
         if self.config.backend == "exact":
             return Counter()
-        return CountMinSketch(self.config.sketch_dims, seed=self.seed,
-                              cell_width_bytes=self.config.cell_width_bytes)
+        return CountMinSketch(self.config.sketch_dims, seed=self.seed)
 
     def count(self, source):
         if self.config.backend == "exact":
@@ -31,9 +30,7 @@ class ReferenceLimiter:
         return self.counts.estimate(source)
 
     def is_flagged(self, source):
-        if self.config.strict_threshold:
-            return self.count(source) > self.config.threshold
-        return self.count(source) >= self.config.threshold
+        return self.count(source) > self.config.threshold
 
     def on_miss(self, source, now):
         if now // self.config.period != self.window:

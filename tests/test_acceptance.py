@@ -58,7 +58,7 @@ import pytest
 
 from xtrsim.cache import EidPrefix, MapCache
 from xtrsim.cli import main
-from xtrsim.cms import CountMinSketch, SketchDims, SketchParams, dims_from_params
+from xtrsim.cms import CELL_MAX, CountMinSketch, SketchDims, SketchParams, dims_from_params
 from xtrsim.experiment import (
     DEFAULT_SEEDS,
     AttackConfig,
@@ -132,7 +132,7 @@ def expected_flagged(w: int, d: int, n_legit: int, n_attackers: int,
     """
     assert config.attacker_miss_range[0] >= config.threshold
     assert config.legit_miss_range[0] >= 1
-    assert (1 << 8 * config.cell_width_bytes) - 1 > config.threshold
+    assert CELL_MAX > config.threshold
     q = (1.0 - (1.0 - 1.0 / w) ** n_attackers) ** d
     return n_seeds * n_legit * q
 
@@ -165,7 +165,7 @@ def fp_tail_checks(rows, config: SweepConfig, n_nodes: int, fraction: float,
     """
     n_attackers = PopulationProfile(n_nodes, fraction).n_attackers
     n_legit = n_nodes - n_attackers
-    expected = [(SketchDims(w, d).memory_bytes(config.cell_width_bytes),
+    expected = [(SketchDims(w, d).memory_bytes(),
                  expected_flagged(w, d, n_legit, n_attackers, len(config.seeds), config))
                 for _, w, d in sweep_schedule(config)]
     flagged = dict.fromkeys((size for size, _ in expected), 0)

@@ -352,6 +352,13 @@ BAD_SETTINGS = {
     "xtr-age-interval-nan": (["replay"], "xtr.cache_policy=lfu-aging\nxtr.age_interval=nan",
                              "age_interval"),
     "limiter-period-nan": (["replay"], "limiter.period=nan", "period"),
+    # Cells are uint16 and flag above the threshold: the width is no sweep key,
+    # and the limiter's pinned fields refuse any other value.
+    "sweep-cell-width": (["sweep"], "sweep.cell_width_bytes=1",
+                         "unknown config key: sweep.cell_width_bytes"),
+    "limiter-cell-width": (["replay"], "limiter.cell_width_bytes=1", "cell_width_bytes must be 2"),
+    "limiter-strict-threshold": (["replay"], "limiter.strict_threshold=false",
+                                 "strict_threshold must be True"),
     # A rate and duration each finite whose packet total is not.
     "attack-scan-total-overflow": (["attack", "scan"], "attack.duration=1e307", "duration"),
     "attack-bg-total-overflow": (["attack", "scan"], "attack.bg_rate=1e308", "bg_rate"),

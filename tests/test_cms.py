@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from xtrsim.cms import (CountMinSketch, SketchDims, SketchParams, _column, cell_max,
-                        dims_from_params, flagged_by_dims)
+from xtrsim.cms import (CELL_MAX, CountMinSketch, SketchDims, SketchParams, _column,
+                        check_reachable, dims_from_params, flagged_by_dims)
 
 mp.dps = 60
 
@@ -81,21 +81,20 @@ def test_dims_validation():
         SketchDims(10, 0)
 
 
-def test_cell_max_per_width():
-    assert [cell_max(w) for w in (1, 2, 4)] == [255, 65535, 2**32 - 1]
-    assert CountMinSketch(SketchDims(4, 1), cell_width_bytes=1).cell_max == 255
-    for width in (0, 3, 8, 16):
-        with pytest.raises(ValueError, match="cell_width_bytes"):
-            cell_max(width)
-        with pytest.raises(ValueError, match="cell_width_bytes"):
-            CountMinSketch(SketchDims(4, 1), cell_width_bytes=width)
+def test_cells_are_uint16_with_one_cap():
+    assert CELL_MAX == 65535 == np.iinfo(CountMinSketch(SketchDims(4, 1))._cells.dtype).max
+    # A source is flagged on count > threshold, so the cap itself is out of reach.
+    check_reachable(65534)
+    for threshold in (65535, 65536, 2**32):
+        with pytest.raises(ValueError, match=f"^threshold {threshold} is unreachable"):
+            check_reachable(threshold)
 
 
 def test_memory_bytes():
-    assert SketchDims(5000, 3).memory_bytes(2) == 30_000
-    assert SketchDims(7000, 4).memory_bytes(2) == 56_000
-    assert CountMinSketch(SketchDims(1000, 1)).memory_bytes == 2000
-    assert CountMinSketch(SketchDims(100, 2), cell_width_bytes=4).memory_bytes == 800
+    assert SketchDims(5000, 3).memory_bytes() == 30_000
+    assert SketchDims(7000, 4).memory_bytes() == 56_000
+    sketch = CountMinSketch(SketchDims(100, 2))
+    assert sketch.dims.memory_bytes() == sketch._cells.nbytes == 400
 
 
 def test_never_underestimates_scalar():
@@ -151,13 +150,13 @@ def test_row_sums_bounded_by_stream_mass():
 
 
 def test_cells_saturate_silently_at_max():
-    sketch = CountMinSketch(SketchDims(16, 2), seed=4, cell_width_bytes=1)
-    sketch.increment(7, 250)
-    sketch.increment(7, 250)
-    assert sketch.estimate(7) == 255
-    assert int(sketch._cells.max()) == 255
+    sketch = CountMinSketch(SketchDims(16, 2), seed=4)
+    sketch.increment(7, 40_000)
+    sketch.increment(7, 40_000)
+    assert sketch.estimate(7) == CELL_MAX
+    assert int(sketch._cells.max()) == CELL_MAX
     # a saturated row undershoots the stream mass
-    assert int(sketch._cells[0].sum()) < 500
+    assert int(sketch._cells[0].sum()) < 80_000
 
 
 def test_increment_rejects_nonpositive_amount():
@@ -283,26 +282,24 @@ def test_a_16_byte_key_lands_where_its_integer_does(shape, address):
 
 
 @st.composite
-def widths_and_batches(draw):
-    """A cell width and 1-3 batches whose counts reach and pass its cap."""
-    width = draw(st.sampled_from([1, 2, 4]))
-    cap = cell_max(width)
-    count = st.one_of(st.integers(1, 200), st.integers(cap - 2, cap + 2), st.integers(1, 2**40))
+def count_batches(draw):
+    """1-3 batches whose counts reach and pass the cell cap."""
+    count = st.one_of(st.integers(1, 200), st.integers(CELL_MAX - 2, CELL_MAX + 2),
+                      st.integers(1, 2**40))
     key = st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1))
     batch = st.lists(st.tuples(key, count), min_size=1, max_size=30)
-    return width, draw(st.lists(batch, min_size=1, max_size=3))
+    return draw(st.lists(batch, min_size=1, max_size=3))
 
 
 @settings(deadline=None)
-@given(shape=sketch_shapes, width_batches=widths_and_batches())
-def test_add_counts_matches_scalar_increments(shape, width_batches):
-    # For every accepted width, the vector path equals a loop of scalar
-    # increments and estimates, at and past saturation.
+@given(shape=sketch_shapes, batches=count_batches())
+def test_add_counts_matches_scalar_increments(shape, batches):
+    # The vector path equals a loop of scalar increments and estimates, at
+    # and past saturation.
     seed, width, depth = shape
-    cell_width, batches = width_batches
     dims = SketchDims(width, depth)
-    bulk = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
-    looped = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+    bulk = CountMinSketch(dims, seed=seed)
+    looped = CountMinSketch(dims, seed=seed)
     for batch in batches:
         keys = np.array([key for key, _ in batch], dtype=np.uint64)
         counts = np.array([count for _, count in batch], dtype=np.int64)
@@ -325,31 +322,28 @@ def flagging_cases(draw):
     2**53, a threshold at or just below the cap or small, and a list of
     shapes whose widths (1 and the sweep's included) and depths repeat and go
     up and down."""
-    cell_width = draw(st.sampled_from([1, 2, 4]))
-    cap = cell_max(cell_width)
     pool = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(2**30, 2**64 - 1)),
                          min_size=1, max_size=30))
-    count = st.one_of(st.integers(1, 200), st.integers(cap - 2, cap + 2),
+    count = st.one_of(st.integers(1, 200), st.integers(CELL_MAX - 2, CELL_MAX + 2),
                       st.integers(2**53 - 2, 2**62))
     pairs = draw(st.lists(st.tuples(st.sampled_from(pool), count), min_size=1, max_size=40))
-    threshold = draw(st.one_of(st.sampled_from([cap - 1, cap]), st.integers(0, 300)))
+    threshold = draw(st.one_of(st.sampled_from([CELL_MAX - 1, CELL_MAX]), st.integers(0, 300)))
     dims = st.builds(SketchDims, st.one_of(st.integers(1, 16), st.integers(1, 300),
                                            st.sampled_from(SWEEP_WIDTHS)),
                      st.integers(1, 5))
-    return cell_width, pairs, threshold, draw(st.lists(dims, min_size=1, max_size=6))
+    return pairs, threshold, draw(st.lists(dims, min_size=1, max_size=6))
 
 
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32), case=flagging_cases())
 def test_flagged_by_dims_matches_a_fresh_sketch_per_shape(seed, case):
-    cell_width, pairs, threshold, dims_list = case
+    pairs, threshold, dims_list = case
     keys = np.array([key for key, _ in pairs], dtype=np.uint64)
     counts = np.array([count for _, count in pairs], dtype=np.int64)
-    flagged = flagged_by_dims(keys, counts, dims_list, threshold, seed=seed,
-                              cell_width_bytes=cell_width)
+    flagged = flagged_by_dims(keys, counts, dims_list, threshold, seed=seed)
     assert len(flagged) == len(dims_list)
     for dims, bits in zip(dims_list, flagged):
-        sketch = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+        sketch = CountMinSketch(dims, seed=seed)
         sketch.add_counts(keys, counts)
         assert np.array_equal(bits, np.packbits(sketch.estimate_many(keys) > threshold))
 
@@ -388,12 +382,12 @@ def test_flagged_by_dims_rejects_counts_below_one():
 
 def test_increment_returns_the_estimate_after_the_update():
     rng = np.random.default_rng(17)
-    sketch = CountMinSketch(SketchDims(8, 2), seed=6, cell_width_bytes=1)
+    sketch = CountMinSketch(SketchDims(8, 2), seed=6)
     for _ in range(400):
         key = int(rng.integers(0, 40))
-        amount = int(rng.integers(1, 30))
+        amount = int(rng.integers(1, 7_500))
         assert sketch.increment(key, amount) == sketch.estimate(key)
-    assert sketch.estimate(0) == sketch.cell_max  # saturated on the way
+    assert sketch.estimate(0) == CELL_MAX  # saturated on the way
 
 
 def test_keys_outside_the_hash_domain_are_rejected():
@@ -431,26 +425,25 @@ edge_keys = st.one_of(
 
 
 @settings(deadline=None)
-@given(shape=sketch_shapes, cell_width=st.sampled_from([1, 2, 4]), key=edge_keys,
-       amounts=st.lists(st.integers(1, 300), min_size=1, max_size=4))
-def test_every_path_places_a_key_by_the_limb_formula_and_saturates(shape, cell_width, key,
-                                                                   amounts):
+@given(shape=sketch_shapes, key=edge_keys,
+       amounts=st.lists(st.integers(1, 30_000), min_size=1, max_size=4))
+def test_every_path_places_a_key_by_the_limb_formula_and_saturates(shape, key, amounts):
     seed, width, depth = shape
     dims = SketchDims(width, depth)
-    sketch = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+    sketch = CountMinSketch(dims, seed=seed)
     slots = slots_by_the_limb_formula(sketch, key)
     assert sketch._hash_slots(key) == slots
     assert sketch._hash_slots(int(key)) == slots
     if int(key) < 2**63:
         assert sketch._hash_slots(np.int64(key)) == slots
     if int(key) < 2**64:
-        vector = CountMinSketch(dims, seed=seed, cell_width_bytes=cell_width)
+        vector = CountMinSketch(dims, seed=seed)
         vector.add_counts(np.array([key], dtype=np.uint64), np.array([1]))
         assert np.flatnonzero(vector._cells).tolist() == slots
     total = 0
     for amount in amounts:
         total += amount
-        assert sketch.increment(key, amount) == sketch.estimate(key) == min(total, sketch.cell_max)
+        assert sketch.increment(key, amount) == sketch.estimate(key) == min(total, CELL_MAX)
     assert np.flatnonzero(sketch._cells).tolist() == slots
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from xtrsim.cache import EidPrefix
 from xtrsim.cli import main
-from xtrsim.cms import CountMinSketch, SketchDims
+from xtrsim.cms import CELL_MAX, CountMinSketch, SketchDims
 from xtrsim.experiment import (
     DEFAULT_SEEDS,
     PLOT_SCRIPT,
@@ -93,11 +93,6 @@ def test_sweep_threshold_must_stay_below_the_cell_cap():
     assert SweepConfig(threshold=65534).threshold == 65534
     with pytest.raises(ValueError, match="^threshold 65535 is unreachable"):
         SweepConfig(threshold=65535)
-    assert SweepConfig(threshold=254, cell_width_bytes=1).threshold == 254
-    with pytest.raises(ValueError, match="^threshold 255 is unreachable"):
-        SweepConfig(threshold=255, cell_width_bytes=1)
-    with pytest.raises(ValueError):
-        SweepConfig(cell_width_bytes=8)
 
 
 # --------------------------------------------------------------------- sweep
@@ -133,9 +128,10 @@ def test_sweep_rates_match_a_scalar_recount():
             assert row.false_negative_rate == fn == 0
 
 
-def naive_sweep(config: SweepConfig) -> list[SweepRow]:
-    """run_sweep as one fresh sketch per size, flagging on estimate > threshold."""
-    rows = []
+def naive_sweep(config: SweepConfig) -> tuple[list[SweepRow], bool]:
+    """run_sweep as one fresh sketch per size, flagging on estimate > threshold,
+    and whether any of those sketches saturated a cell."""
+    rows, saturated = [], False
     for n in config.n_nodes:
         for fraction in config.attacker_fractions:
             for seed in config.seeds:
@@ -145,20 +141,22 @@ def naive_sweep(config: SweepConfig) -> list[SweepRow]:
                 legit = ~draw.attacker_mask
                 n_legit, n_attackers = int(legit.sum()), int(draw.attacker_mask.sum())
                 for _, width, depth in sweep_schedule(config):
-                    sketch = CountMinSketch(SketchDims(width, depth), seed=seed,
-                                            cell_width_bytes=config.cell_width_bytes)
+                    sketch = CountMinSketch(SketchDims(width, depth), seed=seed)
                     sketch.add_counts(draw.sources, draw.counts)
+                    saturated |= int(sketch._cells.max()) == CELL_MAX
                     flagged = sketch.estimate_many(draw.sources) > config.threshold
                     fp = int((flagged & legit).sum())
                     fn = int(((draw.counts > config.threshold) & ~flagged).sum())
-                    rows.append(SweepRow(n, fraction, width, depth, sketch.memory_bytes, seed,
-                                         fp / n_legit if n_legit else 0.0,
+                    rows.append(SweepRow(n, fraction, width, depth, sketch.dims.memory_bytes(),
+                                         seed, fp / n_legit if n_legit else 0.0,
                                          fn / n_attackers if n_attackers else 0.0))
     rows.sort(key=lambda r: (r.n_nodes, r.attacker_fraction, r.w, r.d, r.size_bytes, r.seed))
-    return rows
+    return rows, saturated
 
 
 # Small enough that cells collide often, so each seed's hash changes its rows.
+# The last flags at the largest reachable threshold, with attacker counts on
+# both sides of it and of the cell cap, so some cells saturate.
 REFERENCE_SWEEPS = [
     SweepConfig(n_nodes=(400,), attacker_fractions=(0.01, 0.1), threshold=50,
                 attacker_miss_range=(60, 120), w_start=20, w_step=20, iterations=6,
@@ -166,15 +164,18 @@ REFERENCE_SWEEPS = [
     SweepConfig(n_nodes=(400,), attacker_fractions=(0.01, 0.1), threshold=50,
                 attacker_miss_range=(60, 120), w_start=40, w_step=0, iterations=5,
                 seeds=(1, 2, 3)),
-    SweepConfig(n_nodes=(300,), attacker_fractions=(0.01, 0.1), threshold=254,
-                cell_width_bytes=1, legit_miss_range=(1, 60), attacker_miss_range=(200, 400),
+    SweepConfig(n_nodes=(300,), attacker_fractions=(0.01, 0.1), threshold=CELL_MAX - 1,
+                legit_miss_range=(1, 60), attacker_miss_range=(50_000, 100_000),
                 w_start=30, w_step=15, iterations=5, seeds=(1, 2, 3)),
 ]
 
 
-@pytest.mark.parametrize("config", REFERENCE_SWEEPS, ids=["grow", "w_step0", "1byte"])
-def test_sweep_rows_match_a_fresh_sketch_per_size(config):
-    assert run_sweep(config) == naive_sweep(config)
+@pytest.mark.parametrize("config, saturates", zip(REFERENCE_SWEEPS, (False, False, True)),
+                         ids=["grow", "w_step0", "saturating"])
+def test_sweep_rows_match_a_fresh_sketch_per_size(config, saturates):
+    rows, saturated = naive_sweep(config)
+    assert run_sweep(config) == rows
+    assert saturated == saturates
 
 
 def test_sweep_csv_shape_and_determinism():

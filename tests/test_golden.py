@@ -4,8 +4,10 @@ The attack and replay CSVs carry a `config_hash` column, the sha256 of the
 config's repr, so these digests also pin the fields of `AttackConfig`,
 `XtrConfig` and the `LimiterConfig` nested in it: adding, removing, renaming,
 reordering or re-defaulting a field changes a digest even when every counter
-stays the same. A change that alters an output on purpose records the new
-digests here and says why in CHANGES.md.
+stays the same. The digest of the default configs' reprs pins those fields
+too, and `SweepConfig`'s, which reach no output. A change that alters an
+output or a repr on purpose records the new digests here and says why in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def test_sweep_plot_script_digest(tmp_path):
 def test_default_config_reprs_digest():
     defaults = (XtrConfig(), LimiterConfig(), AttackConfig(), SweepConfig())
     assert sha(repr(defaults)) == \
-        "87ca9f0d095d879c2fecb32a724f8be00c47a4a5b0faa25d5f670bd580de6550"
+        "1cf73331124fce7b46acbff02a188d9af8979e33253b796cd92b7b68805d9c5e"
 
 
 REPLAY_CONF = """\

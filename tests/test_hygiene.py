@@ -356,3 +356,56 @@ def test_only_workloads_roles_spells_a_role():
                                           "ROLES" if p.name == "workloads.py" else None))}
     assert spelled == {}
     assert tuple(f.name for f in fields(Tally)) == ROLES
+
+
+# Cells are uint16 and a source is flagged above the threshold, whatever the
+# config. LimiterConfig keeps the two fields that once chose otherwise only
+# because config_hash reads its repr; its pinned check refuses any other
+# value. A cell-width parameter or a read of either field anywhere else
+# would be the retired option coming back.
+RETIRED_KNOBS = {"cell_width_bytes", "strict_threshold"}
+CELL_WIDTH_PARAM = re.compile(r"cell.*(width|bytes)|(width|bytes).*cell")
+
+
+def retired_knob_uses(source: str) -> list[str]:
+    """Names and strings equal to a retired knob, and parameters named after a
+    cell width, by line, other than LimiterConfig's fields and the strings
+    naming them in its pinned check."""
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "LimiterConfig":
+            allowed.update(id(node.target) if isinstance(node, ast.AnnAssign) else id(node)
+                           for node in ast.walk(cls)
+                           if isinstance(node, (ast.AnnAssign, ast.Constant)))
+    found = []
+    for node in ast.walk(tree):
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "arg", None) or getattr(node, "value", None))
+        if not isinstance(name, str) or id(node) in allowed:
+            continue
+        if name in RETIRED_KNOBS or (isinstance(node, ast.arg) and CELL_WIDTH_PARAM.search(name)):
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_retired_knob_uses_are_detected():
+    source = ('class LimiterConfig:\n'
+              '    """strict_threshold"""\n'
+              '    cell_width_bytes: int = 2\n'
+              '    def __post_init__(self):\n'
+              '        getattr(self, "strict_threshold")\n'
+              '        self.strict_threshold\n'
+              'def f(sketch, cell_width_bytes=2, *, bytes_per_cell=1, width=3):\n'
+              '    return g(strict_threshold=True, w=c.cell_width_bytes, s="cell_width_bytes")\n')
+    assert retired_knob_uses(source) == [
+        "line 6: strict_threshold", "line 7: bytes_per_cell", "line 7: cell_width_bytes",
+        "line 8: cell_width_bytes", "line 8: cell_width_bytes", "line 8: strict_threshold"]
+    # A docstring or a longer name that mentions a knob is not a use of it.
+    assert retired_knob_uses('"""Drops cell_width_bytes."""\nstrict_threshold_seen = 0\n') == []
+
+
+def test_cell_width_and_threshold_rule_live_only_in_limiter_configs_pinned_fields():
+    uses = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+            if (found := retired_knob_uses(p.read_text()))}
+    assert uses == {}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from limiter_reference import ReferenceLimiter
 from xtrsim.cache import TumblingWindow
-from xtrsim.cms import SketchDims, SketchParams
+from xtrsim.cms import CELL_MAX, SketchDims, SketchParams
 from xtrsim.experiment import _attack_stream, _attack_xtr_config, dos_defaults, overflow_defaults
 from xtrsim.limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from xtrsim.xtr import Xtr
@@ -29,19 +29,12 @@ def test_drop_starts_on_miss_after_threshold():
     assert limiter.current_count(7) == 1001
 
 
-def test_nonstrict_flags_at_exactly_threshold():
-    limiter = make_limiter(threshold=5, strict_threshold=False)
-    decisions = [limiter.on_miss(1, 0.0) for _ in range(5)]
-    assert decisions[-1] is Decision.DROP
-    assert decisions[:4] == [Decision.ALLOW] * 4
-
-
 def test_is_flagged_is_read_only():
     limiter = make_limiter(threshold=3)
     for _ in range(3):
         limiter.on_miss(9, 0.0)
     before = limiter.current_count(9)
-    assert not limiter.is_flagged(9)  # exactly at the threshold, strict
+    assert not limiter.is_flagged(9)  # exactly at the threshold
     assert limiter.current_count(9) == before
     limiter.on_miss(9, 0.0)
     assert limiter.is_flagged(9)
@@ -101,12 +94,11 @@ def test_sketch_backend_never_misses_what_exact_catches():
 def test_on_miss_drops_exactly_when_the_source_stands_flagged():
     rng = np.random.default_rng(9)
     for backend, dims in (("exact", None), ("cms", SketchDims(16, 2))):
-        for strict in (True, False):
-            limiter = SourceRateLimiter(LimiterConfig(
-                threshold=15, backend=backend, sketch_dims=dims, strict_threshold=strict), seed=3)
-            for s in rng.integers(0, 40, size=800).tolist():
-                dropped = limiter.on_miss(s, 0.0) is Decision.DROP
-                assert dropped == limiter.is_flagged(s)
+        limiter = SourceRateLimiter(LimiterConfig(
+            threshold=15, backend=backend, sketch_dims=dims), seed=3)
+        for s in rng.integers(0, 40, size=800).tolist():
+            dropped = limiter.on_miss(s, 0.0) is Decision.DROP
+            assert dropped == limiter.is_flagged(s)
 
 
 def test_heavy_source_is_flagged_under_both_backends():
@@ -134,28 +126,28 @@ def test_cms_backend_requires_sizing():
 
 def test_cms_threshold_must_be_reachable_under_the_cell_cap():
     dims = SketchDims(64, 2)
-    # 1-byte cells cap at 255: strict flags on count > threshold, so 254 is
-    # the largest threshold a capped estimate still crosses.
-    limiter = make_limiter(backend="cms", sketch_dims=dims, cell_width_bytes=1,
-                           threshold=254)
-    decisions = [limiter.on_miss(5, 0.0) for _ in range(5000)]
-    assert decisions[:254] == [Decision.ALLOW] * 254
-    assert set(decisions[254:]) == {Decision.DROP}
-    with pytest.raises(ValueError):
-        LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1, threshold=255)
-    with pytest.raises(ValueError):
-        LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1, threshold=300)
-    # non-strict flags at count >= threshold, so the cap itself is reachable
-    assert LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1,
-                         threshold=255, strict_threshold=False).threshold == 255
-    with pytest.raises(ValueError):
-        LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=1,
-                      threshold=256, strict_threshold=False)
-    for width in (0, 3, 8):
-        with pytest.raises(ValueError):
-            LimiterConfig(backend="cms", sketch_dims=dims, cell_width_bytes=width)
-    # the exact backend has no cells, so the cell width does not bound it
-    assert LimiterConfig(cell_width_bytes=1, threshold=300).threshold == 300
+    # Cells cap at 65,535 and a source is flagged on count > threshold, so
+    # 65,534 is the largest threshold a capped estimate still crosses.
+    limiter = make_limiter(backend="cms", sketch_dims=dims, threshold=65534)
+    decisions = [limiter.on_miss(5, 0.0) for _ in range(70_000)]
+    assert decisions[:65534] == [Decision.ALLOW] * 65534
+    assert set(decisions[65534:]) == {Decision.DROP}
+    assert limiter.current_count(5) == CELL_MAX
+    for threshold in (65535, 70_000):
+        with pytest.raises(ValueError, match=f"^threshold {threshold} is unreachable"):
+            LimiterConfig(backend="cms", sketch_dims=dims, threshold=threshold)
+    # the exact backend has no cells, so the cap does not bound it
+    assert LimiterConfig(threshold=70_000).threshold == 70_000
+
+
+def test_the_cell_width_and_threshold_rule_are_pinned():
+    dims = SketchDims(64, 2)
+    for field, value in (("cell_width_bytes", 1), ("cell_width_bytes", 4),
+                         ("cell_width_bytes", 2.0), ("strict_threshold", False),
+                         ("strict_threshold", 1)):
+        for backend in ("exact", "cms"):
+            with pytest.raises(ValueError, match=f"^{field} must be "):
+                LimiterConfig(backend=backend, sketch_dims=dims, **{field: value})
 
 
 def test_dest_budget_allows_then_drops():
@@ -298,14 +290,10 @@ def reference_cases(draw):
     backend = draw(st.sampled_from(["exact", "cms"]))
     dims = SketchDims(draw(st.integers(1, 6)), draw(st.integers(1, 3))) \
         if backend == "cms" else None
-    cell_width, strict = draw(st.sampled_from([1, 2])), draw(st.booleans())
-    # Small thresholds, and the largest one 1-byte cells still reach, so
-    # bursts can saturate cells.
-    top = 254 if strict else 255
-    threshold = draw(st.one_of(st.integers(1, 6), st.just(top)))
+    # Small thresholds, and one that only a 300-miss burst crosses.
+    threshold = draw(st.one_of(st.integers(1, 6), st.just(254)))
     config = LimiterConfig(threshold=threshold, period=draw(st.sampled_from([0.1, 1 / 3, 1.0])),
-                           backend=backend, sketch_dims=dims, cell_width_bytes=cell_width,
-                           strict_threshold=strict)
+                           backend=backend, sketch_dims=dims)
     key = st.one_of(st.integers(0, 7), st.integers(0, 2**128 - 1))
     sources = draw(st.lists(key, min_size=1, max_size=6, unique=True))
     boundary = st.integers(0, 6).map(lambda k: k * config.period)

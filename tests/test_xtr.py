@@ -203,6 +203,22 @@ def test_time_regression_raises():
     assert x.step(*pkt(1.0, 1, 0xAA)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
 
 
+def test_an_address_outside_128_bits_is_refused_before_the_router_moves():
+    # Masked, -1 and 2**129 - 1 would both hit the /128 of 2**128 - 1; a
+    # float would pass the range check and fail only after counters moved.
+    top = 2**128 - 1
+    x = Xtr(mk_config(record_cache_trace=True), seed=0)
+    x.run(stream(pkt(0.0, 1, top)))
+    assert x.step(*pkt(0.5, 1, top)) is StepOutcome.FORWARDED
+    before = x.metrics.as_row(), list(x.cache.trace)
+    for dst in (-1, 2**128, 2**129 - 1, 1.5):
+        with pytest.raises(ValueError, match="^address .* is not an integer in the 128-bit range"):
+            x.step(*pkt(1.0, 1, dst))
+        assert (x.metrics.as_row(), x.cache.trace) == before
+    # The refused packets at 1.0 did not move the cache's clock.
+    assert x.step(*pkt(0.6, 1, top)) is StepOutcome.FORWARDED
+
+
 # ------------------------------------------------- timeouts, loss, staleness
 
 def test_timeout_shorter_than_latency_makes_every_reply_stale():
