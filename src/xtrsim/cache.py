@@ -27,12 +27,42 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from typing import Collection
 
 ADDRESS_BITS = 128
 _FULL_MASK = (1 << ADDRESS_BITS) - 1
 # _MASKS[n] keeps the top n address bits of a /n prefix.
 _MASKS = tuple(_FULL_MASK ^ ((1 << (ADDRESS_BITS - n)) - 1) for n in range(ADDRESS_BITS + 1))
 POLICIES, AGE_MODES = ("lru", "lfu-aging"), ("halve", "zero")
+
+
+def check_address(value: object, name: str) -> None:
+    """Refuse anything but an int (not a bool) in [0, 2**128)."""
+    if type(value) is not int or not 0 <= value <= _FULL_MASK:
+        raise ValueError(f"{name} {value!r} is not an integer in the 128-bit range")
+
+
+def check_count(name: str, value: object, low: int) -> None:
+    """Refuse anything but an int (not a bool) of at least `low`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
+def check_positive(name: str, value: object) -> None:
+    """Refuse anything but a finite int or float (not a bool) above 0."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_choice(name: str, value: object, allowed: Collection) -> None:
+    """Refuse a value unless it equals one of `allowed` and has its type (so
+    np.str_('lru') and 1 for True, which hash another repr, are refused)."""
+    if not any(type(value) is type(choice) and value == choice for choice in allowed):
+        raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
 def window_index(now: float, period: float) -> int:
@@ -82,10 +112,9 @@ class EidPrefix(tuple):
     prefix_len = property(operator.itemgetter(1))
 
     def __new__(cls, address: int, prefix_len: int) -> "EidPrefix":
-        if not 0 <= prefix_len <= ADDRESS_BITS:
-            raise ValueError(f"prefix_len must be in [0, {ADDRESS_BITS}], got {prefix_len}")
-        if not isinstance(address, int) or not 0 <= address <= _FULL_MASK:
-            raise ValueError(f"address {address!r} is not an integer in the 128-bit range")
+        if type(prefix_len) is not int or not 0 <= prefix_len <= ADDRESS_BITS:
+            raise ValueError(f"prefix_len must be an int in [0, 128], got {prefix_len!r}")
+        check_address(address, "address")
         if address & ~_MASKS[prefix_len]:
             raise ValueError(f"address {address:#x} has bits below /{prefix_len}")
         return tuple.__new__(cls, (address, prefix_len))
@@ -103,16 +132,14 @@ class EidPrefix(tuple):
     @classmethod
     def of(cls, address: int, prefix_len: int) -> "EidPrefix":
         """Build a prefix, zeroing any host bits of `address`."""
-        if 0 <= prefix_len <= ADDRESS_BITS:
-            address &= _MASKS[prefix_len]
-        return cls(address, prefix_len)  # rejects an out-of-range prefix_len
+        check_address(address, "address")
+        return cls(address & cls(0, prefix_len).mask, prefix_len)  # cls(0, n) checks n
 
     @classmethod
     def host(cls, address: int) -> "EidPrefix":
-        """The /128 route of `address`; an int in [0, 2**128) needs no other check."""
-        if type(address) is int and 0 <= address <= _FULL_MASK:
-            return tuple.__new__(cls, (address, ADDRESS_BITS))
-        return cls(address, ADDRESS_BITS)
+        """The /128 route of `address`; an address needs no other check."""
+        check_address(address, "address")
+        return tuple.__new__(cls, (address, ADDRESS_BITS))
 
     def contains(self, address: int) -> bool:
         return (address & _MASKS[self[1]]) == self[0]
@@ -148,20 +175,16 @@ class MapCache:
     def __init__(self, capacity: int, policy: str = "lru", *,
                  age_interval: float | None = None, age_mode: str = "halve",
                  record_trace: bool = False):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be 'lru' or 'lfu-aging', got {policy!r}")
+        check_count("capacity", capacity, 1)
+        check_choice("policy", policy, POLICIES)
         self.capacity = capacity
         self.policy = policy
         self._aging: TumblingWindow | None = None
         self._age_mode = age_mode
         self._key = _recency_key
         if policy == "lfu-aging":
-            if age_interval is None or not 0 < age_interval < math.inf:
-                raise ValueError(f"lfu-aging needs a finite age_interval > 0, got {age_interval}")
-            if age_mode not in AGE_MODES:
-                raise ValueError(f"age_mode must be 'halve' or 'zero', got {age_mode!r}")
+            check_positive("age_interval", age_interval)
+            check_choice("age_mode", age_mode, AGE_MODES)
             self._aging = TumblingWindow(age_interval)
             self._key = _frequency_key
         self._entries: dict[EidPrefix, MapCacheEntry] = {}
@@ -205,9 +228,9 @@ class MapCache:
 
     def lookup(self, dst: int, now: float) -> tuple[int, ...] | None:
         """Longest-prefix match; a hit refreshes the entry, a miss changes nothing."""
-        # Masked, an address outside 128 bits would alias one inside them.
+        # check_address's predicate, inline since this runs once per packet.
         if type(dst) is not int or not 0 <= dst <= _FULL_MASK:
-            raise ValueError(f"address {dst!r} is not an integer in the 128-bit range")
+            check_address(dst, "address")
         self._advance(now)
         for plen in self._lens_desc:
             entry = self._by_len[plen].get(dst & _MASKS[plen])

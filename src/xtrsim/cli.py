@@ -22,6 +22,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable
 
+from .cache import check_count
 from .cms import SketchDims
 from .experiment import (DEFAULT_SEEDS, PLOT_SCRIPT, SCENARIOS, SweepConfig, attack_csv,
                          attack_summary_csv, config_hash, run_attack, run_sweep, sweep_csv)
@@ -101,11 +102,9 @@ def _seed_list(args, default: tuple[int, ...]) -> tuple[int, ...]:
     if args.seed is None and args.seeds is None:
         return default
     base = args.seed if args.seed is not None else default[0]
-    if base < 0:
-        raise ValueError(f"--seed must be >= 0, got {base}")
+    check_count("--seed", base, 0)
     count = args.seeds if args.seeds is not None else len(default)
-    if count < 1:
-        raise ValueError("--seeds must be >= 1")
+    check_count("--seeds", count, 1)
     return tuple(base + i for i in range(count))
 
 
@@ -152,8 +151,7 @@ def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
     size = {}
     for key, default in (("limiter.w", "1000"), ("limiter.d", "4")):
         size[key] = _convert(0, mapping.pop(key, default), key)
-        if size[key] < 1:
-            raise ValueError(f"{key} must be >= 1, got {size[key]}")
+        check_count(key, size[key], 1)
     dims = SketchDims(size["limiter.w"], size["limiter.d"])
     limiter = _apply_overrides(LimiterConfig(backend="cms", sketch_dims=dims), mapping,
                                "limiter", frozen_keys=("sketch_dims",))

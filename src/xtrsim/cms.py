@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import check_count
+
 # Modulus of the per-row hash (b + sum a_i*x_i) mod p over 30-bit limbs x_i.
 # With a 31-bit Mersenne prime every term a_i*x_i plus a reduced partial sum
 # stays under 2**62, so the vector path runs in int64 arithmetic when it
@@ -55,10 +57,10 @@ class SketchParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 2.0:
-            raise ValueError(f"epsilon must be in (0, 2], got {self.epsilon}")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
+        if type(self.epsilon) not in (int, float) or not 0.0 < self.epsilon <= 2.0:
+            raise ValueError(f"epsilon must be in (0, 2], got {self.epsilon!r}")
+        if type(self.delta) not in (int, float) or not 0.0 <= self.delta < 1.0:
+            raise ValueError(f"delta must be in [0, 1), got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,11 @@ class SketchDims:
     depth: int
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+        check_count("width", self.width, 1)
         if self.width > MAX_WIDTH:
             raise ValueError(f"width must be <= {MAX_WIDTH}, the row hash's range: "
                              f"no key reaches a cell past it, got {self.width}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        check_count("depth", self.depth, 1)
 
     def memory_bytes(self) -> int:
         return self.width * self.depth * 2  # a uint16 cell is 2 bytes
@@ -234,7 +234,6 @@ class CountMinSketch:
 
     def __init__(self, dims: SketchDims, *, seed: int = 0):
         self.dims = dims
-        self.seed = seed
         self._cells = np.zeros((dims.depth, dims.width), dtype=np.uint16)
         # Scalar updates read and write the same cells through a flat
         # memoryview, which skips numpy's boxing of each item.
@@ -255,8 +254,7 @@ class CountMinSketch:
         Returns the key's estimate after the update, the value estimate()
         would now give.
         """
-        if amount < 1:
-            raise ValueError(f"amount must be >= 1, got {amount}")
+        check_count("amount", amount, 1)
         flat = self._flat
         est = cap = CELL_MAX
         for slot in self._hash_slots(key):

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache import AGE_MODES, POLICIES, window_index
+from .cache import AGE_MODES, POLICIES, check_choice, check_count, check_positive, window_index
 from .cms import MAX_WIDTH, SketchDims, check_reachable, flagged_by_dims
-from .limiter import LimiterConfig
+from .limiter import BACKENDS, LimiterConfig
 from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
                         BackgroundProfile, ScanProfile, LEGIT, gen_dos_stream, gen_miss_counts,
                         gen_scan_stream, scan_prefixes)
@@ -49,23 +49,22 @@ class SweepConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
 
     def __post_init__(self) -> None:
-        if not self.n_nodes or any(n < 1 for n in self.n_nodes):
-            raise ValueError("n_nodes must be a non-empty list of positive sizes")
-        if not self.attacker_fractions or any(not 0 <= f <= 1 for f in self.attacker_fractions):
-            raise ValueError("attacker_fractions must be non-empty, each in [0, 1]")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.w_start < 1 or self.w_step < 0:
-            raise ValueError("w_start must be >= 1 and w_step >= 0")
+        for name in ("n_nodes", "attacker_fractions", "seeds"):
+            if type(values := getattr(self, name)) is not tuple or not values:
+                raise ValueError(f"{name} must be non-empty and a tuple, got {values!r}")
+        for name, low in (("n_nodes", 1), ("seeds", 0)):
+            for value in getattr(self, name):
+                check_count(name, value, low)
+        for f in self.attacker_fractions:
+            if type(f) not in (int, float) or not 0 <= f <= 1:
+                raise ValueError(f"attacker_fractions must each be in [0, 1], got {f!r}")
+        for name, low in (("threshold", 1), ("w_start", 1), ("w_step", 0), ("iterations", 1)):
+            check_count(name, getattr(self, name), low)
         last_width = self.w_start + (self.iterations - 1) * self.w_step
         if last_width > MAX_WIDTH:
             raise ValueError(f"the last width, w_start + (iterations - 1) * w_step = "
                              f"{last_width}, is above the sketch's widest row {MAX_WIDTH}")
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
         check_reachable(self.threshold)
-        if not self.seeds or min(self.seeds) < 0:
-            raise ValueError("seeds must be non-empty and each >= 0")
         # The profile checks the miss ranges, as AttackConfig's does.
         PopulationProfile(1, 0.0, legit_miss_range=self.legit_miss_range,
                           attacker_miss_range=self.attacker_miss_range)
@@ -178,31 +177,26 @@ class AttackConfig:
     bg_rate: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.n_legit < 1 or self.n_attackers < 0:
-            raise ValueError("population must have >= 1 legit and >= 0 attackers")
+        # Also the fields this scenario never reads: config_hash covers them all.
+        for name, allowed in (("scenario", SCENARIOS), ("dest_strategy", DOS_STRATEGY_BASES),
+                              ("attacker_timing", ATTACKER_TIMINGS), ("cache_policy", POLICIES),
+                              ("age_mode", AGE_MODES), ("limiter_backend", BACKENDS),
+                              ("reshuffle_each_pass", (True, False))):
+            check_choice(name, getattr(self, name), allowed)
+        for name in ("n_legit", "scan_n_prefixes", "popular_pool", "bg_users",
+                     "bg_destinations", "limiter_w", "limiter_d"):
+            check_count(name, getattr(self, name), 1)
+        check_count("n_attackers", self.n_attackers, 0)
         for name in ("duration", "limiter_period", "dest_period", "reply_latency",
                      "age_interval", "scan_rate", "bg_rate"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            check_positive(name, getattr(self, name))
         for name in ("scan_rate", "bg_rate"):  # the packet totals
-            if not getattr(self, name) * self.duration < math.inf:
-                raise ValueError(f"{name} * duration must be finite")
+            check_positive(f"{name} * duration", getattr(self, name) * self.duration)
         for name in ("limiter_period", "dest_period", "age_interval"):  # up to the last reply
             try:
                 window_index(self.duration + self.reply_latency, getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"{name} is too small: {exc}") from None
-        # Also the fields this scenario never reads: config_hash covers them all.
-        for name, allowed in (("dest_strategy", DOS_STRATEGY_BASES), ("age_mode", AGE_MODES),
-                              ("attacker_timing", ATTACKER_TIMINGS), ("cache_policy", POLICIES)):
-            if (value := getattr(self, name)) not in allowed:
-                raise ValueError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
-        for name in ("scan_n_prefixes", "popular_pool", "bg_users", "bg_destinations",
-                     "limiter_w", "limiter_d"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         # Each profile checks its own fields; ScanProfile would allocate the prefixes.
         self.population(seed=0)
         self.background(seed=0)
@@ -298,6 +292,8 @@ def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> li
     """Run the scenario defended and undefended on identical traffic per seed."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
+    for seed in seeds:
+        check_count("seeds", seed, 0)
     digest = config_hash(config)
     _, on_label, off_label, _ = SCENARIOS[config.scenario]
     runs = []

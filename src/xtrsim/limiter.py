@@ -8,10 +8,9 @@ reset when that index grows. Nothing decays within a window.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from .cache import TumblingWindow
+from .cache import TumblingWindow, check_choice, check_count, check_positive
 from .cms import CountMinSketch, SketchDims, check_reachable
 
 
@@ -21,6 +20,7 @@ class Decision(enum.Enum):
 
 
 _ALLOW, _DROP = Decision  # bound once: on Python 3.11 a lookup on the class is slow
+BACKENDS = ("exact", "cms")
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,11 @@ class LimiterConfig:
     strict_threshold: bool = True
 
     def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        if not 0 < self.period < math.inf:
-            raise ValueError(f"period must be finite and > 0, got {self.period}")
-        if self.backend not in ("exact", "cms"):
-            raise ValueError(f"backend must be 'exact' or 'cms', got {self.backend!r}")
-        for name, pinned in (("sketch_params", None), ("cell_width_bytes", 2),
-                             ("strict_threshold", True)):
-            value = getattr(self, name)
-            if type(value) is not type(pinned) or value != pinned:
-                raise ValueError(f"{name} must be {pinned!r}, got {value!r}")
+        check_count("threshold", self.threshold, 1)
+        check_positive("period", self.period)
+        for name, allowed in (("backend", BACKENDS), ("sketch_params", (None,)),
+                              ("cell_width_bytes", (2,)), ("strict_threshold", (True,))):
+            check_choice(name, getattr(self, name), allowed)
         if self.backend == "cms":
             if self.sketch_dims is None:
                 raise ValueError("cms backend needs sketch_dims")
@@ -81,7 +75,6 @@ class SourceRateLimiter:
     """
 
     def __init__(self, config: LimiterConfig, *, seed: int = 0):
-        self.config = config
         self._limit = config.threshold  # flag above
         self._window = TumblingWindow(config.period)
         self._counts = _ExactCounts() if config.backend == "exact" else CountMinSketch(
@@ -123,12 +116,9 @@ class DestRateLimiter:
     """
 
     def __init__(self, budget: int, period: float):
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
-        if not 0 < period < math.inf:
-            raise ValueError(f"period must be finite and > 0, got {period}")
+        check_count("budget", budget, 0)
+        check_positive("period", period)
         self.budget = budget
-        self.period = period
         self._window = TumblingWindow(period)
         self._used = 0  # budget used this period
 

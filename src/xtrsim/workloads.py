@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cache import ADDRESS_BITS, EidPrefix
+from .cache import EidPrefix, check_address, check_choice, check_count, check_positive
 
 # Disjoint corners of the 128-bit overlay space, so generated sources and
 # destinations can never shadow one another.
@@ -79,13 +79,15 @@ class PopulationProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
-        if not 0.0 <= self.attacker_fraction <= 1.0:
-            raise ValueError(f"attacker_fraction must be in [0, 1], got {self.attacker_fraction}")
+        check_count("n_nodes", self.n_nodes, 1)
+        check_count("seed", self.seed, 0)
+        if type(fraction := self.attacker_fraction) not in (int, float) or not 0 <= fraction <= 1:
+            raise ValueError(f"attacker_fraction must be in [0, 1], got {fraction!r}")
         for name in ("legit_miss_range", "attacker_miss_range"):
-            if len(bounds := getattr(self, name)) != 2 or not 1 <= bounds[0] <= bounds[1]:
-                raise ValueError(f"{name} must be a pair lo,hi with 1 <= lo <= hi, got {bounds}")
+            bounds = getattr(self, name)
+            if not (type(bounds) is tuple and list(map(type, bounds)) == [int, int]
+                    and 1 <= bounds[0] <= bounds[1]):
+                raise ValueError(f"{name} must be a pair lo,hi with 1 <= lo <= hi, got {bounds!r}")
 
     @property
     def n_attackers(self) -> int:
@@ -139,10 +141,10 @@ def gen_dos_stream(profile: PopulationProfile, dest_strategy: str = "unallocated
     are uniform over [0, duration); "burst" timing front-loads the attackers
     into the first tenth of it.
     """
-    if dest_strategy not in DOS_STRATEGY_BASES:
-        raise ValueError(f"dest_strategy must be one of {sorted(DOS_STRATEGY_BASES)}")
-    if attacker_timing not in ATTACKER_TIMINGS:
-        raise ValueError(f"attacker_timing must be 'uniform' or 'burst', got {attacker_timing!r}")
+    check_choice("dest_strategy", dest_strategy, DOS_STRATEGY_BASES)
+    check_choice("attacker_timing", attacker_timing, ATTACKER_TIMINGS)
+    check_positive("duration", duration)
+    check_count("popular_pool", popular_pool, 1)
     draw = gen_miss_counts(profile)
     rng = np.random.default_rng(profile.seed + 1)
     base = DOS_STRATEGY_BASES[dest_strategy]
@@ -179,11 +181,13 @@ class ScanProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.prefix_list:
-            raise ValueError("prefix_list must be non-empty")
-        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf
-                and self.packet_rate * self.duration < math.inf):  # the packet total too
-            raise ValueError("packet_rate, duration and their product must be finite and > 0")
+        if type(self.prefix_list) is not tuple or not self.prefix_list:
+            raise ValueError(f"prefix_list must be a non-empty tuple, got {self.prefix_list!r}")
+        check_choice("reshuffle_each_pass", self.reshuffle_each_pass, (True, False))
+        check_positive("packet_rate", self.packet_rate)
+        check_positive("duration", self.duration)
+        check_positive("the product packet_rate * duration", self.packet_rate * self.duration)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -198,13 +202,14 @@ class BackgroundProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_users < 1 or self.n_destinations < 1:
-            raise ValueError("n_users and n_destinations must be >= 1")
-        if not (0 < self.packet_rate < math.inf and 0 < self.duration < math.inf
-                and self.packet_rate * self.duration < math.inf):  # the packet total too
-            raise ValueError("packet_rate, duration and their product must be finite and > 0")
-        if not 0 <= self.zipf_exponent < math.inf:
-            raise ValueError(f"zipf_exponent must be finite and >= 0, got {self.zipf_exponent}")
+        check_count("n_users", self.n_users, 1)
+        check_count("n_destinations", self.n_destinations, 1)
+        if type(self.zipf_exponent) not in (int, float) or not 0 <= self.zipf_exponent < math.inf:
+            raise ValueError(f"zipf_exponent must be finite and >= 0, got {self.zipf_exponent!r}")
+        check_positive("packet_rate", self.packet_rate)
+        check_positive("duration", self.duration)
+        check_positive("the product packet_rate * duration", self.packet_rate * self.duration)
+        check_count("seed", self.seed, 0)
 
 
 def scan_prefixes(count: int) -> tuple[EidPrefix, ...]:
@@ -285,9 +290,11 @@ def read_trace(lines: Iterable[bytes]) -> Stream:
             time = float(ts)
             if not 0.0 <= time < math.inf:
                 raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
-            src, dst = _address(src), _address(dst)
+            src, dst = int(src, 0), int(dst, 0)
+            check_address(src, "src")
+            check_address(dst, "dst")
             if (role := _INTERNED_ROLES.get(name)) is None:
-                raise ValueError(f"role must be one of {ROLES}, got {name!r}")
+                check_choice("role", name, ROLES)  # raises: each of ROLES is a key
             if time < last:
                 raise ValueError(f"timestamp {time} is before the previous {last}")
         except ValueError as exc:
@@ -298,10 +305,3 @@ def read_trace(lines: Iterable[bytes]) -> Stream:
         dsts.append(dst)
         roles.append(role)
     return stream
-
-
-def _address(text: str) -> int:
-    value = int(text, 0)
-    if not 0 <= value < 1 << ADDRESS_BITS:
-        raise ValueError(f"address {text} is outside [0, 2**{ADDRESS_BITS})")
-    return value

@@ -12,12 +12,12 @@ windows and LFU aging intervals are `cache.TumblingWindow`s aligned to it.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
 
-from .cache import ADDRESS_BITS, AGE_MODES, POLICIES, EidPrefix, MapCache, window_index
+from .cache import (AGE_MODES, POLICIES, EidPrefix, MapCache, check_address, check_choice,
+                    check_count, check_positive, window_index)
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import ROLES, Stream
 
@@ -110,8 +110,8 @@ class PendingRequestTable(OrderedDict):
 
     def __init__(self, capacity: int, timeout: float):
         super().__init__()
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        check_count("capacity", capacity, 1)
+        check_positive("timeout", timeout)
         self.capacity = capacity
         self.timeout = timeout
 
@@ -125,8 +125,7 @@ class PendingRequestTable(OrderedDict):
         A second request for a pending address is refused: it would keep the
         first one's place, and send order would stop being deadline order.
         """
-        if address < 0 or address >> ADDRESS_BITS:
-            raise ValueError(f"address {address!r} is not an integer in the 128-bit range")
+        check_address(address, "address")
         if address in self:
             raise ValueError(f"{address:#x} is already pending")
         if self.is_full:
@@ -169,23 +168,18 @@ class XtrConfig:
     source_key: None = None
 
     def __post_init__(self) -> None:
-        # Single-valued fields: deleting one would move every config_hash.
-        for name, only in (("dest_mode", "shared"), ("reply_prefix_for", None),
-                           ("source_key", None)):
-            if getattr(self, name) != only:
-                raise ValueError(f"{name} must be {only!r}, got {getattr(self, name)!r}")
+        # All checked whatever the policy; the last three are pinned for config_hash's bytes.
+        for name, allowed in (("cache_policy", POLICIES), ("age_mode", AGE_MODES),
+                              ("source_limiter_enabled", (True, False)),
+                              ("record_cache_trace", (True, False)), ("dest_mode", ("shared",)),
+                              ("reply_prefix_for", (None,)), ("source_key", (None,))):
+            check_choice(name, getattr(self, name), allowed)
         for name, low in (("cache_capacity", 1), ("pending_capacity", 1), ("dest_budget", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0.0 <= self.reply_loss < 1.0:
-            raise ValueError(f"reply_loss must be in [0, 1), got {self.reply_loss}")
+            check_count(name, getattr(self, name), low)
+        if type(self.reply_loss) not in (int, float) or not 0.0 <= self.reply_loss < 1.0:
+            raise ValueError(f"reply_loss must be in [0, 1), got {self.reply_loss!r}")
         for name in ("reply_latency", "dest_period", "effective_pending_timeout", "age_interval"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        # Checked whatever the policy: config_hash covers them all.
-        for name, allowed in (("cache_policy", POLICIES), ("age_mode", AGE_MODES)):
-            if (value := getattr(self, name)) not in allowed:
-                raise ValueError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
+            check_positive(name, getattr(self, name))
 
     @property
     def effective_pending_timeout(self) -> float:
@@ -259,7 +253,7 @@ class Xtr:
         try:
             packets = packets_in[role]
         except KeyError:
-            raise ValueError(f"role must be one of {ROLES}, got {role!r}") from None
+            check_choice("role", role, ROLES)  # raises: each of ROLES is a key
         hit = self.cache.lookup(dst, now) is not None
         packets_in[role] = packets + 1
 

@@ -7,6 +7,7 @@ import builtins
 import re
 from dataclasses import fields
 from pathlib import Path
+from typing import Collection
 
 from xtrsim.workloads import ROLES
 from xtrsim.xtr import Tally
@@ -93,7 +94,7 @@ def foreign_failures(source: str) -> list[str]:
     def name(node: ast.AST | None) -> str | None:
         if isinstance(node, ast.Call):
             node = node.func
-        return getattr(node, "attr", getattr(node, "id", None))
+        return name_of(node)
 
     exceptions = set(BUILTIN_EXCEPTIONS)
     found = []
@@ -177,13 +178,13 @@ def test_only_cli_writes_files():
     assert writes == {}
 
 
-def lines_outside(source: str, home: str | None, matches) -> list[int]:
-    """Lines of the nodes that `matches` accepts outside the function named `home`."""
+def lines_outside(source: str, homes: Collection[str | None], matches) -> list[int]:
+    """Lines of the nodes that `matches` accepts outside the functions named in `homes`."""
     found = []
 
     def visit(node: ast.AST, inside: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inside = inside or node.name == home
+            inside = inside or node.name in homes
         if not inside and matches(node):
             found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
@@ -191,6 +192,11 @@ def lines_outside(source: str, home: str | None, matches) -> list[int]:
 
     visit(ast.parse(source), False)
     return found
+
+
+def name_of(node: ast.AST | None) -> str | None:
+    """The name a Name or Attribute node reads, or None for any other node."""
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def binary_op(node: ast.AST, op: type) -> ast.AST | None:
@@ -212,7 +218,7 @@ FLOOR_DIVISION_HOMES = {"cache.py": "window_index", "cms.py": "_column"}
 def floor_divisions(source: str, home: str | None = None) -> list[str]:
     """`//` and `//=` outside the function named `home`, by line."""
     return [f"line {line}: //" for line in
-            lines_outside(source, home, lambda node: binary_op(node, ast.FloorDiv) is not None)]
+            lines_outside(source, {home}, lambda node: binary_op(node, ast.FloorDiv) is not None)]
 
 
 def test_floor_divisions_are_detected():
@@ -239,9 +245,9 @@ def prime_reductions(source: str, home: str | None = None) -> list[str]:
 
     def matches(node: ast.AST) -> bool:
         modulus = binary_op(node, ast.Mod)
-        return getattr(modulus, "id", getattr(modulus, "attr", None)) == "_HASH_PRIME"
+        return name_of(modulus) == "_HASH_PRIME"
 
-    return [f"line {line}: % _HASH_PRIME" for line in lines_outside(source, home, matches)]
+    return [f"line {line}: % _HASH_PRIME" for line in lines_outside(source, {home}, matches)]
 
 
 def test_prime_reductions_are_detected():
@@ -280,11 +286,11 @@ def stray_reductions(source: str) -> list[str]:
         if function != "_column":
             for op, sign in ((ast.Mod, "%"), (ast.FloorDiv, "//")):
                 right = binary_op(node, op)
-                by_prime = getattr(right, "id", getattr(right, "attr", None)) == "_HASH_PRIME"
+                by_prime = name_of(right) == "_HASH_PRIME"
                 if right is not None and not (function == "_row_hash" and by_prime):
                     found.append(f"line {node.lineno}: {sign}")
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                name = name_of(node.func)
                 if name in REDUCING_CALLS:
                     found.append(f"line {node.lineno}: {name}")
         for child in ast.iter_child_nodes(node):
@@ -409,3 +415,83 @@ def test_cell_width_and_threshold_rule_live_only_in_limiter_configs_pinned_field
     uses = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
             if (found := retired_knob_uses(p.read_text()))}
     assert uses == {}
+
+
+# An address is checked by cache.check_address alone: five hand-written range
+# tests once behaved three ways (one took bools, one any int, one masked
+# first). MapCache.lookup keeps the predicate inline, as it runs once per
+# packet, and calls check_address only to raise.
+ADDRESS_RANGE_HOMES = {"cache.py": ("check_address", "lookup")}
+
+
+def address_range_tests(source: str, homes: Collection[str] = ()) -> list[str]:
+    """Comparisons with `_FULL_MASK` or `1 << ADDRESS_BITS`, and right shifts by
+    `ADDRESS_BITS`, outside the functions named in `homes`, by line."""
+
+    def bound(node: ast.AST) -> bool:
+        return name_of(node) == "_FULL_MASK" or name_of(binary_op(node, ast.LShift)) == \
+            "ADDRESS_BITS"
+
+    def matches(node: ast.AST) -> bool:
+        if isinstance(node, ast.Compare):
+            return any(map(bound, [node.left, *node.comparators]))
+        return name_of(binary_op(node, ast.RShift)) == "ADDRESS_BITS"
+
+    return [f"line {line}: address range" for line in lines_outside(source, homes, matches)]
+
+
+def test_address_range_tests_are_detected():
+    source = ("def check_address(v, name):\n    if not 0 <= v <= _FULL_MASK:\n"
+              "        raise ValueError(name)\n"
+              "a = v < 1 << ADDRESS_BITS\nb = v < 0 or v >> ADDRESS_BITS\n"
+              "c = v > cache._FULL_MASK\n")
+    assert address_range_tests(source, ("check_address",)) == \
+        ["line 4: address range", "line 5: address range", "line 6: address range"]
+    assert len(address_range_tests(source)) == 4
+    # Building the masks, masking, other shifts and text in a string are not range tests.
+    assert address_range_tests("_FULL_MASK = (1 << ADDRESS_BITS) - 1\nm = v & _FULL_MASK\n"
+                               "k = 1 << (ADDRESS_BITS - n)\nw = v >> 30\n"
+                               "s = 'v <= _FULL_MASK'\n") == []
+
+
+def test_only_check_address_and_the_lookup_test_the_address_range():
+    tests = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if (found := address_range_tests(p.read_text(), ADDRESS_RANGE_HOMES.get(p.name, ())))}
+    assert tests == {}
+
+
+# Each kind of value has one rule in cache.py, whose message starts as below:
+# a bound spelled out by hand elsewhere, even with the rule's words, is a
+# second rule that can drift from it (the 37 such checks tested no type).
+RULE_WORDS = re.compile(r"must be (>= |finite and > 0|one of)")
+RULE_HOMES = {"cache.py": ("check_count", "check_positive")}
+
+
+def rule_words(source: str, homes: Collection[str] = ()) -> list[str]:
+    """String constants, f-string parts included, holding RULE_WORDS outside
+    the functions named in `homes`, by line."""
+
+    def matches(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and RULE_WORDS.search(node.value) is not None
+
+    return [f"line {line}: rule words" for line in lines_outside(source, homes, matches)]
+
+
+def test_rule_words_are_detected():
+    source = ('def check_count(name, value, low):\n'
+              '    raise ValueError(f"{name} must be >= {low}")\n'
+              'a = f"n must be >= {low}, got {n}"\nb = "x must be finite and > 0"\n'
+              'c = f"{name} must be one of {allowed}"\n')
+    assert rule_words(source, ("check_count",)) == \
+        ["line 3: rule words", "line 4: rule words", "line 5: rule words"]
+    assert len(rule_words(source)) == 4
+    # Other bounds and words are not the rules'.
+    assert rule_words('a = "counts must all be >= 1"\nb = "t must be finite and >= 0"\n'
+                      'c = "must be <= 5"\n') == []
+
+
+def test_only_the_rules_spell_their_words():
+    spelled = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+               if (found := rule_words(p.read_text(), RULE_HOMES.get(p.name, ())))}
+    assert spelled == {}

@@ -263,8 +263,8 @@ def test_trace_reader_skips_comments_and_blanks():
 def test_trace_reader_rejects_malformed_lines():
     with pytest.raises(ValueError, match="line 2"):
         read_trace([b"0.5 0x2 0x30 legit\n", b"0.6 0x2 0x30\n"])
-    with pytest.raises(ValueError, match=r"^trace line 1: role must be one of "
-                                         r"\('legit', 'attacker'\), got 'eavesdropper'$"):
+    with pytest.raises(ValueError, match="^trace line 1: role must be 'legit' or 'attacker', "
+                                         "got 'eavesdropper'$"):
         read_trace([b"0.5 0x2 0x30 eavesdropper\n"])
 
 

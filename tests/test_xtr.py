@@ -183,7 +183,7 @@ def test_pending_capacity_overflow():
 def test_an_unknown_role_is_refused_before_the_router_moves():
     x = Xtr(XtrConfig(record_cache_trace=True))
     before = x.metrics.as_row()
-    with pytest.raises(ValueError, match="role must be one of .*'eve'"):
+    with pytest.raises(ValueError, match="^role must be 'legit' or 'attacker', got 'eve'$"):
         x.step(0.5, 1, 2, "eve")
     assert x.cache.trace == []
     assert x.metrics.as_row() == before
