@@ -8,15 +8,18 @@ of a cache aged eagerly at each such boundary, whatever calls came before. A
 lookup that misses changes nothing.
 
 Cache time never goes back: lookup, install and age raise ValueError
-for a `now` earlier than the latest one the cache has seen, or NaN, and leave
-the cache unchanged.
+for a `now` earlier than the latest one the cache has seen, NaN, or a time
+that does not compare with a float, and leave the cache unchanged.
 
-The eviction order is the total order (last_used, installed_at, prefix), with
-hit_count in front under lfu-aging. Victims come from a min-heap that holds
-exactly one (key, prefix) item per entry. A stored key is the entry's key when
-it was pushed, and between agings an entry's key only rises (a hit raises its
-hit count and, time never going back, keeps or raises its last use), so every
-stored key is a lower bound on its entry's current key. A hit therefore
+One index, prefix length -> address -> entry with the longest length first,
+holds the entries. The eviction order is the total order (last_used,
+installed_at, prefix), with hit_count in front under lfu-aging. Victims come
+from a min-heap that holds exactly one flat item per entry, (last_used,
+installed_at, address, prefix_len, entry): no two entries share (address,
+prefix_len), so the entry is never compared. A stored key is the entry's key
+when it was pushed, and between agings an entry's key only rises (a hit raises
+its hit count and, time never going back, keeps or raises its last use), so
+every stored key is a lower bound on its entry's current key. A hit therefore
 pushes nothing; eviction re-keys stale items as it meets them at the top.
 Aging is the one step that lowers keys, so it rebuilds the heap.
 """
@@ -27,7 +30,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Iterable
 
 ADDRESS_BITS = 128
 _FULL_MASK = (1 << ADDRESS_BITS) - 1
@@ -85,18 +88,22 @@ class TumblingWindow:
     def __init__(self, period: float):
         self.period = period
         self.index = 0  # window_index of the current window
-        # No later than the first time of the next window, so an earlier
-        # `now` skips the division: the product rounds to the float nearest
-        # (index + 1) * period, never past the first float at or above it.
-        self._next = period
+        # The first float whose window index exceeds `index`: a caller that
+        # tests `now >= next_start` first calls `advance` exactly when it rolls.
+        self.next_start = period
 
     def advance(self, now: float) -> int:
         """Move to the window holding `now`; the number of boundaries crossed."""
-        if now < self._next:
+        if now < self.next_start:
             return 0
         crossed = window_index(now, self.period) - self.index
         self.index += crossed
-        self._next = (self.index + 1) * self.period
+        # The product is the float nearest the boundary; one float up when it
+        # rounded below it (5 * 0.1 is 0.5, and 0.5 // 0.1 is 4).
+        start = (self.index + 1) * self.period
+        if start < math.inf and window_index(start, self.period) == self.index:
+            start = math.nextafter(start, math.inf)
+        self.next_start = start
         return crossed
 
 
@@ -158,11 +165,11 @@ class MapCacheEntry:
 
 
 def _recency_key(e: MapCacheEntry) -> tuple:
-    return (e.last_used, e.installed_at, *e.prefix)
+    return (e.last_used, e.installed_at, *e.prefix, e)
 
 
 def _frequency_key(e: MapCacheEntry) -> tuple:
-    return (e.hit_count, e.last_used, e.installed_at, *e.prefix)
+    return (e.hit_count, e.last_used, e.installed_at, *e.prefix, e)
 
 
 class MapCache:
@@ -187,43 +194,45 @@ class MapCache:
             check_choice("age_mode", age_mode, AGE_MODES)
             self._aging = TumblingWindow(age_interval)
             self._key = _frequency_key
-        self._entries: dict[EidPrefix, MapCacheEntry] = {}
-        # Length-bucketed index for longest-prefix match.
+        # The one index and the heap; see the module docstring.
         self._by_len: dict[int, dict[int, MapCacheEntry]] = {}
-        self._lens_desc: list[int] = []
-        # One (eviction key, prefix) item per entry; see the module docstring.
-        self._heap: list[tuple[tuple, EidPrefix]] = []
+        self._heap: list[tuple] = []
         self._clock = 0.0
         self.trace: list[str] = []
         self._record_trace = record_trace
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._heap)  # one item per entry
 
     def __contains__(self, prefix: EidPrefix) -> bool:
-        return prefix in self._entries
+        return self.get(prefix) is not None
 
     def get(self, prefix: EidPrefix) -> MapCacheEntry | None:
-        return self._entries.get(prefix)
+        return self._by_len.get(prefix[1], {}).get(prefix[0])
 
     def entries(self) -> list[MapCacheEntry]:
-        return list(self._entries.values())
+        return [entry for bucket in self._by_len.values() for entry in bucket.values()]
 
     def _advance(self, now: float) -> None:
-        if not now >= self._clock:  # also rejects NaN
-            raise ValueError(f"cache time must not go back: {now} after {self._clock}")
-        self._clock = now
+        try:
+            if now >= self._clock:  # False for NaN
+                self._clock = now
+                return
+        except TypeError:  # a time that does not compare with a float
+            pass
+        raise ValueError(f"cache time must not go back: {now!r} after {self._clock}")
 
     def _catch_up_aging(self, now: float) -> None:
         intervals = self._aging.advance(now)
         if not intervals:
             return
-        for entry in self._entries.values():
+        entries = self.entries()
+        for entry in entries:
             if self._age_mode == "zero":
                 entry.hit_count = 0
             else:
                 entry.hit_count >>= intervals
-        self._heap = [(self._key(e), e.prefix) for e in self._entries.values()]
+        self._heap = [self._key(e) for e in entries]
         heapq.heapify(self._heap)
 
     def lookup(self, dst: int, now: float) -> tuple[int, ...] | None:
@@ -232,15 +241,15 @@ class MapCache:
         if type(dst) is not int or not 0 <= dst <= _FULL_MASK:
             check_address(dst, "address")
         self._advance(now)
-        for plen in self._lens_desc:
-            entry = self._by_len[plen].get(dst & _MASKS[plen])
+        for prefix_len, bucket in self._by_len.items():
+            entry = bucket.get(dst & _MASKS[prefix_len])
             if entry is not None:
                 break
         else:
             if self._record_trace:
                 self.trace.append(f"{now} lookup {dst:#x} miss -")
             return None
-        if self._aging is not None:
+        if self._aging is not None and now >= self._aging.next_start:
             self._catch_up_aging(now)
         entry.hit_count += 1
         entry.last_used = now
@@ -248,65 +257,59 @@ class MapCache:
             self.trace.append(f"{now} lookup {dst:#x} hit -")
         return entry.locators
 
-    def _victim(self) -> EidPrefix:
-        """Pop the heap item of the entry that comes first in the eviction order.
+    def _evict(self) -> EidPrefix:
+        """Remove the first entry in the eviction order from the heap and the index.
 
         Least-recently-used goes, then the oldest install, then the smallest
         prefix; under lfu-aging the fewest hits go first. The heap holds one
-        item per entry, and between agings each stored key is a lower bound
-        on its entry's current key: hits only raise keys while cache time
-        never goes back (`_advance`), and aging, which lowers them, rebuilds
-        the heap. So a top item whose stored key is still current is the
-        minimum over all entries; a stale top item is re-keyed and the heap
-        is read again.
+        flat item per entry, each stored key a lower bound on its entry's
+        current key (see the module docstring), so a top item whose key is
+        still current is the minimum over all entries; a stale top item is
+        re-keyed and the heap is read again. Returns the evicted prefix.
         """
-        heap = self._heap
+        heap, key = self._heap, self._key
         while True:
-            stored, prefix = heap[0]
-            current = self._key(self._entries[prefix])
-            if stored == current:
-                heapq.heappop(heap)
-                return prefix
-            heapq.heapreplace(heap, (current, prefix))
-
-    def _remove(self, prefix: EidPrefix) -> None:
-        del self._entries[prefix]
-        address, prefix_len = prefix
+            entry = heap[0][-1]
+            current = key(entry)
+            if current == heap[0]:
+                break
+            heapq.heapreplace(heap, current)
+        heapq.heappop(heap)
+        address, prefix_len = entry.prefix
         bucket = self._by_len[prefix_len]
         del bucket[address]
         if not bucket:
             del self._by_len[prefix_len]
-            self._lens_desc.remove(prefix_len)
+        return entry.prefix
 
     def install(self, prefix: EidPrefix, locators: tuple[int, ...] | list[int],
                 now: float) -> EidPrefix | None:
         """Insert a mapping, evicting one victim if the cache is full.
 
         New entries always start with hit_count 0. Returns the evicted prefix
-        or None. Raises ValueError if the prefix is already present.
+        or None. Raises ValueError if the prefix is already present, or if
+        `locators` is not a non-empty iterable.
         """
-        if prefix in self._entries:
-            raise ValueError(f"{prefix} is already cached")
-        locators = tuple(locators)
-        if not locators:
-            raise ValueError("locators must be non-empty")
-        self._advance(now)
-        if self._aging is not None:
-            self._catch_up_aging(now)
-        evicted: EidPrefix | None = None
-        if len(self._entries) >= self.capacity:
-            evicted = self._victim()
-            self._remove(evicted)
-        entry = MapCacheEntry(prefix, locators, hit_count=0,
-                              last_used=now, installed_at=now)
-        self._entries[prefix] = entry
-        heapq.heappush(self._heap, (self._key(entry), prefix))
         address, prefix_len = prefix
-        bucket = self._by_len.setdefault(prefix_len, {})
+        if address in self._by_len.get(prefix_len, ()):
+            raise ValueError(f"{prefix} is already cached")
+        if type(locators) is not tuple:
+            locators = tuple(locators) if isinstance(locators, Iterable) else ()
+        if not locators:
+            raise ValueError("locators must be a non-empty iterable")
+        self._advance(now)
+        if self._aging is not None and now >= self._aging.next_start:
+            self._catch_up_aging(now)
+        evicted = self._evict() if len(self._heap) >= self.capacity else None
+        entry = MapCacheEntry(prefix, locators, 0, now, now)
+        heapq.heappush(self._heap, self._key(entry))
+        # Read after the eviction, which deletes a bucket it empties.
+        bucket = self._by_len.get(prefix_len)
+        if bucket is None:
+            bucket = {}
+            self._by_len = dict(sorted({**self._by_len, prefix_len: bucket}.items(),
+                                       reverse=True))
         bucket[address] = entry
-        if prefix_len not in self._lens_desc:
-            self._lens_desc.append(prefix_len)
-            self._lens_desc.sort(reverse=True)
         if self._record_trace:
             self.trace.append(
                 f"{now} install {prefix} installed {evicted if evicted is not None else '-'}")

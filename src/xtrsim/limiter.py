@@ -94,7 +94,7 @@ class SourceRateLimiter:
         most the distinct sources that missed in the window, the exact
         backend's bound.
         """
-        if self._window.advance(now):
+        if now >= self._window.next_start and self._window.advance(now):
             self._counts.reset()
             self._flagged.clear()
         if source in self._flagged:
@@ -124,7 +124,7 @@ class DestRateLimiter:
 
     def consume(self, now: float) -> Decision:
         """Take one unit of budget if any is left this period."""
-        if self._window.advance(now):
+        if now >= self._window.next_start and self._window.advance(now):
             self._used = 0
         if self._used >= self.budget:
             return _DROP

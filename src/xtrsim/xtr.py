@@ -16,8 +16,8 @@ import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
 
-from .cache import (AGE_MODES, POLICIES, EidPrefix, MapCache, check_address, check_choice,
-                    check_count, check_positive, window_index)
+from .cache import (AGE_MODES, POLICIES, EidPrefix, MapCache, TumblingWindow, check_address,
+                    check_choice, check_count, check_positive)
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import ROLES, Stream
 
@@ -205,6 +205,8 @@ class Xtr:
         # for audits of the per-period admission cap; the index is the one
         # the source limiter's window rolls on.
         self.admitted_by_source_period: dict[tuple[int, int], int] = defaultdict(int)
+        self._audit_window = TumblingWindow(config.limiter.period)
+        self._reply_loss, self._reply_latency = config.reply_loss, config.reply_latency
         self._loss_rng = random.Random(f"loss-{seed}")
         # (due, request) in send order. `step` schedules each reply at
         # now + reply_latency with a fixed latency, and the cache's clock
@@ -246,13 +248,14 @@ class Xtr:
         """Process one data packet; `role` is one of `ROLES`.
 
         A role outside them, a `dst` that is not an int in [0, 2**128), and a
-        time that goes back or NaN (the cache's clock is the router's), raise
-        ValueError before the cache or any counter moves."""
+        time that goes back, is NaN or is not a number (the cache's clock is
+        the router's), raise ValueError before the cache or any counter moves.
+        `src` is not checked."""
         metrics = self.metrics
         packets_in = metrics.packets_in.__dict__
         try:
             packets = packets_in[role]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a role that cannot be hashed
             check_choice("role", role, ROLES)  # raises: each of ROLES is a key
         hit = self.cache.lookup(dst, now) is not None
         packets_in[role] = packets + 1
@@ -280,9 +283,12 @@ class Xtr:
 
         entry = self.pending.insert(dst, now, role)
         metrics.map_requests_sent.__dict__[role] += 1
-        self.admitted_by_source_period[(src, window_index(now, self.config.limiter.period))] += 1
-        if self.config.reply_loss == 0.0 or self._loss_rng.random() >= self.config.reply_loss:
-            self._reply_queue.append((now + self.config.reply_latency, entry))
+        audit = self._audit_window
+        if now >= audit.next_start:
+            audit.advance(now)
+        self.admitted_by_source_period[(src, audit.index)] += 1
+        if self._reply_loss == 0.0 or self._loss_rng.random() >= self._reply_loss:
+            self._reply_queue.append((now + self._reply_latency, entry))
         return _REQUESTED
 
     def run(self, stream: Stream) -> XtrMetrics:

@@ -25,6 +25,21 @@ def impl_state(cache: MapCache):
                   for e in cache.entries())
 
 
+def assert_same_entries(cache: MapCache, ref: ReferenceCache, asked) -> None:
+    """`len`, `in`, `get` and `entries()` read the reference's records, for
+    each prefix the reference holds and each in `asked`, cached or not."""
+    held = {r.prefix: (r.locators, r.hits, r.last_used, r.installed_at) for r in ref.records}
+    assert len(cache) == len(held)
+    assert sorted(e.prefix for e in cache.entries()) == sorted(held)
+    for prefix in {*asked, *held}:
+        entry = cache.get(prefix)
+        assert (prefix in cache) is (prefix in held) is (entry is not None)
+        if entry is not None:
+            assert entry.prefix == prefix
+            assert (entry.locators, entry.hit_count, entry.last_used,
+                    entry.installed_at) == held[prefix]
+
+
 # ---------------------------------------------------------------- EidPrefix
 
 def test_prefix_rejects_host_bits_below_boundary():
@@ -283,9 +298,17 @@ def test_constructor_validation():
 
 
 def test_empty_locators_rejected():
-    cache = MapCache(2)
-    with pytest.raises(ValueError):
-        cache.install(A, (), 0.0)
+    cache = MapCache(2, record_trace=True)
+    cache.install(B, [2], 1.0)
+    before = (impl_state(cache), list(cache.trace))
+    # Refused before the clock or any entry moves: neither 2.0 nor A stays.
+    for locators in ((), [], 5, None):
+        with pytest.raises(ValueError, match="^locators must be a non-empty iterable$"):
+            cache.install(A, locators, 2.0)
+        assert (impl_state(cache), cache.trace) == before
+    locators = (1, 3)
+    assert cache.install(A, locators, 1.0) is None
+    assert cache.get(A).locators is locators  # a tuple is taken as is
 
 
 # -------------------------------------------------------------------- trace
@@ -360,6 +383,7 @@ def drive_pair(cache: MapCache, ref: ReferenceCache, rng: random.Random,
             assert cache.install(prefix, locators, now) == ref.install(prefix, locators, now)
             pool.append(prefix)
         assert impl_state(cache) == ref.state()
+        assert_same_entries(cache, ref, pool[-8:])
 
 
 def test_random_traces_match_brute_force_reference():
@@ -424,6 +448,8 @@ def test_equal_time_ties_match_brute_force_reference(capacity, cfg, ops):
             cache.age(now)
             ref.age(now)
         assert impl_state(cache) == ref.state()
+        # /64 is a length no op installs.
+        assert_same_entries(cache, ref, [*installed, EidPrefix.of(dst, 64)])
 
 
 def test_earlier_time_is_rejected_and_changes_nothing():
@@ -439,3 +465,40 @@ def test_earlier_time_is_rejected_and_changes_nothing():
                 call()
             assert (impl_state(cache), cache.trace) == before
     assert cache.install(C, (3,), 3.0) == B  # the same time is not earlier
+
+
+# ------------------------------------------------------------- the index
+
+# Installs whose eviction empties the length bucket of the prefix being
+# installed, so the install must make that bucket anew.
+EMPTYING_INSTALLS = {
+    "capacity-1-two-128s": (1, [EidPrefix.host(1)], EidPrefix.host(2)),
+    "capacity-2-a-64-and-a-128": (2, [EidPrefix(1 << 64, 64), EidPrefix.host(3)],
+                                  EidPrefix(2 << 64, 64)),
+}
+
+
+@pytest.mark.parametrize("capacity, earlier, new", EMPTYING_INSTALLS.values(),
+                         ids=EMPTYING_INSTALLS.keys())
+@pytest.mark.parametrize("cfg", EQUIV_CONFIGS)
+def test_an_eviction_that_empties_the_new_prefixs_bucket_keeps_the_install(
+        capacity, earlier, new, cfg):
+    cache, ref = MapCache(capacity, **cfg), ReferenceCache(capacity, **cfg)
+    for t, prefix in enumerate([*earlier, new]):
+        assert cache.install(prefix, (t,), float(t)) == ref.install(prefix, (t,), float(t))
+    assert earlier[0] not in cache and new in cache
+    assert_same_entries(cache, ref, [*earlier, new])
+    assert cache.lookup(new.address, 9.0) == ref.lookup(new.address, 9.0) == (len(earlier),)
+    assert_same_entries(cache, ref, [*earlier, new])
+
+
+def test_get_and_in_for_a_length_the_cache_holds_no_entry_of():
+    cache = MapCache(2)
+    cache.install(EidPrefix(1 << 64, 64), (1,), 0.0)
+    cache.install(A, (2,), 0.5)
+    cache.install(B, (3,), 1.0)  # evicts the /64, the only entry of its length
+    for prefix in (EidPrefix(1 << 64, 64), EidPrefix(1 << 64, 96), EidPrefix(0, 0),
+                   EidPrefix.of(0xA, 112)):
+        assert prefix not in cache and cache.get(prefix) is None
+    assert A in cache and cache.get(B).locators == (3,)
+    assert len(cache) == len(cache.entries()) == 2

@@ -141,6 +141,7 @@ DIRECT_CALLS = {
     "EidPrefix.host-True": (lambda: EidPrefix.host(True), "address"),
     "EidPrefix-address-True": (lambda: EidPrefix(True, 128), "address"),
     "insert-address-True": (lambda: table().insert(True, 0.0, "legit"), "address"),
+    "install-locators-int": (lambda: MapCache(2).install(EidPrefix.host(1), 5, 0.0), "locators"),
 }
 
 

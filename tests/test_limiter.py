@@ -209,11 +209,15 @@ def miss_streams(draw):
 def test_a_window_rolls_exactly_when_its_index_grows(stream):
     # advance() skips the division before its next boundary; it must still
     # count the growth of `now // period` on every time, boundaries included.
+    # A caller that calls it only from `next_start` on rolls exactly as often.
     period, misses = stream
     window = TumblingWindow(period)
     index = 0.0
     for t, _ in misses:  # in time order
-        assert window.advance(t) == t // period - index
+        due = t >= window.next_start
+        crossed = window.advance(t)
+        assert due == (crossed != 0)
+        assert crossed == t // period - index
         index = t // period
         assert window.index == index
 

@@ -183,10 +183,12 @@ def test_pending_capacity_overflow():
 def test_an_unknown_role_is_refused_before_the_router_moves():
     x = Xtr(XtrConfig(record_cache_trace=True))
     before = x.metrics.as_row()
-    with pytest.raises(ValueError, match="^role must be 'legit' or 'attacker', got 'eve'$"):
-        x.step(0.5, 1, 2, "eve")
-    assert x.cache.trace == []
-    assert x.metrics.as_row() == before
+    # A role that cannot be hashed fails the tally's lookup with a TypeError.
+    for role, shown in (("eve", "'eve'"), (["legit"], r"\['legit'\]")):
+        with pytest.raises(ValueError, match=f"^role must be 'legit' or 'attacker', got {shown}$"):
+            x.step(0.5, 1, 2, role)
+        assert x.cache.trace == []
+        assert x.metrics.as_row() == before
     assert x.step(0.4, 1, 2, "legit") is StepOutcome.MISS_PENDING_REQUEST
 
 
@@ -194,9 +196,9 @@ def test_time_regression_raises():
     x = Xtr(mk_config(), seed=0)
     x.step(*pkt(1.0, 1, 0xAA))
     before = x.metrics.as_row()
-    # NaN, a step back, and a step back after NaN: each is refused, and no
-    # counter moves.
-    for t in (float("nan"), 0.5, float("nan"), 0.5):
+    # NaN, a step back, a step back after NaN, and a time that does not
+    # compare with a float: each is refused, and no counter moves.
+    for t in (float("nan"), 0.5, float("nan"), 0.5, "1"):
         with pytest.raises(ValueError, match="^cache time must not go back"):
             x.step(*pkt(t, 1, 0xAB))
         assert x.metrics.as_row() == before
