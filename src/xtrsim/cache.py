@@ -208,6 +208,9 @@ class MapCache:
         return self.get(prefix) is not None
 
     def get(self, prefix: EidPrefix) -> MapCacheEntry | None:
+        """The entry of `prefix`; None when it is not cached or is not an EidPrefix."""
+        if type(prefix) is not EidPrefix:
+            return None
         return self._by_len.get(prefix[1], {}).get(prefix[0])
 
     def entries(self) -> list[MapCacheEntry]:
@@ -287,9 +290,11 @@ class MapCache:
         """Insert a mapping, evicting one victim if the cache is full.
 
         New entries always start with hit_count 0. Returns the evicted prefix
-        or None. Raises ValueError if the prefix is already present, or if
-        `locators` is not a non-empty iterable.
+        or None. Raises ValueError if `prefix` is not an EidPrefix or is
+        already present, or if `locators` is not a non-empty iterable.
         """
+        if type(prefix) is not EidPrefix:
+            raise ValueError(f"prefix must be an EidPrefix, got {prefix!r}")
         address, prefix_len = prefix
         if address in self._by_len.get(prefix_len, ()):
             raise ValueError(f"{prefix} is already cached")

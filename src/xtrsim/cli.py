@@ -25,7 +25,7 @@ from typing import Iterable
 from .cache import check_count
 from .cms import SketchDims
 from .experiment import (DEFAULT_SEEDS, PLOT_SCRIPT, SCENARIOS, SweepConfig, attack_csv,
-                         attack_summary_csv, config_hash, run_attack, run_sweep, sweep_csv)
+                         attack_summary_csv, replay_csv, run_attack, run_sweep, sweep_csv)
 from .limiter import LimiterConfig
 from .workloads import read_trace
 from .xtr import Xtr, XtrConfig
@@ -180,11 +180,8 @@ def _cmd_replay(args) -> int:
     config = _replay_configs(mapping)
     seed = args.seed if args.seed is not None else 0
     xtr = _replay(args.trace, config, seed)
-    row = xtr.metrics.as_row()
-    csv_text = ("seed,config_hash," + ",".join(row) + "\n"
-                + f"{seed},{config_hash(config)}," + ",".join(str(v) for v in row.values()) + "\n")
     out = Path(args.out)
-    print(_write(out / "replay_metrics.csv", (csv_text,)))
+    print(_write(out / "replay_metrics.csv", (replay_csv(seed, config, xtr.metrics),)))
     if config.record_cache_trace:
         print(_write(out / "cache_trace.txt", (f"{line}\n" for line in xtr.cache.trace)))
     return 0

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import astuple, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class SweepRow:
     false_positive_rate: float
     false_negative_rate: float
 
-    def csv_line(self) -> str:
-        return (f"{self.n_nodes},{self.attacker_fraction!r},{self.w},{self.d},"
-                f"{self.size_bytes},{self.seed},"
-                f"{self.false_positive_rate!r},{self.false_negative_rate!r}")
-
 
 def sweep_schedule(config: SweepConfig) -> list[tuple[int, int, int]]:
     """(iteration, width, depth) triples the sweep will visit."""
@@ -131,8 +126,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     return rows
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one table format: the header, then one line per row, each value
+    written by `str`, which gives a float the shortest text that reads back
+    as it (as `repr` does) and a numpy scalar its plain number."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    return SWEEP_CSV_HEADER + "\n" + "".join(row.csv_line() + "\n" for row in rows)
+    return csv_text(SWEEP_CSV_HEADER.split(","), map(astuple, rows))
 
 
 # --- attack scenarios -------------------------------------------------------
@@ -290,8 +292,8 @@ def config_hash(config: object) -> str:
 
 def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> list[AttackRun]:
     """Run the scenario defended and undefended on identical traffic per seed."""
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
+    if type(seeds) not in (tuple, list) or not seeds:
+        raise ValueError(f"seeds must be non-empty and a tuple or list, got {seeds!r}")
     for seed in seeds:
         check_count("seeds", seed, 0)
     digest = config_hash(config)
@@ -315,18 +317,12 @@ def attack_csv(runs: Sequence[AttackRun]) -> str:
     """One row per run: identity, all counters, then the scenario summaries."""
     if not runs:
         raise ValueError("no runs to export")
-    metric_cols = list(runs[0].metrics.as_row())
-    header = ["scenario", "defense", "seed", "config_hash", *metric_cols,
+    header = ["scenario", "defense", "seed", "config_hash", *runs[0].metrics.as_row(),
               "victim_admission_ratio", "legit_hit_rate", "overflow_events"]
-    lines = [",".join(header)]
-    for run in sorted(runs, key=lambda r: (r.scenario, r.seed, r.defense)):
-        row = run.metrics.as_row()
-        values = [run.scenario, run.defense, str(run.seed), run.config_hash]
-        values += [str(row[c]) for c in metric_cols]
-        values += [repr(run.victim_admission_ratio), repr(run.legit_hit_rate),
-                   str(run.overflow_events)]
-        lines.append(",".join(values))
-    return "\n".join(lines) + "\n"
+    return csv_text(header, (
+        [run.scenario, run.defense, run.seed, run.config_hash, *run.metrics.as_row().values(),
+         run.victim_admission_ratio, run.legit_hit_rate, run.overflow_events]
+        for run in sorted(runs, key=lambda r: (r.scenario, r.seed, r.defense))))
 
 
 def attack_summary_csv(runs: Sequence[AttackRun]) -> str:
@@ -338,13 +334,15 @@ def attack_summary_csv(runs: Sequence[AttackRun]) -> str:
     by_seed: dict[int, dict[str, AttackRun]] = {}
     for run in runs:
         by_seed.setdefault(run.seed, {})[run.defense] = run
-    lines = [f"scenario,seed,metric,{on_label},{off_label}"]
-    for seed in sorted(by_seed):
-        pair = by_seed[seed]
-        on_value = getattr(pair[on_label], metric)
-        off_value = getattr(pair[off_label], metric)
-        lines.append(f"{scenario},{seed},{metric},{on_value!r},{off_value!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["scenario", "seed", "metric", on_label, off_label], (
+        [scenario, seed, metric, getattr(by_seed[seed][on_label], metric),
+         getattr(by_seed[seed][off_label], metric)] for seed in sorted(by_seed)))
+
+
+def replay_csv(seed: int, config: XtrConfig, metrics: XtrMetrics) -> str:
+    """The replay's one row: its seed, the router config's hash, then all counters."""
+    row = metrics.as_row()
+    return csv_text(["seed", "config_hash", *row], [[seed, config_hash(config), *row.values()]])
 
 
 # --- the plot script written beside sweep.csv -------------------------------

@@ -47,6 +47,8 @@ class LimiterConfig:
         for name, allowed in (("backend", BACKENDS), ("sketch_params", (None,)),
                               ("cell_width_bytes", (2,)), ("strict_threshold", (True,))):
             check_choice(name, getattr(self, name), allowed)
+        if self.sketch_dims is not None and type(self.sketch_dims) is not SketchDims:
+            raise ValueError(f"sketch_dims must be a SketchDims, got {self.sketch_dims!r}")
         if self.backend == "cms":
             if self.sketch_dims is None:
                 raise ValueError("cms backend needs sketch_dims")

@@ -176,6 +176,8 @@ class XtrConfig:
             check_choice(name, getattr(self, name), allowed)
         for name, low in (("cache_capacity", 1), ("pending_capacity", 1), ("dest_budget", 0)):
             check_count(name, getattr(self, name), low)
+        if type(self.limiter) is not LimiterConfig:
+            raise ValueError(f"limiter must be a LimiterConfig, got {self.limiter!r}")
         if type(self.reply_loss) not in (int, float) or not 0.0 <= self.reply_loss < 1.0:
             raise ValueError(f"reply_loss must be in [0, 1), got {self.reply_loss!r}")
         for name in ("reply_latency", "dest_period", "effective_pending_timeout", "age_interval"):
@@ -302,10 +304,14 @@ class Xtr:
         replies, pending = self._reply_queue, self.pending
         step = self.step
         for now, src, dst, role in zip(stream.times, stream.srcs, stream.dsts, stream.roles):
-            if replies and replies[0][0] <= now:
-                self._deliver_due_replies(now)
-            if pending and next(iter(pending.values())).deadline <= now:
-                self._expire_pending(now)
+            try:
+                if replies and replies[0][0] <= now:
+                    self._deliver_due_replies(now)
+                if pending and next(iter(pending.values())).deadline <= now:
+                    self._expire_pending(now)
+            except TypeError:  # a time that does not compare with a float, before anything
+                step(now, src, dst, role)  # moved: the clock refuses it with a ValueError
+                raise
             step(now, src, dst, role)
         # Drain replies already in flight past the last packet.
         self._deliver_due_replies(float("inf"))

@@ -297,6 +297,20 @@ def test_constructor_validation():
         MapCache(2, policy="lfu-aging", age_interval=1.0, age_mode="decay")
 
 
+def test_only_an_eid_prefix_is_installed_or_found():
+    cache = MapCache(2, record_trace=True)
+    cache.install(A, (1,), 1.0)
+    before = (impl_state(cache), list(cache.trace))
+    # A plain pair, even one equal to A or with bits below its length, is no
+    # prefix: refused before the clock or any entry moves, and never found.
+    for other in ((0xA, 128), (3, 7), 5, "x", None):
+        with pytest.raises(ValueError, match="^prefix must be an EidPrefix, got "):
+            cache.install(other, (1,), 2.0)
+        assert (impl_state(cache), cache.trace) == before
+        assert other not in cache and cache.get(other) is None
+    assert cache.install(B, (2,), 1.5) is None and A in cache
+
+
 def test_empty_locators_rejected():
     cache = MapCache(2, record_trace=True)
     cache.install(B, [2], 1.0)

@@ -70,8 +70,6 @@ def test_check_choice_takes_only_an_allowed_value_of_its_type():
 BASES = (XtrConfig(), LimiterConfig(), AttackConfig(), SweepConfig(), SketchDims(8, 2),
          SketchParams(0.1, 0.5), PopulationProfile(10, 0.1),
          ScanProfile(scan_prefixes(2), 1.0, 1.0), BackgroundProfile(1, 5))
-# Fields that hold another config, whose own fields are swept here.
-NESTED = {"XtrConfig.limiter", "LimiterConfig.sketch_dims"}
 # AttackConfig hands bg_zipf_exponent to BackgroundProfile, whose check names it.
 NAMED_AS = {"AttackConfig.bg_zipf_exponent": "zipf_exponent"}
 
@@ -89,13 +87,16 @@ def bad_values(base, f) -> list:
     return values
 
 
-SWEPT = [(base, f) for base in BASES for f in fields(base)
-         if f"{type(base).__name__}.{f.name}" not in NESTED]
+SWEPT = [(base, f) for base in BASES for f in fields(base)]
 
 
-def test_the_sweep_covers_every_field_but_the_nested_configs():
-    every = {f"{type(base).__name__}.{f.name}" for base in BASES for f in fields(base)}
-    assert every - {f"{type(base).__name__}.{f.name}" for base, f in SWEPT} == NESTED
+def test_the_sweep_covers_every_field_the_nested_configs_included():
+    # The two fields that hold a config are swept, and so is each config they hold.
+    names = {type(base).__name__ for base in BASES}
+    holding = {f"{type(base).__name__}.{f.name}": f.type for base, f in SWEPT
+               if names & set(f.type.replace("|", " ").split())}
+    assert holding == {"XtrConfig.limiter": "LimiterConfig",
+                       "LimiterConfig.sketch_dims": "SketchDims | None"}
 
 
 @pytest.mark.parametrize("base, f", SWEPT, ids=[f"{type(b).__name__}.{f.name}" for b, f in SWEPT])
@@ -142,6 +143,13 @@ DIRECT_CALLS = {
     "EidPrefix-address-True": (lambda: EidPrefix(True, 128), "address"),
     "insert-address-True": (lambda: table().insert(True, 0.0, "legit"), "address"),
     "install-locators-int": (lambda: MapCache(2).install(EidPrefix.host(1), 5, 0.0), "locators"),
+    # Each once raised TypeError or AttributeError later, or was taken as is.
+    "install-prefix-tuple": (lambda: MapCache(2).install((3, 7), (1,), 0.0), "prefix"),
+    "install-prefix-int": (lambda: MapCache(2).install(5, (1,), 0.0), "prefix"),
+    "XtrConfig-limiter-str": (lambda: XtrConfig(limiter="x"), "limiter"),
+    "LimiterConfig-sketch_dims-tuple": (
+        lambda: LimiterConfig(backend="cms", sketch_dims=(1000, 4)), "sketch_dims"),
+    "run_attack-seeds-int": (lambda: run_attack(dos_defaults(), seeds=5), "seeds"),
 }
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from xtrsim.cache import EidPrefix
@@ -187,6 +188,13 @@ def test_sweep_csv_shape_and_determinism():
     first = lines[1].split(",")
     assert first[0] == "400" and first[1] == "0.1"
     assert text == sweep_csv(run_sweep(SMALL_SWEEP))
+
+
+def test_sweep_csv_writes_each_value_as_str_does():
+    # `repr` of a numpy scalar is np.float64(0.25) under numpy 2; `str` of it,
+    # like `repr` and `str` of a Python float, is the shortest round-trip text.
+    rows = [SweepRow(400, np.float64(0.1), 8, 1, 16, np.int64(3), np.float64(0.25), 0.1 + 0.2)]
+    assert sweep_csv(rows) == SWEEP_CSV_HEADER + "\n400,0.1,8,1,16,3,0.25,0.30000000000000004\n"
 
 
 # ------------------------------------------------------------------- attacks

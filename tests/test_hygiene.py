@@ -495,3 +495,59 @@ def test_only_the_rules_spell_their_words():
     spelled = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
                if (found := rule_words(p.read_text(), RULE_HOMES.get(p.name, ())))}
     assert spelled == {}
+
+
+# Every table the package writes is formatted by experiment.csv_text: the four
+# formats it replaced wrote a float by `!r`, `repr` or `str`, which part ways
+# on a numpy scalar. A `",".join` anywhere else is a second table format.
+CSV_JOIN_HOMES = {"experiment.py": ("csv_text",)}
+
+
+def csv_joins(source: str, homes: Collection[str] = ()) -> list[str]:
+    """Calls of `",".join` outside the functions named in `homes`, by line."""
+
+    def matches(node: ast.AST) -> bool:
+        joiner = getattr(getattr(node, "func", None), "value", None)
+        return isinstance(node, ast.Call) and name_of(node.func) == "join" \
+            and isinstance(joiner, ast.Constant) and joiner.value == ","
+
+    return [f"line {line}: join" for line in lines_outside(source, homes, matches)]
+
+
+def test_csv_joins_are_detected():
+    source = ('def csv_text(header, rows):\n    return ",".join(header)\n'
+              'a = ",".join(row)\nb = ",".join(str(v) for v in row) + "\\n"\n')
+    assert csv_joins(source, ("csv_text",)) == ["line 3: join", "line 4: join"]
+    assert len(csv_joins(source)) == 3
+    # Another separator, a join by name and text in a string are not the format.
+    assert csv_joins('a = " ".join(w)\nb = sep.join(w)\nc = str.join(",", w)\n'
+                     's = \'",".join(row)\'\n') == []
+
+
+def test_only_csv_text_joins_a_table_row():
+    joins = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if (found := csv_joins(p.read_text(), CSV_JOIN_HOMES.get(p.name, ())))}
+    assert joins == {}
+
+
+# Each output row carries the config_hash of the config that made it, and the
+# hash is taken in experiment.py alone: a canonical hash (one that moves the
+# pinned digests) then changes in one module, beside every table.
+def config_hash_calls(source: str) -> list[str]:
+    """Calls of a function named `config_hash`, by line."""
+    return [f"line {line}: config_hash" for line in lines_outside(
+        source, (), lambda node: isinstance(node, ast.Call) and name_of(node.func) == "config_hash")]
+
+
+def test_config_hash_calls_are_detected():
+    assert config_hash_calls("h = config_hash(c)\nrow = [experiment.config_hash(c)]\n") == \
+        ["line 1: config_hash", "line 2: config_hash"]
+    # Importing it, reading a run's field and text in a string are not calls.
+    assert config_hash_calls("from .experiment import config_hash\nh = run.config_hash\n"
+                             "s = 'config_hash(c)'\n") == []
+
+
+def test_only_experiment_takes_a_config_hash():
+    calls = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "experiment.py" and (found := config_hash_calls(p.read_text()))}
+    assert calls == {}

@@ -111,8 +111,12 @@ def test_heavy_source_is_flagged_under_both_backends():
 
 
 def test_cms_backend_requires_sizing():
-    with pytest.raises(ValueError, match="sketch_dims"):
+    with pytest.raises(ValueError, match="^cms backend needs sketch_dims$"):
         LimiterConfig(backend="cms")
+    # A SketchDims, or None under the exact backend: a plain pair once passed.
+    for backend in ("exact", "cms"):
+        with pytest.raises(ValueError, match=r"^sketch_dims must be a SketchDims, got \(1000, 4\)$"):
+            LimiterConfig(backend=backend, sketch_dims=(1000, 4))
     with pytest.raises(ValueError, match="sketch_params"):
         LimiterConfig(sketch_params=SketchParams(0.01, 0.5))
     with pytest.raises(ValueError):

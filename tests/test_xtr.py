@@ -203,6 +203,14 @@ def test_time_regression_raises():
             x.step(*pkt(t, 1, 0xAB))
         assert x.metrics.as_row() == before
     assert x.step(*pkt(1.0, 1, 0xAA)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
+    # In `run` a str time behind a valid packet meets the reply queue's due
+    # time (or, its reply lost, the pending table's deadline) first.
+    for loss in (0.0, 0.999999):
+        x, alone = (Xtr(mk_config(reply_loss=loss), seed=0) for _ in range(2))
+        alone.step(*pkt(0.0, 1, 0xAA))
+        with pytest.raises(ValueError, match=r"^cache time must not go back: '1' after 0.0$"):
+            x.run(stream(pkt(0.0, 1, 0xAA), pkt("1", 1, 0xAB)))
+        assert x.metrics.as_row() == alone.metrics.as_row()
 
 
 def test_an_address_outside_128_bits_is_refused_before_the_router_moves():
