@@ -8,8 +8,8 @@ of a cache aged eagerly at each such boundary, whatever calls came before. A
 lookup that misses changes nothing.
 
 Cache time never goes back: lookup, install and age raise ValueError
-for a `now` earlier than the latest one the cache has seen, NaN, or a time
-that does not compare with a float, and leave the cache unchanged.
+for a `now` earlier than the latest one the cache has seen, NaN, infinity, or
+a time that does not compare with a float, and leave the cache unchanged.
 
 One index, prefix length -> address -> entry with the longest length first,
 holds the entries. The eviction order is the total order (last_used,
@@ -218,12 +218,12 @@ class MapCache:
 
     def _advance(self, now: float) -> None:
         try:
-            if now >= self._clock:  # False for NaN
+            if self._clock <= now < math.inf:  # False for NaN and infinity
                 self._clock = now
                 return
         except TypeError:  # a time that does not compare with a float
             pass
-        raise ValueError(f"cache time must not go back: {now!r} after {self._clock}")
+        raise ValueError(f"cache time must be finite and not go back: {now!r} after {self._clock}")
 
     def _catch_up_aging(self, now: float) -> None:
         intervals = self._aging.advance(now)

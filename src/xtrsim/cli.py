@@ -72,11 +72,7 @@ def _convert(default, text: str, key: str):
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        return text
+        return type(default)(text)  # every other default is an int, a float or a str
     except ValueError as exc:
         raise ValueError(f"bad value for {key}: {exc}") from exc
 
@@ -178,7 +174,7 @@ def _replay(trace: str, config: XtrConfig, seed: int) -> Xtr:
 def _cmd_replay(args) -> int:
     mapping = _parse_kv_file(args.config) if args.config else {}
     config = _replay_configs(mapping)
-    seed = args.seed if args.seed is not None else 0
+    seed, = _seed_list(args, (0,))
     xtr = _replay(args.trace, config, seed)
     out = Path(args.out)
     print(_write(out / "replay_metrics.csv", (replay_csv(seed, config, xtr.metrics),)))
@@ -192,11 +188,12 @@ def _build_parser() -> _Parser:
                      description="Map-cache miss-flood attack and defense simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, *, seeds: bool = True) -> None:
         p.add_argument("--config", type=Path, help="key=value config file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--seeds", type=int, help="number of consecutive seeds")
+        if seeds:  # a replay runs one router, at one seed
+            p.add_argument("--seeds", type=int, help="number of consecutive seeds")
 
     p_sweep = sub.add_parser("sweep", help="false-positive rate vs sketch size")
     common(p_sweep)
@@ -209,8 +206,8 @@ def _build_parser() -> _Parser:
 
     p_replay = sub.add_parser("replay", help="run a 'ts src dst role' trace")
     p_replay.add_argument("trace", help="trace file to replay")
-    common(p_replay)
-    p_replay.set_defaults(func=_cmd_replay)
+    common(p_replay, seeds=False)
+    p_replay.set_defaults(func=_cmd_replay, seeds=None)
     return parser
 
 

@@ -233,6 +233,8 @@ class CountMinSketch:
     """
 
     def __init__(self, dims: SketchDims, *, seed: int = 0):
+        if type(dims) is not SketchDims:
+            raise ValueError(f"dims must be a SketchDims, got {dims!r}")
         self.dims = dims
         self._cells = np.zeros((dims.depth, dims.width), dtype=np.uint16)
         # Scalar updates read and write the same cells through a flat

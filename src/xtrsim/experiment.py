@@ -326,17 +326,21 @@ def attack_csv(runs: Sequence[AttackRun]) -> str:
 
 
 def attack_summary_csv(runs: Sequence[AttackRun]) -> str:
-    """Per-seed defended/undefended pairs of the scenario's headline metric."""
+    """Per-seed defended/undefended pairs of one scenario's headline metric."""
     if not runs:
         raise ValueError("no runs to export")
     scenario = runs[0].scenario
     _, on_label, off_label, metric = SCENARIOS[scenario]
-    by_seed: dict[int, dict[str, AttackRun]] = {}
+    by_seed: dict[int, dict[tuple[str, str], AttackRun]] = {}
     for run in runs:
-        by_seed.setdefault(run.seed, {})[run.defense] = run
+        by_seed.setdefault(run.seed, {})[run.scenario, run.defense] = run
+    for seed, arms in by_seed.items():
+        if arms.keys() != {(scenario, on_label), (scenario, off_label)}:
+            raise ValueError(f"seed {seed} needs a {on_label} and a {off_label} run of "
+                             f"{scenario} to pair, got {sorted(arms)}")
     return csv_text(["scenario", "seed", "metric", on_label, off_label], (
-        [scenario, seed, metric, getattr(by_seed[seed][on_label], metric),
-         getattr(by_seed[seed][off_label], metric)] for seed in sorted(by_seed)))
+        [scenario, seed, metric, getattr(by_seed[seed][scenario, on_label], metric),
+         getattr(by_seed[seed][scenario, off_label], metric)] for seed in sorted(by_seed)))
 
 
 def replay_csv(seed: int, config: XtrConfig, metrics: XtrMetrics) -> str:

@@ -77,6 +77,8 @@ class SourceRateLimiter:
     """
 
     def __init__(self, config: LimiterConfig, *, seed: int = 0):
+        if type(config) is not LimiterConfig:
+            raise ValueError(f"config must be a LimiterConfig, got {config!r}")
         self._limit = config.threshold  # flag above
         self._window = TumblingWindow(config.period)
         self._counts = _ExactCounts() if config.backend == "exact" else CountMinSketch(

@@ -214,6 +214,7 @@ class BackgroundProfile:
 
 def scan_prefixes(count: int) -> tuple[EidPrefix, ...]:
     """A contiguous block of host-width prefixes to point a scanner at."""
+    check_count("count", count, 0)
     return tuple(EidPrefix.host(SCAN_DST_BASE + i) for i in range(count))
 
 

@@ -11,7 +11,6 @@ windows and LFU aging intervals are `cache.TumblingWindow`s aligned to it.
 
 from __future__ import annotations
 
-import enum
 import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
@@ -22,18 +21,7 @@ from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import ROLES, Stream
 
 
-class StepOutcome(enum.Enum):
-    FORWARDED = "forwarded"
-    MISS_PENDING_REQUEST = "miss_pending_request"
-    SUPPRESSED_ALREADY_PENDING = "suppressed_already_pending"
-    SUPPRESSED_SOURCE_LIMITED = "suppressed_source_limited"
-    SUPPRESSED_DEST_LIMITED = "suppressed_dest_limited"
-    SUPPRESSED_NONCE_TABLE_FULL = "suppressed_nonce_table_full"
-
-
-# Bound once, in definition order: on Python 3.11 a lookup on an Enum class is slow.
-_FORWARDED, _REQUESTED, _PENDING, _SOURCE_LIMITED, _DEST_LIMITED, _TABLE_FULL = StepOutcome
-_DROP = Decision.DROP
+_DROP = Decision.DROP  # bound once: on Python 3.11 a lookup on an Enum class is slow
 
 
 @dataclass
@@ -192,6 +180,9 @@ class Xtr:
     """One simulated xTR: map-cache, limiters, pending table, reply scheduling."""
 
     def __init__(self, config: XtrConfig, *, seed: int = 0):
+        if type(config) is not XtrConfig:
+            raise ValueError(f"config must be an XtrConfig, got {config!r}")
+        check_count("seed", seed, 0)
         self.config = config
         self.metrics = XtrMetrics()
         self.cache = MapCache(config.cache_capacity, config.cache_policy,
@@ -222,21 +213,19 @@ class Xtr:
         for entry in self.pending.expire_due(now):
             timeouts[entry.role] += 1
 
-    def deliver_reply(self, entry: _Pending, now: float) -> bool:
-        """Consume the Map-Reply to the request `entry`; True when it installed a mapping.
+    def deliver_reply(self, entry: _Pending, now: float) -> None:
+        """Consume the Map-Reply to the request `entry`; it counts as stale or received.
 
-        A reply whose request has expired is stale and discarded, even if its
-        address has been requested again since. A fresh one installs the /128.
+        A stale reply, whose request has expired, is discarded even if its
+        address has been requested again since. A received one installs the /128.
         """
         if not self.pending.consume(entry):
             self.metrics.stale_replies += 1
-            return False
-        role = entry.role
-        self.metrics.map_replies_received.__dict__[role] += 1
+            return
+        self.metrics.map_replies_received.__dict__[entry.role] += 1
         # An address is pending only while uncached, so the install never finds it cached.
         if self.cache.install(EidPrefix.host(entry.address), (entry.address,), now) is not None:
-            self.metrics.evictions.__dict__[role] += 1
-        return True
+            self.metrics.evictions.__dict__[entry.role] += 1
 
     def _deliver_due_replies(self, upto: float) -> None:
         replies, pending = self._reply_queue, self.pending
@@ -246,12 +235,12 @@ class Xtr:
                 self._expire_pending(reply_time)
             self.deliver_reply(entry, reply_time)
 
-    def step(self, now: float, src: int, dst: int, role: str) -> StepOutcome:
-        """Process one data packet; `role` is one of `ROLES`.
+    def step(self, now: float, src: int, dst: int, role: str) -> None:
+        """Process one data packet; its fate moves one counter of its `role`.
 
-        A role outside them, a `dst` that is not an int in [0, 2**128), and a
-        time that goes back, is NaN or is not a number (the cache's clock is
-        the router's), raise ValueError before the cache or any counter moves.
+        A role outside `ROLES`, a `dst` that is not an int in [0, 2**128), and
+        a time that goes back or is not a finite number (the cache's clock is
+        the router's) raise ValueError before the cache or any counter moves.
         `src` is not checked."""
         metrics = self.metrics
         packets_in = metrics.packets_in.__dict__
@@ -264,24 +253,24 @@ class Xtr:
 
         if hit:
             metrics.cache_hits.__dict__[role] += 1
-            return _FORWARDED
+            return
         metrics.cache_misses.__dict__[role] += 1
 
         if dst in self.pending:
             metrics.suppressed_while_pending.__dict__[role] += 1
-            return _PENDING
+            return
 
         if self.source_limiter is not None and self.source_limiter.on_miss(src, now) is _DROP:
             metrics.dropped_by_source_limiter.__dict__[role] += 1
-            return _SOURCE_LIMITED
+            return
 
         if self.dest_limiter.consume(now) is _DROP:
             metrics.dropped_by_dest_limiter.__dict__[role] += 1
-            return _DEST_LIMITED
+            return
 
         if self.pending.is_full:
             metrics.nonce_table_overflows.__dict__[role] += 1
-            return _TABLE_FULL
+            return
 
         entry = self.pending.insert(dst, now, role)
         metrics.map_requests_sent.__dict__[role] += 1
@@ -291,7 +280,6 @@ class Xtr:
         self.admitted_by_source_period[(src, audit.index)] += 1
         if self._reply_loss == 0.0 or self._loss_rng.random() >= self._reply_loss:
             self._reply_queue.append((now + self._reply_latency, entry))
-        return _REQUESTED
 
     def run(self, stream: Stream) -> XtrMetrics:
         """Drive the xTR through a whole stream, interleaving scheduled replies.
@@ -301,6 +289,8 @@ class Xtr:
         Each packet goes through one call of `self.step`, looked up once, so
         a wrapper of `step` on the class or the instance sees every packet.
         """
+        if type(stream) is not Stream:
+            raise ValueError(f"stream must be a Stream, got {type(stream).__name__}")
         replies, pending = self._reply_queue, self.pending
         step = self.step
         for now, src, dst, role in zip(stream.times, stream.srcs, stream.dsts, stream.roles):

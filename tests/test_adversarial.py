@@ -24,7 +24,7 @@ from xtrsim.cms import CountMinSketch, SketchDims
 from xtrsim.experiment import _attack_stream, _attack_xtr_config, dos_defaults
 from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import ATTACKER, LEGIT, UNALLOCATED_DST_BASE
-from xtrsim.xtr import StepOutcome, Xtr, XtrConfig
+from xtrsim.xtr import Xtr, XtrConfig
 
 DOS = dos_defaults()  # threshold 100, a 1000 x 4 sketch, one-second windows
 DIMS = SketchDims(DOS.limiter_w, DOS.limiter_d)
@@ -50,9 +50,21 @@ def framing_sources(key_seed: int) -> list[int]:
             return [found[row] for row in range(DIMS.depth)]
 
 
-def frame(sources: list[int], backend: str = "cms") -> tuple[Xtr, list[StepOutcome]]:
+def victim_counters(xtr: Xtr) -> dict[str, int]:
+    """The victim's non-zero counters: it is the only legitimate sender."""
+    return {name.removesuffix(f"_{LEGIT}"): count for name, count in xtr.metrics.as_row().items()
+            if name.endswith(f"_{LEGIT}") and count}
+
+
+def every_miss(fate: str) -> dict[str, int]:
+    """The victim's counters when each of its misses met the fate counted in `fate`."""
+    misses = len(VICTIM_TIMES)
+    return {"packets_in": misses, "cache_misses": misses, fate: misses}
+
+
+def frame(sources: list[int], backend: str = "cms") -> tuple[Xtr, dict[str, int]]:
     """Each source sends threshold + 1 misses at time 0, then the victim sends
-    its misses in the same window; returns the router and the victim's outcomes."""
+    its misses in the same window; returns the router and the victim's counters."""
     limiter = LimiterConfig(threshold=DOS.threshold, period=DOS.limiter_period,
                             backend=backend, sketch_dims=DIMS)
     xtr = Xtr(XtrConfig(limiter=limiter, dest_budget=DOS.dest_budget,
@@ -61,26 +73,30 @@ def frame(sources: list[int], backend: str = "cms") -> tuple[Xtr, list[StepOutco
     for _ in range(DOS.threshold + 1):
         for source in sources:
             xtr.step(0.0, source, next(fresh), "attacker")
-    return xtr, [xtr.step(t, VICTIM, next(fresh), "legit") for t in VICTIM_TIMES]
+    for t in VICTIM_TIMES:
+        xtr.step(t, VICTIM, next(fresh), LEGIT)
+    return xtr, victim_counters(xtr)
 
 
 def test_the_router_key_lets_d_sources_deny_the_victim_for_the_window():
     sources = framing_sources(ROUTER_SEED)
     assert len(set(sources)) == DIMS.depth
     assert {source >> 64 for source in sources} == {OWNED_64 >> 64}
-    xtr, outcomes = frame(sources)
+    xtr, victim = frame(sources)
     assert xtr.metrics.cache_misses.attacker == DIMS.depth * (DOS.threshold + 1)
-    assert outcomes == [StepOutcome.SUPPRESSED_SOURCE_LIMITED] * len(VICTIM_TIMES)
+    assert victim == every_miss("dropped_by_source_limiter")
     # The victim never sent more than the threshold: the sketch framed it.
     assert len(VICTIM_TIMES) <= DOS.threshold
     # The next window starts clean.
-    later = xtr.step(1.0, VICTIM, UNALLOCATED_DST_BASE - 1, "legit")
-    assert later is StepOutcome.MISS_PENDING_REQUEST
+    xtr.step(1.0, VICTIM, UNALLOCATED_DST_BASE - 1, LEGIT)
+    sent = len(VICTIM_TIMES) + 1
+    assert victim_counters(xtr) == {**victim, "packets_in": sent, "cache_misses": sent,
+                                    "map_requests_sent": 1}
 
 
 def test_the_exact_backend_cannot_be_framed():
-    _, outcomes = frame(framing_sources(ROUTER_SEED), backend="exact")
-    assert outcomes == [StepOutcome.MISS_PENDING_REQUEST] * len(VICTIM_TIMES)
+    _, victim = frame(framing_sources(ROUTER_SEED), backend="exact")
+    assert victim == every_miss("map_requests_sent")
 
 
 def allowed_failures(trials: int, p: float, alpha: float = 1e-6) -> int:
@@ -103,8 +119,8 @@ def test_without_the_key_the_same_search_leaves_the_victim_admitted():
     allowed = allowed_failures(len(OTHER_KEYS), q)
     framed = []
     for key in OTHER_KEYS:
-        _, outcomes = frame(framing_sources(key))
-        if outcomes != [StepOutcome.MISS_PENDING_REQUEST] * len(VICTIM_TIMES):
+        _, victim = frame(framing_sources(key))
+        if victim != every_miss("map_requests_sent"):
             framed.append(key)
     assert len(framed) <= allowed, framed
 

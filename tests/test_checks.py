@@ -13,10 +13,10 @@ from xtrsim.cache import (EidPrefix, MapCache, check_address, check_choice, chec
                           check_positive)
 from xtrsim.cms import CountMinSketch, SketchDims, SketchParams
 from xtrsim.experiment import AttackConfig, SweepConfig, config_hash, dos_defaults, run_attack
-from xtrsim.limiter import DestRateLimiter, LimiterConfig
+from xtrsim.limiter import DestRateLimiter, LimiterConfig, SourceRateLimiter
 from xtrsim.workloads import (BackgroundProfile, PopulationProfile, ScanProfile, gen_dos_stream,
                               scan_prefixes)
-from xtrsim.xtr import PendingRequestTable, XtrConfig
+from xtrsim.xtr import PendingRequestTable, Xtr, XtrConfig
 
 # ---------------------------------------------------------------- the rules
 
@@ -150,6 +150,17 @@ DIRECT_CALLS = {
     "LimiterConfig-sketch_dims-tuple": (
         lambda: LimiterConfig(backend="cms", sketch_dims=(1000, 4)), "sketch_dims"),
     "run_attack-seeds-int": (lambda: run_attack(dos_defaults(), seeds=5), "seeds"),
+    # Each once raised AttributeError or TypeError, or was taken as is; each is
+    # checked once, where the object enters, and no packet is checked again.
+    "Xtr-config-None": (lambda: Xtr(None), "^config must be an XtrConfig, got None$"),
+    "Xtr-seed-str": (lambda: Xtr(XtrConfig(), seed="x"), "^seed must be an int, got 'x'$"),
+    "run-stream-None": (lambda: Xtr(XtrConfig()).run(None),
+                        "^stream must be a Stream, got NoneType$"),
+    "SourceRateLimiter-config-None": (lambda: SourceRateLimiter(None),
+                                      "^config must be a LimiterConfig, got None$"),
+    "CountMinSketch-dims-None": (lambda: CountMinSketch(None),
+                                 "^dims must be a SketchDims, got None$"),
+    "scan_prefixes-count-str": (lambda: scan_prefixes("3"), "^count must be an int, got '3'$"),
 }
 
 

@@ -330,11 +330,22 @@ def test_bad_seed_count_fails_with_1(tmp_path):
                  "--seeds", "0"]) == 1
 
 
-@pytest.mark.parametrize("command", [["sweep"], ["attack", "dos"]])
+@pytest.mark.parametrize("command", [["sweep", "--seeds", "1"], ["attack", "dos", "--seeds", "1"],
+                                     ["replay"]])
 def test_negative_seed_fails_with_1_naming_it(tmp_path, capsys, command):
+    if command == ["replay"]:
+        command = ["replay", make_trace(tmp_path)[0]]
     out = tmp_path / "o"
-    assert main([*command, "--out", str(out), "--seed", "-1", "--seeds", "1"]) == 1
+    assert main([*command, "--out", str(out), "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_replay_takes_no_seed_count(tmp_path, capsys):
+    # A replay runs one router at one seed; a count of seeds was once taken and ignored.
+    out = tmp_path / "o"
+    assert main(["replay", make_trace(tmp_path)[0], "--out", str(out), "--seeds", "2"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seeds 2\n"
     assert not out.exists()
 
 
@@ -422,11 +433,12 @@ BAD_SETTINGS = {
 
 @pytest.mark.parametrize("command, text, field", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
 def test_unusable_setting_fails_with_1_naming_the_field(tmp_path, capsys, command, text, field):
+    seeds = ["--seeds", "1"]
     if command == ["replay"]:
-        command = ["replay", make_trace(tmp_path)[0]]
+        command, seeds = ["replay", make_trace(tmp_path)[0]], []
     conf = write_conf(tmp_path, text + "\n")
     out = tmp_path / "o"
-    assert main([*command, "--config", conf, "--out", str(out), "--seeds", "1"]) == 1
+    assert main([*command, "--config", conf, "--out", str(out), *seeds]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
@@ -522,10 +534,11 @@ def test_any_single_setting_keeps_the_exit_contract(case):
         tmp = Path(tmp)
         (tmp / "conf.txt").write_text(conf_text)
         (tmp / "trace.txt").write_text(TINY_TRACE)
+        seeds = ["--seeds", "1"]
         if argv == ["replay"]:
-            argv = ["replay", str(tmp / "trace.txt")]
+            argv, seeds = ["replay", str(tmp / "trace.txt")], []
         assert_exit_contract(*run_cli([*argv, "--config", str(tmp / "conf.txt"),
-                                       "--out", str(tmp / "out"), "--seeds", "1"]))
+                                       "--out", str(tmp / "out"), *seeds]))
 
 
 BAD_TIMES = ["nan", "inf", "-inf", "-1", "-0.5", "abc", "1e400", "0x1"]

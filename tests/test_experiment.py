@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,22 @@ def test_attack_summary_pairs_headline_metric():
     scan_lines = attack_summary_csv(run_attack(TINY_SCAN, seeds=(1,))).splitlines()
     assert scan_lines[0] == "scenario,seed,metric,lfu_aging,lru"
     assert scan_lines[1].split(",")[2] == "legit_hit_rate"
+
+
+def test_attack_summary_refuses_runs_it_cannot_pair():
+    # A seed with one arm once raised KeyError, and a second scenario's runs
+    # were left out of the summary without a word.
+    dos = run_attack(TINY_DOS, seeds=(1,))
+    with pytest.raises(ValueError, match=r"^seed 1 needs a limiter_on and a limiter_off run of "
+                                         r"dos to pair, got \[\('dos', 'limiter_on'\)\]$"):
+        attack_summary_csv(dos[:1])
+    scan = run_attack(TINY_SCAN, seeds=(1,))
+    with pytest.raises(ValueError, match=r"^seed 1 needs .* run of dos to pair, got .*'scan'"):
+        attack_summary_csv(dos + scan)
+    # dos and overflow share their arms' labels, but not their runs.
+    overflow = run_attack(replace(TINY_DOS, scenario="overflow"), seeds=(1,))
+    with pytest.raises(ValueError, match=r"^seed 1 needs .* run of dos to pair, got .*'overflow'"):
+        attack_summary_csv(dos + overflow)
 
 
 # ------------------------------------------------------------------ outputs

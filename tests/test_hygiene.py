@@ -551,3 +551,42 @@ def test_only_experiment_takes_a_config_hash():
     calls = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "experiment.py" and (found := config_hash_calls(p.read_text()))}
     assert calls == {}
+
+
+# A packet's fate is recorded once, in the XtrMetrics counter it moves. An
+# outcome enum, or a value returned by the router's per-packet and per-reply
+# calls, is a second record that no caller reads and whose names drift from
+# the counters' (one once named the nonces the pending table no longer keeps).
+ENUM_BASES = {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}
+COUNTED_CALLS = ("step", "deliver_reply")
+
+
+def second_records(source: str) -> list[str]:
+    """Enum subclasses, and returns of a value other than None inside the
+    functions named in COUNTED_CALLS, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and {name_of(b) for b in node.bases} & ENUM_BASES:
+            found.append((node.lineno, f"class {node.name}"))
+        elif isinstance(node, ast.FunctionDef) and node.name in COUNTED_CALLS:
+            found += [(ret.lineno, f"return in {node.name}") for ret in ast.walk(node)
+                      if isinstance(ret, ast.Return) and ret.value is not None
+                      and not (isinstance(ret.value, ast.Constant) and ret.value.value is None)]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_second_records_are_detected():
+    source = ("class Outcome(enum.Enum):\n    SENT = 'sent'\n"
+              "class Kind(IntEnum):\n    A = 1\n"
+              "class Xtr:\n    def step(self, now):\n        if now:\n            return SENT\n"
+              "        return\n    def deliver_reply(self, entry, now):\n        return True\n")
+    assert second_records(source) == [
+        "line 1: class Outcome", "line 3: class Kind", "line 8: return in step",
+        "line 11: return in deliver_reply"]
+    # A bare return, `return None`, another function's value and another class are not records.
+    assert second_records("class Tally:\n    legit: int = 0\ndef step(now):\n    return None\n"
+                          "def run(stream):\n    return metrics\n") == []
+
+
+def test_a_packets_fate_is_recorded_only_in_its_counter():
+    assert second_records((PACKAGE / "xtr.py").read_text()) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -14,7 +15,6 @@ from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import ATTACKER, LEGIT, ROLES, PopulationProfile, Stream, gen_dos_stream
 from xtrsim.xtr import (
     PendingRequestTable,
-    StepOutcome,
     Xtr,
     XtrConfig,
     XtrMetrics,
@@ -36,6 +36,26 @@ def pkt(t: float, src: int, dst: int, role: str = "legit") -> tuple[float, int, 
 
 def stream(*packets: tuple[float, int, int, str]) -> Stream:
     return Stream(*map(list, zip(*packets)))
+
+
+# The counters a packet's fate moves, one per packet: forwarded on a hit, or
+# on a miss suppressed, dropped by either limiter or the full pending table, or sent.
+FATES = ("cache_hits", "suppressed_while_pending", "dropped_by_source_limiter",
+         "dropped_by_dest_limiter", "nonce_table_overflows", "map_requests_sent")
+
+
+def fate(x: Xtr, now: float, src: int, dst: int, role: str = LEGIT) -> str:
+    """Step one packet and name the fate counter that grew by one for `role`;
+    fails if any other fate counter of either role moved."""
+    def counts() -> dict[tuple[str, str], int]:
+        return {(name, r): getattr(getattr(x.metrics, name), r) for name in FATES for r in ROLES}
+
+    before = counts()
+    x.step(now, src, dst, role)
+    moved = {key: count - before[key] for key, count in counts().items() if count != before[key]}
+    grown = [name for (name, r), delta in moved.items() if r == role and delta == 1]
+    assert len(grown) == 1 and moved == {(grown[0], role): 1}, moved
+    return grown[0]
 
 
 # ------------------------------------------------------------ pending table
@@ -135,7 +155,7 @@ def test_miss_reply_install_hit_cycle():
     assert m.map_replies_received.legit == 1
     assert m.cache_hits.legit == 1
     assert EidPrefix.host(0xD1) in x.cache
-    assert x.step(*pkt(0.06, 1, 0xD1)) is StepOutcome.FORWARDED
+    assert fate(x, *pkt(0.06, 1, 0xD1)) == "cache_hits"
 
 
 def test_reply_at_equal_timestamp_lands_before_the_packet():
@@ -147,8 +167,8 @@ def test_reply_at_equal_timestamp_lands_before_the_packet():
 
 def test_step_outcome_for_pending_dedup():
     x = Xtr(mk_config(), seed=0)
-    assert x.step(*pkt(0.0, 1, 0xD3)) is StepOutcome.MISS_PENDING_REQUEST
-    assert x.step(*pkt(0.001, 2, 0xD3)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
+    assert fate(x, *pkt(0.0, 1, 0xD3)) == "map_requests_sent"
+    assert fate(x, *pkt(0.001, 2, 0xD3)) == "suppressed_while_pending"
 
 
 # ------------------------------------------------------------ gate outcomes
@@ -157,26 +177,24 @@ def test_source_limiter_suppression_and_window_reset():
     cfg = mk_config(source_limiter_enabled=True,
                     limiter=LimiterConfig(threshold=2, period=1.0))
     x = Xtr(cfg, seed=0)
-    outcomes = [x.step(*pkt(i * 1e-3, 7, 0xE0 + i)) for i in range(3)]
-    assert outcomes == [StepOutcome.MISS_PENDING_REQUEST,
-                        StepOutcome.MISS_PENDING_REQUEST,
-                        StepOutcome.SUPPRESSED_SOURCE_LIMITED]
+    fates = [fate(x, *pkt(i * 1e-3, 7, 0xE0 + i)) for i in range(3)]
+    assert fates == ["map_requests_sent", "map_requests_sent", "dropped_by_source_limiter"]
     assert x.metrics.dropped_by_source_limiter.legit == 1
     # Next window: the same source gets a fresh allowance.
-    assert x.step(*pkt(1.5, 7, 0xEF)) is StepOutcome.MISS_PENDING_REQUEST
+    assert fate(x, *pkt(1.5, 7, 0xEF)) == "map_requests_sent"
 
 
 def test_dest_budget_suppression():
     x = Xtr(mk_config(dest_budget=2), seed=0)
-    outcomes = [x.step(*pkt(i * 1e-3, 100 + i, 0xF0 + i)) for i in range(3)]
-    assert outcomes[-1] is StepOutcome.SUPPRESSED_DEST_LIMITED
+    fates = [fate(x, *pkt(i * 1e-3, 100 + i, 0xF0 + i)) for i in range(3)]
+    assert fates[-1] == "dropped_by_dest_limiter"
     assert x.metrics.dropped_by_dest_limiter.legit == 1
 
 
 def test_pending_capacity_overflow():
     x = Xtr(mk_config(pending_capacity=2), seed=0)
-    outcomes = [x.step(*pkt(i * 1e-3, 200 + i, 0x900 + i)) for i in range(3)]
-    assert outcomes[-1] is StepOutcome.SUPPRESSED_NONCE_TABLE_FULL
+    fates = [fate(x, *pkt(i * 1e-3, 200 + i, 0x900 + i)) for i in range(3)]
+    assert fates[-1] == "nonce_table_overflows"
     assert x.metrics.nonce_table_overflows.legit == 1
 
 
@@ -189,7 +207,7 @@ def test_an_unknown_role_is_refused_before_the_router_moves():
             x.step(0.5, 1, 2, role)
         assert x.cache.trace == []
         assert x.metrics.as_row() == before
-    assert x.step(0.4, 1, 2, "legit") is StepOutcome.MISS_PENDING_REQUEST
+    assert fate(x, 0.4, 1, 2, "legit") == "map_requests_sent"
 
 
 def test_time_regression_raises():
@@ -199,18 +217,37 @@ def test_time_regression_raises():
     # NaN, a step back, a step back after NaN, and a time that does not
     # compare with a float: each is refused, and no counter moves.
     for t in (float("nan"), 0.5, float("nan"), 0.5, "1"):
-        with pytest.raises(ValueError, match="^cache time must not go back"):
+        with pytest.raises(ValueError, match="^cache time must be finite and not go back"):
             x.step(*pkt(t, 1, 0xAB))
         assert x.metrics.as_row() == before
-    assert x.step(*pkt(1.0, 1, 0xAA)) is StepOutcome.SUPPRESSED_ALREADY_PENDING
+    assert fate(x, *pkt(1.0, 1, 0xAA)) == "suppressed_while_pending"
     # In `run` a str time behind a valid packet meets the reply queue's due
     # time (or, its reply lost, the pending table's deadline) first.
     for loss in (0.0, 0.999999):
         x, alone = (Xtr(mk_config(reply_loss=loss), seed=0) for _ in range(2))
         alone.step(*pkt(0.0, 1, 0xAA))
-        with pytest.raises(ValueError, match=r"^cache time must not go back: '1' after 0.0$"):
+        with pytest.raises(ValueError,
+                           match=r"^cache time must be finite and not go back: '1' after 0.0$"):
             x.run(stream(pkt(0.0, 1, 0xAA), pkt("1", 1, 0xAB)))
         assert x.metrics.as_row() == alone.metrics.as_row()
+
+
+def test_an_infinite_time_is_refused_before_the_router_moves():
+    # Infinity once moved packets_in and cache_misses before the limiter's
+    # window index refused it, and left the clock at inf, so every later
+    # packet was refused as going back.
+    x = Xtr(XtrConfig(record_cache_trace=True))
+    x.step(0.0, 1, 3, "legit")
+    before = x.metrics.as_row(), list(x.cache.trace)
+    for t in (math.inf, math.inf, -math.inf):  # twice: the first must not move the clock
+        with pytest.raises(ValueError,
+                           match=f"^cache time must be finite and not go back: {t} after 0.0$"):
+            x.step(t, 1, 3, "legit")
+        assert (x.metrics.as_row(), x.cache.trace) == before
+    assert fate(x, 1.0, 1, 4) == "map_requests_sent"
+    with pytest.raises(ValueError, match="^cache time must be finite and not go back: inf after 1"):
+        x.cache.install(EidPrefix.host(5), (5,), math.inf)
+    assert x.cache.get(EidPrefix.host(5)) is None
 
 
 def test_an_address_outside_128_bits_is_refused_before_the_router_moves():
@@ -219,14 +256,14 @@ def test_an_address_outside_128_bits_is_refused_before_the_router_moves():
     top = 2**128 - 1
     x = Xtr(mk_config(record_cache_trace=True), seed=0)
     x.run(stream(pkt(0.0, 1, top)))
-    assert x.step(*pkt(0.5, 1, top)) is StepOutcome.FORWARDED
+    assert fate(x, *pkt(0.5, 1, top)) == "cache_hits"
     before = x.metrics.as_row(), list(x.cache.trace)
     for dst in (-1, 2**128, 2**129 - 1, 1.5):
         with pytest.raises(ValueError, match="^address .* is not an integer in the 128-bit range"):
             x.step(*pkt(1.0, 1, dst))
         assert (x.metrics.as_row(), x.cache.trace) == before
     # The refused packets at 1.0 did not move the cache's clock.
-    assert x.step(*pkt(0.6, 1, top)) is StepOutcome.FORWARDED
+    assert fate(x, *pkt(0.6, 1, top)) == "cache_hits"
 
 
 # ------------------------------------------------- timeouts, loss, staleness
@@ -256,14 +293,15 @@ def test_a_reply_to_an_expired_request_is_stale_though_its_prefix_is_pending_aga
     x.step(*pkt(0.0, 1, 0xB4))
     old = x.pending[0xB4]
     assert x.pending.expire_due(0.035) == [old]
-    assert x.step(*pkt(0.035, 1, 0xB4)) is StepOutcome.MISS_PENDING_REQUEST
+    assert fate(x, *pkt(0.035, 1, 0xB4)) == "map_requests_sent"
     new = x.pending[0xB4]
     assert [entry for _, entry in x._reply_queue] == [old, new]
-    assert x.deliver_reply(old, 0.04) is False
-    assert x.metrics.stale_replies == 1 and x.pending[0xB4] is new and p not in x.cache
-    assert x.deliver_reply(new, 0.05) is True
+    x.deliver_reply(old, 0.04)
+    assert (x.metrics.stale_replies, x.metrics.map_replies_received.legit) == (1, 0)
+    assert x.pending[0xB4] is new and p not in x.cache
+    x.deliver_reply(new, 0.05)
+    assert (x.metrics.stale_replies, x.metrics.map_replies_received.legit) == (1, 1)
     assert p in x.cache and 0xB4 not in x.pending
-    assert x.metrics.map_replies_received.legit == 1 and x.metrics.stale_replies == 1
     # Through run: the first reply, due at 0.04, meets the request sent at
     # 0.035 (deadline 0.045) and is stale; that request then times out.
     x = Xtr(mk_config(pending_timeout=0.01), seed=0)
@@ -302,10 +340,10 @@ def test_replies_install_in_send_order(ticks, latency, loss, seed):
     step = x.step
 
     def recording_step(now, src, dst, role):
-        outcome = step(now, src, dst, role)
-        if outcome is StepOutcome.MISS_PENDING_REQUEST:
+        requests = x.metrics.map_requests_sent.total
+        step(now, src, dst, role)
+        if x.metrics.map_requests_sent.total > requests:
             sent.append(str(EidPrefix.host(dst)))
-        return outcome
 
     x.step = recording_step
     x.run(packets)
