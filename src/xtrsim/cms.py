@@ -165,9 +165,12 @@ def _row_hash(b: int, coeffs: tuple[int, ...],
     return h
 
 
-def _column(h: np.ndarray | int, width: int) -> np.ndarray | int:
+def _column(h: np.ndarray | int, width: int,
+            out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | int:
     """h mod width for row hashes h below p and a width of at most p: the
-    sketch's one column reduction, an intp array for array hashes.
+    sketch's one column reduction, an intp array for array hashes. `out`, an
+    intp array for the result and a uint32 one for the work, both of h's
+    shape, lets reductions in a loop allocate nothing.
 
     Arrays are reduced in uint32 as h - (h // width) * width: numpy has no
     vector loop for integer remainder, but divides by a scalar with a vector
@@ -177,11 +180,11 @@ def _column(h: np.ndarray | int, width: int) -> np.ndarray | int:
     if isinstance(h, int):
         return h % width
     h = np.asarray(h, dtype=np.uint32)
-    # The result is allocated before the uint32 temporary: the other way
-    # round, the freed temporary left a hole that raised the sweep's peak
-    # RSS by 2 MB.
-    col = np.empty(h.shape, dtype=np.intp)
-    below = h // width
+    # The result is allocated before the uint32 work array, here and in
+    # `_place`: the other way round, the freed work array left a hole that
+    # raised the sweep's peak RSS, by 2 MB with one lane and by 1-2 MB with two.
+    col, below = out if out is not None else (np.empty(h.shape, dtype=np.intp), None)
+    below = np.floor_divide(h, width, out=below)
     below *= width
     return np.subtract(h, below, out=col)
 
@@ -194,9 +197,29 @@ def _weights(counts: np.ndarray) -> np.ndarray:
     the exact saturated value.
     """
     counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be an integer array, got dtype {counts.dtype}")
     if np.any(counts < 1):
         raise ValueError("counts must all be >= 1")
     return counts.astype(np.float64)
+
+
+def _place(h: np.ndarray, row: int, shapes: list[tuple[int, SketchDims]],
+           weights: np.ndarray, threshold: int, flagged: list[np.ndarray]) -> None:
+    """One lane's share of a row: each (index, dims) in shapes that is deep
+    enough to have the row keeps flagged only the keys whose cell of the row,
+    at that width, is above threshold."""
+    # One result and one work array serve all the lane's shapes: a fresh 4 MB
+    # array per shape is faulted in page by page, and two lanes faulting at
+    # once ran barely faster than one.
+    columns = (np.empty(len(h), dtype=np.intp), np.empty(len(h), dtype=np.uint32))
+    for i, dims in shapes:
+        if dims.depth <= row:
+            continue
+        cols = _column(h, dims.width, columns)
+        cells = np.bincount(cols, weights=weights, minlength=dims.width)
+        np.minimum(cells, CELL_MAX, out=cells)
+        flagged[i] &= np.packbits((cells > threshold).take(cols))
 
 
 def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[SketchDims],
@@ -208,19 +231,53 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     minimum of its cells, exceeds the threshold exactly when every one of its
     cells does, so rows run outside and shapes inside: each row is hashed
     once for all shapes, and a shape keeps only the keys still flagged.
+
+    Shapes run in two lanes, because the per-shape kernels (the column
+    reduction, bincount, take) release the GIL, so on two cores the lanes
+    run at once. There are two, not more, because each further thread gets
+    its own malloc arena and raises the peak RSS; the calling thread is one
+    of the two, so only one arena is added. The caller hashes each row and
+    places the shapes at even indices of dims_list that are still active at
+    it; one helper thread places those at odd indices. The caller hashes the
+    next row while the helper may still be placing this one, and hands it
+    over only once the helper is done, so at most two rows' hashes are
+    alive. Each shape is written by one lane, in row order, so the bitmaps
+    are the bytes one lane would give. A failure in the helper is raised
+    here as itself, and the helper has ended when this returns or raises.
+    The helper calls no function that the benchmark's tracer wraps, because
+    the tracer's span stack is not per thread.
     """
+    # Imported here, not at the top: every entry point imports cms, and the
+    # import costs about 8 ms of start-up that only the sweep needs.
+    from concurrent.futures import ThreadPoolExecutor
+
+    check_count("threshold", threshold, 0)
+    check_reachable(threshold)
+    check_count("seed", seed, 0)
+    if type(dims_list) is not list:
+        raise ValueError(f"dims_list must be a list of SketchDims, got {dims_list!r}")
+    for dims in dims_list:
+        if type(dims) is not SketchDims:
+            raise ValueError(f"dims_list must hold only SketchDims, got {dims!r}")
+    keys, counts = np.asarray(keys), np.asarray(counts)
+    if keys.ndim != 1 or keys.shape != counts.shape:
+        raise ValueError(f"keys and counts must be 1-D arrays of one length, got shapes "
+                         f"{keys.shape} and {counts.shape}")
     weights = _weights(counts)
     limbs = _vector_limbs(keys)
     flagged = [np.packbits(np.ones(len(weights), dtype=bool)) for _ in dims_list]
-    for row in range(max((dims.depth for dims in dims_list), default=0)):
-        h = _row_hash(*_row_coefficients(seed, row), limbs).astype(np.uint32)
-        for i, dims in enumerate(dims_list):
-            if dims.depth <= row:
-                continue
-            cols = _column(h, dims.width)
-            cells = np.bincount(cols, weights=weights, minlength=dims.width)
-            np.minimum(cells, CELL_MAX, out=cells)
-            flagged[i] &= np.packbits((cells > threshold).take(cols))
+    shapes = list(enumerate(dims_list))
+    own_lane, helper_lane = shapes[0::2], shapes[1::2]
+    queued = None
+    with ThreadPoolExecutor(1) as helper:
+        for row in range(max((dims.depth for dims in dims_list), default=0)):
+            h = _row_hash(*_row_coefficients(seed, row), limbs).astype(np.uint32)
+            if queued is not None:
+                queued.result()
+            queued = helper.submit(_place, h, row, helper_lane, weights, threshold, flagged)
+            _place(h, row, own_lane, weights, threshold, flagged)
+        if queued is not None:
+            queued.result()
     return flagged
 
 

@@ -11,6 +11,7 @@ windows and LFU aging intervals are `cache.TumblingWindow`s aligned to it.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
@@ -295,10 +296,15 @@ class Xtr:
         step = self.step
         for now, src, dst, role in zip(stream.times, stream.srcs, stream.dsts, stream.roles):
             try:
-                if replies and replies[0][0] <= now:
-                    self._deliver_due_replies(now)
-                if pending and next(iter(pending.values())).deadline <= now:
-                    self._expire_pending(now)
+                if (replies and replies[0][0] <= now
+                        or pending and next(iter(pending.values())).deadline <= now):
+                    if now == math.inf:  # every reply and request is due at it, and
+                        # the clock would refuse it only after they all moved
+                        raise ValueError(f"packet time must be finite, got {now!r}")
+                    if replies and replies[0][0] <= now:
+                        self._deliver_due_replies(now)
+                    if pending and next(iter(pending.values())).deadline <= now:
+                        self._expire_pending(now)
             except TypeError:  # a time that does not compare with a float, before anything
                 step(now, src, dst, role)  # moved: the clock refuses it with a ValueError
                 raise

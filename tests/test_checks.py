@@ -11,7 +11,7 @@ import pytest
 
 from xtrsim.cache import (EidPrefix, MapCache, check_address, check_choice, check_count,
                           check_positive)
-from xtrsim.cms import CountMinSketch, SketchDims, SketchParams
+from xtrsim.cms import CountMinSketch, SketchDims, SketchParams, flagged_by_dims
 from xtrsim.experiment import AttackConfig, SweepConfig, config_hash, dos_defaults, run_attack
 from xtrsim.limiter import DestRateLimiter, LimiterConfig, SourceRateLimiter
 from xtrsim.workloads import (BackgroundProfile, PopulationProfile, ScanProfile, gen_dos_stream,
@@ -121,6 +121,13 @@ def table() -> PendingRequestTable:
     return PendingRequestTable(2, 1.0)
 
 
+def flag(**changes):
+    """A valid flagged_by_dims call with the named arguments changed."""
+    args = dict(keys=np.array([1, 2]), counts=np.array([1, 3]), dims_list=[SketchDims(8, 1)],
+                threshold=5, seed=0)
+    return flagged_by_dims(**{**args, **changes})
+
+
 # Each once raised TypeError or OverflowError, or stored True as an address.
 DIRECT_CALLS = {
     "XtrConfig-cache_capacity-str": (lambda: XtrConfig(cache_capacity="3"), "cache_capacity"),
@@ -161,6 +168,29 @@ DIRECT_CALLS = {
     "CountMinSketch-dims-None": (lambda: CountMinSketch(None),
                                  "^dims must be a SketchDims, got None$"),
     "scan_prefixes-count-str": (lambda: scan_prefixes("3"), "^count must be an int, got '3'$"),
+    # Each once raised UFuncTypeError, AttributeError or TypeError, or was
+    # taken as is; each is refused before the sweep's lanes start.
+    "flagged_by_dims-threshold-str": (lambda: flag(threshold="5"),
+                                      "^threshold must be an int, got '5'$"),
+    "flagged_by_dims-threshold-nan": (lambda: flag(threshold=math.nan),
+                                      "^threshold must be an int, got nan$"),
+    "flagged_by_dims-threshold-unreachable": (lambda: flag(threshold=10**6),
+                                              "^threshold 1000000 is unreachable"),
+    "flagged_by_dims-seed-negative": (lambda: flag(seed=-1), "^seed must be >= 0, got -1$"),
+    "flagged_by_dims-seed-str": (lambda: flag(seed="x"), "^seed must be an int, got 'x'$"),
+    "flagged_by_dims-dims_list-None": (lambda: flag(dims_list=None),
+                                       "^dims_list must be a list of SketchDims, got None$"),
+    "flagged_by_dims-dims_list-tuple": (lambda: flag(dims_list=[(8, 1)]),
+                                        r"^dims_list must hold only SketchDims, got \(8, 1\)$"),
+    "flagged_by_dims-counts-float": (lambda: flag(counts=np.array([1.5, 2.0])),
+                                     "^counts must be an integer array, got dtype float64$"),
+    "flagged_by_dims-counts-short": (lambda: flag(counts=np.array([1])),
+                                     r"^keys and counts must be 1-D arrays of one length"),
+    "flagged_by_dims-keys-2d": (lambda: flag(keys=np.array([[1, 2]]), counts=np.array([[1, 3]])),
+                                r"^keys and counts must be 1-D arrays of one length"),
+    "add_counts-counts-float": (
+        lambda: CountMinSketch(SketchDims(8, 2)).add_counts(np.array([1, 2]), np.array([1.5, 2.0])),
+        "^counts must be an integer array, got dtype float64$"),
 }
 
 

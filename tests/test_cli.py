@@ -6,6 +6,7 @@ import io
 import re
 import sys
 import tempfile
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xtrsim import cli
+from xtrsim import cli, cms
 from xtrsim.cli import main
 from xtrsim.experiment import SCENARIOS, AttackConfig, SweepConfig
 from xtrsim.limiter import LimiterConfig
@@ -469,6 +470,27 @@ def test_running_out_of_memory_fails_with_1_without_traceback(tmp_path, capsys, 
     assert main(["sweep", "--out", str(out), "--seeds", "1"]) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_running_out_of_memory_in_the_sweeps_helper_lane_fails_with_1(tmp_path, capsys,
+                                                                      monkeypatch):
+    # The second of the sweep's widths, 2000, is placed by the helper thread.
+    column = cms._column
+
+    def failing_column(h, width, out=None):
+        if width == 2000:
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+        return column(h, width, out)
+
+    monkeypatch.setattr(cms, "_column", failing_column)
+    threads = threading.active_count()
+    out = tmp_path / "o"
+    conf = write_conf(tmp_path, "sweep.n_nodes=100\n")
+    assert main(["sweep", "--config", conf, "--out", str(out), "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
+    assert threading.active_count() == threads
     assert not out.exists()
 
 

@@ -1,13 +1,16 @@
 """Sketch behavior against exact-count and high-precision sizing oracles."""
 
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from xtrsim import cms
 from xtrsim.cms import (CELL_MAX, CountMinSketch, SketchDims, SketchParams, _column,
                         check_reachable, dims_from_params, flagged_by_dims)
 
@@ -319,23 +322,36 @@ SWEEP_WIDTHS = range(1000, 26001, 1000)
 @st.composite
 def flagging_cases(draw):
     """Keys with repeats (many past 2**30), counts up to the cell cap and past
-    2**53, a threshold at or just below the cap or small, and a list of
-    shapes whose widths (1 and the sweep's included) and depths repeat and go
-    up and down."""
+    2**53, a threshold just below the cap or small, and a list of shapes,
+    empty or not, whose widths (1 and the sweep's included) and depths repeat
+    and go up and down."""
     pool = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(2**30, 2**64 - 1)),
                          min_size=1, max_size=30))
     count = st.one_of(st.integers(1, 200), st.integers(CELL_MAX - 2, CELL_MAX + 2),
                       st.integers(2**53 - 2, 2**62))
     pairs = draw(st.lists(st.tuples(st.sampled_from(pool), count), min_size=1, max_size=40))
-    threshold = draw(st.one_of(st.sampled_from([CELL_MAX - 1, CELL_MAX]), st.integers(0, 300)))
+    threshold = draw(st.one_of(st.sampled_from([CELL_MAX - 2, CELL_MAX - 1]), st.integers(0, 300)))
     dims = st.builds(SketchDims, st.one_of(st.integers(1, 16), st.integers(1, 300),
                                            st.sampled_from(SWEEP_WIDTHS)),
                      st.integers(1, 5))
-    return pairs, threshold, draw(st.lists(dims, min_size=1, max_size=6))
+    return pairs, threshold, draw(st.lists(dims, max_size=6))
 
 
+PAIRS = [(3, 700), (2**40 + 3, 900), (5, 2), (3, 1)]
+
+
+# The calling thread places the shapes at even indices and a helper thread
+# those at odd indices: no shape, one (the helper has none), a repeated
+# shape beside a deeper one (a lane that placed it at row 1 too would flag
+# fewer keys at this seed), and depths that leave an odd number of shapes
+# active (three at row 1, of which the helper has two, then only its one).
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32), case=flagging_cases())
+@example(seed=1, case=(PAIRS, 600, []))
+@example(seed=2, case=(PAIRS, 600, [SketchDims(2, 3)]))
+@example(seed=1, case=(PAIRS, 600, [SketchDims(3, 1)] * 3 + [SketchDims(3, 2)]))
+@example(seed=4, case=(PAIRS, 600, [SketchDims(3, 1), SketchDims(2, 2), SketchDims(5, 2),
+                                    SketchDims(2, 3)]))
 def test_flagged_by_dims_matches_a_fresh_sketch_per_shape(seed, case):
     pairs, threshold, dims_list = case
     keys = np.array([key for key, _ in pairs], dtype=np.uint64)
@@ -373,6 +389,59 @@ def test_column_is_the_remainder_at_the_edges():
                        st.integers(1, HASH_PRIME)))
 def test_column_is_the_remainder(hashes, width):
     assert_column_is_the_remainder(hashes, width)
+
+
+@pytest.mark.parametrize("failing", [1, 0], ids=["helper-lane", "calling-lane"])
+def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, failing):
+    keys, counts = np.arange(50), np.full(50, 3)
+    dims_list = [SketchDims(7, 2), SketchDims(11, 2), SketchDims(13, 1)]
+    threads = threading.active_count()
+    flagged_by_dims(keys, counts, dims_list, 2, seed=1)
+    assert threading.active_count() == threads
+    column = cms._column
+
+    def failing_column(h, width, out=None):
+        if width == dims_list[failing].width:
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+        return column(h, width, out)
+
+    monkeypatch.setattr(cms, "_column", failing_column)
+    with pytest.raises(MemoryError, match="8.00 TiB"):
+        flagged_by_dims(keys, counts, dims_list, 2, seed=1)
+    assert threading.active_count() == threads
+
+
+def test_lanes_lose_no_update_under_frequent_thread_switches():
+    # Three calls at once (six threads on fewer cores), switching threads
+    # every microsecond: a lost or misplaced `flagged[i] &=` would change a bitmap.
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 2**40, 3000, dtype=np.uint64)
+    counts = rng.integers(1, 50, 3000)
+    dims_list = [SketchDims(w, d) for w, d in ((50, 3), (64, 2), (80, 3), (97, 1), (128, 2))]
+    expected = []
+    for dims in dims_list:
+        sketch = CountMinSketch(dims, seed=2)
+        sketch.add_counts(keys, counts)
+        expected.append(np.packbits(sketch.estimate_many(keys) > 1000))
+    assert 0 < sum(int(np.unpackbits(bits).sum()) for bits in expected) < 3000 * len(dims_list)
+    results = [None] * 3
+
+    def call(j):
+        results[j] = flagged_by_dims(keys, counts, dims_list, 1000, seed=2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(j,)) for j in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for flagged in results:
+        assert all(np.array_equal(got, want) for got, want in zip(flagged, expected, strict=True))
 
 
 def test_flagged_by_dims_rejects_counts_below_one():

@@ -590,3 +590,83 @@ def test_second_records_are_detected():
 
 def test_a_packets_fate_is_recorded_only_in_its_counter():
     assert second_records((PACKAGE / "xtr.py").read_text()) == []
+
+
+# The router, the CLI and the generators stay single-threaded: only the
+# sweep's two lanes, in cms.flagged_by_dims, run on a second thread. The
+# benchmark's tracer keeps one span stack for the whole process, so the
+# helper lane must call no function that benchmarks/layers.py wraps.
+THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+LAYERS = PACKAGE.parent.parent / "benchmarks" / "layers.py"
+
+
+def thread_imports(source: str) -> list[str]:
+    """Imports of a module that starts threads or processes, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.partition(".")[0] in THREAD_MODULES]
+    return found
+
+
+def test_thread_imports_are_detected():
+    assert thread_imports("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                          "import os, multiprocessing.pool\n") == [
+        "line 1: threading", "line 2: concurrent.futures", "line 3: multiprocessing.pool"]
+    assert thread_imports("from .cache import threading\nimport threadpoolctl\n") == []
+
+
+def test_only_cms_starts_a_thread():
+    found = {p.name: imports for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "cms.py" and (imports := thread_imports(p.read_text()))}
+    assert found == {}
+
+
+def wrapped_names(layers_source: str) -> set[str]:
+    """The function names the tracer wraps: the third item of each
+    (span, owner, name, counter) entry in benchmarks/layers.py."""
+    return {node.elts[2].value for node in ast.walk(ast.parse(layers_source))
+            if isinstance(node, ast.Tuple) and len(node.elts) == 4
+            and all(isinstance(node.elts[i], ast.Constant) and isinstance(node.elts[i].value, str)
+                    for i in (0, 2))}
+
+
+def lane_calls(source: str) -> dict[str, set[str]]:
+    """For each function handed to a thread (the first argument of a
+    `submit` call), the names it calls, through the module's own functions."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    lanes = {name_of(node.args[0]) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and name_of(node.func) == "submit" and node.args}
+    calls = {}
+    for lane in lanes:
+        seen, todo = set(), [lane]
+        while todo:
+            for node in ast.walk(functions.get(todo.pop(), ast.Pass())):
+                if isinstance(node, ast.Call) and (called := name_of(node.func)) not in seen:
+                    seen.add(called)
+                    todo.append(called)
+        calls[lane] = seen
+    return calls
+
+
+def test_lane_calls_and_wrapped_names_are_detected():
+    source = ("def lane(h):\n    return helper(h) + np.bincount(h)\n"
+              "def helper(h):\n    return self.step(h)\n"
+              "def run(pool):\n    pool.submit(lane, 1)\n")
+    assert lane_calls(source) == {"lane": {"helper", "bincount", "step"}}
+    assert wrapped_names('OUTER = [("xtr.run", Xtr, "run", None), ("a", b)]\n') == {"run"}
+
+
+def test_the_helper_lane_calls_nothing_the_tracer_wraps():
+    wrapped = wrapped_names(LAYERS.read_text())
+    assert {"run_sweep", "step", "add_counts", "estimate_many"} <= wrapped
+    calls = lane_calls((PACKAGE / "cms.py").read_text())
+    assert set(calls) == {"_place"}
+    assert "_column" in calls["_place"] and not calls["_place"] & wrapped

@@ -250,6 +250,21 @@ def test_an_infinite_time_is_refused_before_the_router_moves():
     assert x.cache.get(EidPrefix.host(5)) is None
 
 
+def test_an_infinite_time_in_run_is_refused_before_a_reply_or_expiry_moves():
+    # run once compared infinity with the heads of the reply queue and the
+    # pending table first, so it delivered every reply in flight and expired
+    # every pending request before the clock refused the time.
+    times = [0.0, 0.0, 0.0, math.inf]
+    for loss in (0.0, 0.5, 0.999999):  # replies due, both, expiries due
+        x, alone = (Xtr(XtrConfig(reply_loss=loss), seed=1) for _ in range(2))
+        for t, dst in zip(times[:3], (3, 4, 5)):
+            alone.step(t, 1, dst, LEGIT)
+        with pytest.raises(ValueError, match=r"^packet time must be finite, got inf$"):
+            x.run(Stream(times, [1] * 4, [3, 4, 5, 6], [LEGIT] * 4))
+        assert x.metrics.as_row() == alone.metrics.as_row()
+        assert x.metrics.map_replies_received.total == x.metrics.pending_timeouts.total == 0
+
+
 def test_an_address_outside_128_bits_is_refused_before_the_router_moves():
     # Masked, -1 and 2**129 - 1 would both hit the /128 of 2**128 - 1; a
     # float would pass the range check and fail only after counters moved.
