@@ -30,7 +30,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NoReturn
 
 ADDRESS_BITS = 128
 _FULL_MASK = (1 << ADDRESS_BITS) - 1
@@ -77,6 +77,11 @@ def window_index(now: float, period: float) -> int:
         raise ValueError(f"time {now} has no finite window index at period {period}") from None
 
 
+def refuse_time(now: object) -> NoReturn:
+    """Raise the error for a time that does not compare or add with a float."""
+    raise ValueError(f"time must be a number, got {now!r}") from None
+
+
 class TumblingWindow:
     """Windows of length `period` aligned to time zero: the limiters' and LFU aging's.
 
@@ -94,8 +99,11 @@ class TumblingWindow:
 
     def advance(self, now: float) -> int:
         """Move to the window holding `now`; the number of boundaries crossed."""
-        if now < self.next_start:
-            return 0
+        try:
+            if now < self.next_start:
+                return 0
+        except TypeError:
+            refuse_time(now)
         crossed = window_index(now, self.period) - self.index
         self.index += crossed
         # The product is the float nearest the boundary; one float up when it

@@ -217,8 +217,8 @@ def _place(h: np.ndarray, row: int, shapes: list[tuple[int, SketchDims]],
         if dims.depth <= row:
             continue
         cols = _column(h, dims.width, columns)
+        # No clamp: threshold < CELL_MAX, so a mass past the cap is above it as its clamp is.
         cells = np.bincount(cols, weights=weights, minlength=dims.width)
-        np.minimum(cells, CELL_MAX, out=cells)
         flagged[i] &= np.packbits((cells > threshold).take(cols))
 
 
@@ -236,14 +236,13 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     reduction, bincount, take) release the GIL, so on two cores the lanes
     run at once. There are two, not more, because each further thread gets
     its own malloc arena and raises the peak RSS; the calling thread is one
-    of the two, so only one arena is added. The caller hashes each row and
-    places the shapes at even indices of dims_list that are still active at
-    it; one helper thread places those at odd indices. The caller hashes the
-    next row while the helper may still be placing this one, and hands it
-    over only once the helper is done, so at most two rows' hashes are
-    alive. Each shape is written by one lane, in row order, so the bitmaps
-    are the bytes one lane would give. A failure in the helper is raised
-    here as itself, and the helper has ended when this returns or raises.
+    of the two, so only one arena is added. The lanes run in lockstep: the
+    caller hashes each row, hands the helper thread the shapes at odd
+    indices of dims_list, places those at even indices itself, and waits for
+    the helper before it hashes the next row. Each shape is written by one
+    lane, in row order, so the bitmaps are the bytes one lane would give. A
+    failure in either lane is raised as itself in the row that raised it,
+    and the helper has ended when this returns or raises.
     The helper calls no function that the benchmark's tracer wraps, because
     the tracer's span stack is not per thread.
     """
@@ -268,16 +267,12 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     flagged = [np.packbits(np.ones(len(weights), dtype=bool)) for _ in dims_list]
     shapes = list(enumerate(dims_list))
     own_lane, helper_lane = shapes[0::2], shapes[1::2]
-    queued = None
     with ThreadPoolExecutor(1) as helper:
         for row in range(max((dims.depth for dims in dims_list), default=0)):
             h = _row_hash(*_row_coefficients(seed, row), limbs).astype(np.uint32)
-            if queued is not None:
-                queued.result()
-            queued = helper.submit(_place, h, row, helper_lane, weights, threshold, flagged)
+            placed = helper.submit(_place, h, row, helper_lane, weights, threshold, flagged)
             _place(h, row, own_lane, weights, threshold, flagged)
-        if queued is not None:
-            queued.result()
+            placed.result()
     return flagged
 
 

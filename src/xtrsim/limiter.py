@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cache import TumblingWindow, check_choice, check_count, check_positive
+from .cache import TumblingWindow, check_choice, check_count, check_positive, refuse_time
 from .cms import CountMinSketch, SketchDims, check_reachable
 
 
@@ -98,9 +98,12 @@ class SourceRateLimiter:
         most the distinct sources that missed in the window, the exact
         backend's bound.
         """
-        if now >= self._window.next_start and self._window.advance(now):
-            self._counts.reset()
-            self._flagged.clear()
+        try:
+            if now >= self._window.next_start and self._window.advance(now):
+                self._counts.reset()
+                self._flagged.clear()
+        except TypeError:  # a time that does not compare with a float
+            refuse_time(now)
         if source in self._flagged:
             return _DROP
         if self._counts.increment(source) > self._limit:
@@ -128,8 +131,11 @@ class DestRateLimiter:
 
     def consume(self, now: float) -> Decision:
         """Take one unit of budget if any is left this period."""
-        if now >= self._window.next_start and self._window.advance(now):
-            self._used = 0
+        try:
+            if now >= self._window.next_start and self._window.advance(now):
+                self._used = 0
+        except TypeError:  # a time that does not compare with a float
+            refuse_time(now)
         if self._used >= self.budget:
             return _DROP
         self._used += 1

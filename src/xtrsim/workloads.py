@@ -183,6 +183,9 @@ class ScanProfile:
     def __post_init__(self) -> None:
         if type(self.prefix_list) is not tuple or not self.prefix_list:
             raise ValueError(f"prefix_list must be a non-empty tuple, got {self.prefix_list!r}")
+        for prefix in self.prefix_list:
+            if type(prefix) is not EidPrefix:
+                raise ValueError(f"prefix_list must hold only EidPrefix, got {prefix!r}")
         check_choice("reshuffle_each_pass", self.reshuffle_each_pass, (True, False))
         check_positive("packet_rate", self.packet_rate)
         check_positive("duration", self.duration)

@@ -5,8 +5,8 @@ miss path: pending-request dedup per destination, the per-source limiter, the
 destination budget, then a Map-Request. The mapping system answers after a
 fixed latency (unless loss is injected) with a reply that carries its request
 and installs the mapping. Replies scheduled at time t are delivered before a
-data packet carrying the same timestamp. Simulated time starts at 0: the limiter
-windows and LFU aging intervals are `cache.TumblingWindow`s aligned to it.
+data packet carrying the same timestamp. Simulated time starts at 0: the limiters'
+windows, LFU aging and the audit are numbered from it by `cache.window_index`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
 
-from .cache import (AGE_MODES, POLICIES, EidPrefix, MapCache, TumblingWindow, check_address,
-                    check_choice, check_count, check_positive)
+from .cache import (AGE_MODES, POLICIES, EidPrefix, MapCache, check_address, check_choice,
+                    check_count, check_positive, refuse_time, window_index)
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import ROLES, Stream
 
@@ -115,25 +115,37 @@ class PendingRequestTable(OrderedDict):
         first one's place, and send order would stop being deadline order.
         """
         check_address(address, "address")
+        if role not in ROLES:
+            check_choice("role", role, ROLES)  # raises: the role names no Tally field
         if address in self:
             raise ValueError(f"{address:#x} is already pending")
         if self.is_full:
             raise ValueError("pending table full")
-        entry = self[address] = _Pending(address, now + self.timeout, role)
+        try:
+            deadline = now + self.timeout
+        except TypeError:  # a time that does not add to a float
+            refuse_time(now)
+        entry = self[address] = _Pending(address, deadline, role)
         return entry
 
     def consume(self, entry: _Pending) -> bool:
         """Remove `entry` if it is still its address's request; False when it is not."""
-        if self.get(entry.address) is not entry:
-            return False
+        try:
+            if self.get(entry.address) is not entry:
+                return False
+        except AttributeError:
+            raise ValueError(f"entry must be a pending request, got {entry!r}") from None
         del self[entry.address]
         return True
 
     def expire_due(self, now: float) -> list[_Pending]:
         """Remove and return entries whose deadline has passed."""
         expired = []
-        while self and next(iter(self.values())).deadline <= now:
-            expired.append(self.popitem(last=False)[1])
+        try:
+            while self and next(iter(self.values())).deadline <= now:
+                expired.append(self.popitem(last=False)[1])
+        except TypeError:  # raised by the first comparison, before anything moved
+            refuse_time(now)
         return expired
 
 
@@ -196,10 +208,9 @@ class Xtr:
         self.pending = PendingRequestTable(config.pending_capacity,
                                            config.effective_pending_timeout)
         # Admitted Map-Requests per (source, limiter period index), kept
-        # for audits of the per-period admission cap; the index is the one
-        # the source limiter's window rolls on.
+        # for audits of the per-period admission cap; the index is the
+        # `window_index` the source limiter's window rolls on.
         self.admitted_by_source_period: dict[tuple[int, int], int] = defaultdict(int)
-        self._audit_window = TumblingWindow(config.limiter.period)
         self._reply_loss, self._reply_latency = config.reply_loss, config.reply_latency
         self._loss_rng = random.Random(f"loss-{seed}")
         # (due, request) in send order. `step` schedules each reply at
@@ -275,10 +286,7 @@ class Xtr:
 
         entry = self.pending.insert(dst, now, role)
         metrics.map_requests_sent.__dict__[role] += 1
-        audit = self._audit_window
-        if now >= audit.next_start:
-            audit.advance(now)
-        self.admitted_by_source_period[(src, audit.index)] += 1
+        self.admitted_by_source_period[(src, window_index(now, self.config.limiter.period))] += 1
         if self._reply_loss == 0.0 or self._loss_rng.random() >= self._reply_loss:
             self._reply_queue.append((now + self._reply_latency, entry))
 
@@ -294,20 +302,27 @@ class Xtr:
             raise ValueError(f"stream must be a Stream, got {type(stream).__name__}")
         replies, pending = self._reply_queue, self.pending
         step = self.step
-        for now, src, dst, role in zip(stream.times, stream.srcs, stream.dsts, stream.roles):
+        columns = (stream.times, stream.srcs, stream.dsts, stream.roles)
+        try:
+            lengths = [len(column) for column in columns]
+        except TypeError:  # zip would take an iterator; its length is unknown before it runs
+            raise ValueError("stream columns must be sequences, each with a length") from None
+        if len(set(lengths)) > 1:
+            raise ValueError(f"stream columns must be of one length, got lengths {lengths}")
+        for now, src, dst, role in zip(*columns):
             try:
-                if (replies and replies[0][0] <= now
-                        or pending and next(iter(pending.values())).deadline <= now):
-                    if now == math.inf:  # every reply and request is due at it, and
-                        # the clock would refuse it only after they all moved
-                        raise ValueError(f"packet time must be finite, got {now!r}")
-                    if replies and replies[0][0] <= now:
-                        self._deliver_due_replies(now)
-                    if pending and next(iter(pending.values())).deadline <= now:
-                        self._expire_pending(now)
-            except TypeError:  # a time that does not compare with a float, before anything
-                step(now, src, dst, role)  # moved: the clock refuses it with a ValueError
-                raise
+                due = (replies and replies[0][0] <= now
+                       or pending and next(iter(pending.values())).deadline <= now)
+            except TypeError:  # a time that does not compare with a float: nothing
+                due = False  # is due, and the clock in `step` refuses it
+            if due:
+                if now == math.inf:  # every reply and request is due at it, and
+                    # the clock would refuse it only after they all moved
+                    raise ValueError(f"packet time must be finite, got {now!r}")
+                if replies and replies[0][0] <= now:
+                    self._deliver_due_replies(now)
+                if pending and next(iter(pending.values())).deadline <= now:
+                    self._expire_pending(now)
             step(now, src, dst, role)
         # Drain replies already in flight past the last packet.
         self._deliver_due_replies(float("inf"))

@@ -9,13 +9,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from xtrsim.cache import (EidPrefix, MapCache, check_address, check_choice, check_count,
-                          check_positive)
+from xtrsim.cache import (EidPrefix, MapCache, TumblingWindow, check_address, check_choice,
+                          check_count, check_positive)
 from xtrsim.cms import CountMinSketch, SketchDims, SketchParams, flagged_by_dims
 from xtrsim.experiment import AttackConfig, SweepConfig, config_hash, dos_defaults, run_attack
 from xtrsim.limiter import DestRateLimiter, LimiterConfig, SourceRateLimiter
-from xtrsim.workloads import (BackgroundProfile, PopulationProfile, ScanProfile, gen_dos_stream,
-                              scan_prefixes)
+from xtrsim.workloads import (BackgroundProfile, PopulationProfile, ScanProfile, Stream,
+                              gen_dos_stream, gen_scan_stream, scan_prefixes)
 from xtrsim.xtr import PendingRequestTable, Xtr, XtrConfig
 
 # ---------------------------------------------------------------- the rules
@@ -117,8 +117,12 @@ def test_a_pinned_field_of_another_type_is_refused_so_the_hash_holds():
 
 # ------------------------------------------- direct calls that raised another type
 
-def table() -> PendingRequestTable:
-    return PendingRequestTable(2, 1.0)
+def table(*addresses: int) -> PendingRequestTable:
+    """A table of capacity 2 holding a request for each address, sent at 0."""
+    pending = PendingRequestTable(2, 1.0)
+    for address in addresses:
+        pending.insert(address, 0.0, "legit")
+    return pending
 
 
 def flag(**changes):
@@ -191,6 +195,26 @@ DIRECT_CALLS = {
     "add_counts-counts-float": (
         lambda: CountMinSketch(SketchDims(8, 2)).add_counts(np.array([1, 2]), np.array([1.5, 2.0])),
         "^counts must be an integer array, got dtype float64$"),
+    "ScanProfile-prefix_list-int": (
+        lambda: gen_scan_stream(ScanProfile((1, 2), 1.0, 1.0), BackgroundProfile(1, 1)),
+        "^prefix_list must hold only EidPrefix, got 1$"),
+    # Each once raised TypeError or AttributeError, or took a role that names
+    # no Tally field; each is refused by the comparison or sum it already made.
+    "consume-now-str": (lambda: DestRateLimiter(5, 1.0).consume("x"),
+                        "^time must be a number, got 'x'$"),
+    "on_miss-now-str": (lambda: SourceRateLimiter(LimiterConfig()).on_miss(1, "x"),
+                        "^time must be a number, got 'x'$"),
+    "advance-now-str": (lambda: TumblingWindow(1.0).advance("x"),
+                        "^time must be a number, got 'x'$"),
+    "insert-now-str": (lambda: table().insert(1, "x", "legit"), "^time must be a number, got 'x'$"),
+    "expire_due-now-str": (lambda: table(1).expire_due("x"), "^time must be a number, got 'x'$"),
+    "insert-role-unknown": (lambda: table().insert(5, 0.0, "eve"),
+                            "^role must be 'legit' or 'attacker', got 'eve'$"),
+    "deliver_reply-entry-None": (lambda: Xtr(XtrConfig()).deliver_reply(None, 0.0),
+                                 "^entry must be a pending request, got None$"),
+    "run-stream-column-iterator": (
+        lambda: Xtr(XtrConfig()).run(Stream(iter([0.0]), [1], [2], ["legit"])),
+        "^stream columns must be sequences, each with a length$"),
 }
 
 

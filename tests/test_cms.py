@@ -345,8 +345,12 @@ PAIRS = [(3, 700), (2**40 + 3, 900), (5, 2), (3, 1)]
 # shape beside a deeper one (a lane that placed it at row 1 too would flag
 # fewer keys at this seed), and depths that leave an odd number of shapes
 # active (three at row 1, of which the helper has two, then only its one).
+# Cells are compared unclamped: one cell's mass past CELL_MAX, and one past
+# 2**53, at the highest threshold allowed.
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32), case=flagging_cases())
+@example(seed=3, case=([(3, CELL_MAX + 1), (2**40, 2**62), (9, 1)], CELL_MAX - 1,
+                       [SketchDims(1, 1), SketchDims(5, 2)]))
 @example(seed=1, case=(PAIRS, 600, []))
 @example(seed=2, case=(PAIRS, 600, [SketchDims(2, 3)]))
 @example(seed=1, case=(PAIRS, 600, [SketchDims(3, 1)] * 3 + [SketchDims(3, 2)]))
@@ -409,6 +413,29 @@ def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, faili
     with pytest.raises(MemoryError, match="8.00 TiB"):
         flagged_by_dims(keys, counts, dims_list, 2, seed=1)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing_row", [0, 1, 2])
+def test_a_failing_helper_lane_is_raised_in_its_row(monkeypatch, failing_row):
+    # The lanes run in lockstep: no row is hashed until both lanes placed the
+    # one before, so a failure stops the call in the row that raised it.
+    caller, place, row_hash = threading.get_ident(), cms._place, cms._row_hash
+    hashed = []
+
+    def failing_place(h, row, *args):
+        if row == failing_row and threading.get_ident() != caller:
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+        place(h, row, *args)
+
+    def counted_row_hash(*args):
+        hashed.append(1)
+        return row_hash(*args)
+
+    monkeypatch.setattr(cms, "_place", failing_place)
+    monkeypatch.setattr(cms, "_row_hash", counted_row_hash)
+    with pytest.raises(MemoryError, match="8.00 TiB"):
+        flagged_by_dims(np.arange(50), np.full(50, 3), [SketchDims(7, 4), SketchDims(11, 4)], 2)
+    assert len(hashed) == failing_row + 1
 
 
 def test_lanes_lose_no_update_under_frequent_thread_switches():

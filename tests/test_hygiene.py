@@ -670,3 +670,30 @@ def test_the_helper_lane_calls_nothing_the_tracer_wraps():
     calls = lane_calls((PACKAGE / "cms.py").read_text())
     assert set(calls) == {"_place"}
     assert "_column" in calls["_place"] and not calls["_place"] & wrapped
+
+
+# The windows live in the limiters and the cache. The router's audit books
+# each admission under `window_index`, the number the source limiter's window
+# rolls on, and keeps no window of its own that could roll at another time.
+def window_uses(source: str) -> list[str]:
+    """Names, attributes and imports of `TumblingWindow`, by line."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            names = [name_of(node)]
+        lines += [node.lineno for name in names if name == "TumblingWindow"]
+    return [f"line {line}: TumblingWindow" for line in sorted(lines)]
+
+
+def test_window_uses_are_detected():
+    source = ("from .cache import TumblingWindow\nimport cache.TumblingWindow\n"
+              "w = cache.TumblingWindow(1.0)\nclass Xtr:\n    window: TumblingWindow\n")
+    assert window_uses(source) == [f"line {line}: TumblingWindow" for line in (1, 2, 3, 5)]
+    # A word in a string and another window name are not uses.
+    assert window_uses("'''a TumblingWindow'''\nfrom .cache import window_index\n") == []
+
+
+def test_the_router_keeps_no_window_of_its_own():
+    assert window_uses((PACKAGE / "xtr.py").read_text()) == []

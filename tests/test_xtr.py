@@ -265,6 +265,34 @@ def test_an_infinite_time_in_run_is_refused_before_a_reply_or_expiry_moves():
         assert x.metrics.map_replies_received.total == x.metrics.pending_timeouts.total == 0
 
 
+def test_a_stream_whose_columns_differ_in_length_is_refused_before_anything_moves():
+    # zip once dropped the packets past the shortest column without a word.
+    for lengths, columns in (("3, 3, 2, 3", ([0.0, 0.5, 1.0], [1, 1, 1], [2, 3], [LEGIT] * 3)),
+                             ("1, 1, 1, 0", ([0.0], [1], [2], []))):
+        x = Xtr(XtrConfig())
+        before = x.metrics.as_row()
+        with pytest.raises(ValueError, match=rf"^stream columns must be of one length, got "
+                                             rf"lengths \[{lengths}\]$"):
+            x.run(Stream(*columns))
+        assert x.metrics.as_row() == before and not x.pending and not x._reply_queue
+
+
+def test_a_type_error_while_replies_move_is_raised_without_stepping_the_packet(monkeypatch):
+    # run once handed any TypeError of its due test, and of the delivery and
+    # expiry it guarded, to `step`, which moved counters, then re-raised it.
+    x = Xtr(mk_config(reply_loss=0.999999), seed=0)
+    x.step(*pkt(0.0, 1, 0xAA))
+
+    def failing_expiry(now):
+        raise TypeError("failing expiry")
+
+    monkeypatch.setattr(x, "_expire_pending", failing_expiry)
+    before = x.metrics.as_row()
+    with pytest.raises(TypeError, match="^failing expiry$"):
+        x.run(stream(pkt(1.0, 1, 0xAB)))
+    assert x.metrics.as_row() == before
+
+
 def test_an_address_outside_128_bits_is_refused_before_the_router_moves():
     # Masked, -1 and 2**129 - 1 would both hit the /128 of 2**128 - 1; a
     # float would pass the range check and fail only after counters moved.
@@ -460,6 +488,30 @@ def test_the_audit_books_admissions_under_the_limiter_window():
         x.step(*pkt(t, 5, 100 + i))
     assert dict(x.admitted_by_source_period) == {(5, 3): 2, (5, 4): 2}
     assert x.metrics.dropped_by_source_limiter.total == 1
+
+
+@st.composite
+def boundary_sends(draw):
+    """A limiter period whose products k * period are inexact, and sorted send
+    times at those products and at their float neighbours."""
+    period = draw(st.sampled_from([0.1, 1 / 3, 0.7]))
+    times = [max(0.0, math.nextafter(k * period, k * period + side) if side else k * period)
+             for k, side in draw(st.lists(st.tuples(st.integers(0, 300), st.sampled_from([-1, 0, 1])),
+                                          min_size=1, max_size=40))]
+    return period, sorted(times)
+
+
+@settings(deadline=None)
+@given(case=boundary_sends())
+def test_every_admission_is_booked_under_the_floor_of_its_time_over_the_period(case):
+    # Each packet has its own source, so each ledger key names one admission.
+    period, times = case
+    x = Xtr(mk_config(limiter=LimiterConfig(period=period)))
+    x.run(Stream(times, list(range(len(times))), [0x900 + i for i in range(len(times))],
+                 [LEGIT] * len(times)))
+    assert x.metrics.map_requests_sent.total == len(times)
+    assert dict(x.admitted_by_source_period) == {
+        (src, int(t // period)): 1 for src, t in enumerate(times)}
 
 
 def reference_run(x: Xtr, packets: Stream) -> XtrMetrics:
