@@ -78,7 +78,10 @@ def window_index(now: float, period: float) -> int:
 
 
 def refuse_time(now: object) -> NoReturn:
-    """Raise the error for a time that does not compare or add with a float."""
+    """Raise the error for a time that does not compare or add with a float,
+    or for a float time that is NaN or infinite."""
+    if isinstance(now, float):
+        raise ValueError(f"time must be finite, got {now!r}") from None
     raise ValueError(f"time must be a number, got {now!r}") from None
 
 
@@ -224,7 +227,9 @@ class MapCache:
     def entries(self) -> list[MapCacheEntry]:
         return [entry for bucket in self._by_len.values() for entry in bucket.values()]
 
-    def _advance(self, now: float) -> None:
+    def advance_clock(self, now: float) -> None:
+        """Move the router's one clock to `now`, or refuse a time that goes back
+        or is not a finite number with a ValueError."""
         try:
             if self._clock <= now < math.inf:  # False for NaN and infinity
                 self._clock = now
@@ -251,7 +256,7 @@ class MapCache:
         # check_address's predicate, inline since this runs once per packet.
         if type(dst) is not int or not 0 <= dst <= _FULL_MASK:
             check_address(dst, "address")
-        self._advance(now)
+        self.advance_clock(now)
         for prefix_len, bucket in self._by_len.items():
             entry = bucket.get(dst & _MASKS[prefix_len])
             if entry is not None:
@@ -310,7 +315,7 @@ class MapCache:
             locators = tuple(locators) if isinstance(locators, Iterable) else ()
         if not locators:
             raise ValueError("locators must be a non-empty iterable")
-        self._advance(now)
+        self.advance_clock(now)
         if self._aging is not None and now >= self._aging.next_start:
             self._catch_up_aging(now)
         evicted = self._evict() if len(self._heap) >= self.capacity else None
@@ -332,7 +337,7 @@ class MapCache:
         """Apply any pending aging now; only meaningful under lfu-aging."""
         if self._aging is None:
             raise ValueError("age() on an lru cache")
-        self._advance(now)
+        self.advance_clock(now)
         self._catch_up_aging(now)
         if self._record_trace:
             self.trace.append(f"{now} age - aged -")

@@ -204,22 +204,49 @@ def _weights(counts: np.ndarray) -> np.ndarray:
     return counts.astype(np.float64)
 
 
-def _place(h: np.ndarray, row: int, shapes: list[tuple[int, SketchDims]],
+_Group = tuple[tuple[int, int], list[tuple[int, int]]]
+
+
+def _groups(shapes: list[tuple[int, int]]) -> list[_Group]:
+    """A row's (index, width) shapes as groups, in dims_list order: a shape
+    whose cells are binned from the keys, and the narrower shapes folded from
+    those cells. Taken widest first, a shape joins the first group whose
+    width its width divides, or heads a new group."""
+    groups: list[_Group] = []
+    for i, width in sorted(shapes, key=lambda shape: -shape[1]):
+        for (_, binned), folded in groups:
+            if _column(binned, width) == 0:
+                folded.append((i, width))
+                break
+        else:
+            groups.append(((i, width), []))
+    return sorted(groups)
+
+
+def _place(h: np.ndarray, row: int, groups: list[_Group],
            weights: np.ndarray, threshold: int, flagged: list[np.ndarray]) -> None:
-    """One lane's share of a row: each (index, dims) in shapes that is deep
-    enough to have the row keeps flagged only the keys whose cell of the row,
-    at that width, is above threshold."""
+    """One lane's share of row `row`, whose hashes are h: each shape of each
+    group keeps flagged only the keys whose cell of the row, at the shape's
+    width, is above threshold."""
     # One result and one work array serve all the lane's shapes: a fresh 4 MB
     # array per shape is faulted in page by page, and two lanes faulting at
     # once ran barely faster than one.
     columns = (np.empty(len(h), dtype=np.intp), np.empty(len(h), dtype=np.uint32))
-    for i, dims in shapes:
-        if dims.depth <= row:
-            continue
-        cols = _column(h, dims.width, columns)
+    for (i, width), folded in groups:
+        cols = _column(h, width, columns)
         # No clamp: threshold < CELL_MAX, so a mass past the cap is above it as its clamp is.
-        cells = np.bincount(cols, weights=weights, minlength=dims.width)
+        cells = np.bincount(cols, weights=weights, minlength=width)
         flagged[i] &= np.packbits((cells > threshold).take(cols))
+        for j, narrow in folded:
+            # (h mod width) mod narrow is h mod narrow when narrow divides
+            # width, so the narrow cell c holds the cells c, c + narrow, ...
+            # of the wide row: the column sums of its blocks. Below 2**53 the
+            # float64 masses are exact integers, so the sums are the masses
+            # bincount gives; past 2**53 both are far above any threshold
+            # that check_reachable allows.
+            blocks = cells.reshape(-1, narrow)
+            over = blocks.sum(axis=0) > threshold
+            flagged[j] &= np.packbits(np.broadcast_to(over, blocks.shape).reshape(-1).take(cols))
 
 
 def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[SketchDims],
@@ -232,15 +259,24 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     cells does, so rows run outside and shapes inside: each row is hashed
     once for all shapes, and a shape keeps only the keys still flagged.
 
-    Shapes run in two lanes, because the per-shape kernels (the column
-    reduction, bincount, take) release the GIL, so on two cores the lanes
-    run at once. There are two, not more, because each further thread gets
-    its own malloc arena and raises the peak RSS; the calling thread is one
-    of the two, so only one arena is added. The lanes run in lockstep: the
-    caller hashes each row, hands the helper thread the shapes at odd
-    indices of dims_list, places those at even indices itself, and waits for
-    the helper before it hashes the next row. Each shape is written by one
-    lane, in row order, so the bitmaps are the bytes one lane would give. A
+    Two shortcuts skip work and keep every bit. A shape settles when its
+    bitmap holds only the keys whose own count is above the threshold: a
+    key's cell holds at least its own count, so no row clears such a key. A
+    settled shape places no further row, and once no shape is left no
+    further row is hashed. Within a row, a shape whose width divides the
+    width of a wider shape binned in the row is folded from that shape's
+    cells (see `_place`) instead of reducing and binning the keys again.
+
+    A binned shape and the shapes folded from it are a group, and groups run
+    in two lanes, because the kernels (the column reduction, bincount, take)
+    release the GIL, so on two cores the lanes run at once. There are two,
+    not more, because each further thread gets its own malloc arena and
+    raises the peak RSS; the calling thread is one of the two, so only one
+    arena is added. The lanes run in lockstep: the caller hashes each row,
+    hands the helper thread every second group of the row (the groups are
+    in dims_list order), places the others itself, and waits for the helper
+    before it hashes the next row. Each shape is written by one lane in a
+    row, in row order, so the bitmaps are the bytes one lane would give. A
     failure in either lane is raised as itself in the row that raised it,
     and the helper has ended when this returns or raises.
     The helper calls no function that the benchmark's tracer wraps, because
@@ -265,13 +301,17 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     weights = _weights(counts)
     limbs = _vector_limbs(keys)
     flagged = [np.packbits(np.ones(len(weights), dtype=bool)) for _ in dims_list]
-    shapes = list(enumerate(dims_list))
-    own_lane, helper_lane = shapes[0::2], shapes[1::2]
+    heavy = np.packbits(counts > threshold)
     with ThreadPoolExecutor(1) as helper:
         for row in range(max((dims.depth for dims in dims_list), default=0)):
+            shapes = [(i, dims.width) for i, dims in enumerate(dims_list)
+                      if dims.depth > row and not np.array_equal(flagged[i], heavy)]
+            if not shapes:
+                break
+            groups = _groups(shapes)
             h = _row_hash(*_row_coefficients(seed, row), limbs).astype(np.uint32)
-            placed = helper.submit(_place, h, row, helper_lane, weights, threshold, flagged)
-            _place(h, row, own_lane, weights, threshold, flagged)
+            placed = helper.submit(_place, h, row, groups[1::2], weights, threshold, flagged)
+            _place(h, row, groups[0::2], weights, threshold, flagged)
             placed.result()
     return flagged
 

@@ -310,6 +310,7 @@ def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> li
                 victim_admission_ratio=metrics.admission_ratio(LEGIT),
                 legit_hit_rate=metrics.hit_rate(LEGIT),
                 overflow_events=metrics.nonce_table_overflows.total))
+        del stream  # freed before the next seed's stream is generated
     return runs
 
 

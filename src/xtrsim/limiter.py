@@ -99,7 +99,8 @@ class SourceRateLimiter:
         backend's bound.
         """
         try:
-            if now >= self._window.next_start and self._window.advance(now):
+            # `not <`, not `>=`: a NaN time goes to `advance`, whose window index refuses it.
+            if not now < self._window.next_start and self._window.advance(now):
                 self._counts.reset()
                 self._flagged.clear()
         except TypeError:  # a time that does not compare with a float
@@ -132,7 +133,8 @@ class DestRateLimiter:
     def consume(self, now: float) -> Decision:
         """Take one unit of budget if any is left this period."""
         try:
-            if now >= self._window.next_start and self._window.advance(now):
+            # `not <`, not `>=`: a NaN time goes to `advance`, whose window index refuses it.
+            if not now < self._window.next_start and self._window.advance(now):
                 self._used = 0
         except TypeError:  # a time that does not compare with a float
             refuse_time(now)

@@ -125,6 +125,8 @@ class PendingRequestTable(OrderedDict):
             deadline = now + self.timeout
         except TypeError:  # a time that does not add to a float
             refuse_time(now)
+        if not deadline < math.inf:  # NaN, which would stall every later expiry, or infinity
+            refuse_time(now)
         entry = self[address] = _Pending(address, deadline, role)
         return entry
 
@@ -230,7 +232,9 @@ class Xtr:
 
         A stale reply, whose request has expired, is discarded even if its
         address has been requested again since. A received one installs the /128.
+        A time the cache's clock refuses raises before any counter or table moves.
         """
+        self.cache.advance_clock(now)
         if not self.pending.consume(entry):
             self.metrics.stale_replies += 1
             return

@@ -208,6 +208,16 @@ DIRECT_CALLS = {
                         "^time must be a number, got 'x'$"),
     "insert-now-str": (lambda: table().insert(1, "x", "legit"), "^time must be a number, got 'x'$"),
     "expire_due-now-str": (lambda: table(1).expire_due("x"), "^time must be a number, got 'x'$"),
+    # Each was once taken: a NaN deadline stalled every later expiry behind
+    # it, and a NaN time spent the current window's budget.
+    "insert-now-nan": (lambda: table().insert(1, math.nan, "legit"),
+                       "^time must be finite, got nan$"),
+    "insert-now-inf": (lambda: table().insert(1, math.inf, "legit"),
+                       "^time must be finite, got inf$"),
+    "consume-now-nan": (lambda: DestRateLimiter(1, 1.0).consume(math.nan),
+                        "^time nan has no finite window index at period 1.0$"),
+    "on_miss-now-nan": (lambda: SourceRateLimiter(LimiterConfig()).on_miss(1, math.nan),
+                        "^time nan has no finite window index at period 1.0$"),
     "insert-role-unknown": (lambda: table().insert(5, 0.0, "eve"),
                             "^role must be 'legit' or 'attacker', got 'eve'$"),
     "deliver_reply-entry-None": (lambda: Xtr(XtrConfig()).deliver_reply(None, 0.0),

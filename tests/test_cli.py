@@ -475,11 +475,12 @@ def test_running_out_of_memory_fails_with_1_without_traceback(tmp_path, capsys, 
 
 def test_running_out_of_memory_in_the_sweeps_helper_lane_fails_with_1(tmp_path, capsys,
                                                                       monkeypatch):
-    # The second of the sweep's widths, 2000, is placed by the helper thread.
+    # Row 0 bins widths 14000 to 26000 and folds the narrower ones into them;
+    # the second of those groups, 15000's, is placed by the helper thread.
     column = cms._column
 
     def failing_column(h, width, out=None):
-        if width == 2000:
+        if width == 15000 and not isinstance(h, int):  # a lane, not the grouping
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
         return column(h, width, out)
 

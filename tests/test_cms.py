@@ -338,15 +338,23 @@ def flagging_cases(draw):
 
 
 PAIRS = [(3, 700), (2**40 + 3, 900), (5, 2), (3, 1)]
+# At seed 7 the keys 5 and 9 share no cell with a key over 600 in row 0 at
+# width 3, but key 5 does at width 5 in rows 0 and 1.
+SETTLING = [(3, 700), (2**40 + 3, 900), (5, 2), (9, 1)]
+DIVIDING = [SketchDims(12, 2), SketchDims(6, 2), SketchDims(4, 1), SketchDims(5, 1)]
 
 
-# The calling thread places the shapes at even indices and a helper thread
-# those at odd indices: no shape, one (the helper has none), a repeated
-# shape beside a deeper one (a lane that placed it at row 1 too would flag
-# fewer keys at this seed), and depths that leave an odd number of shapes
-# active (three at row 1, of which the helper has two, then only its one).
-# Cells are compared unclamped: one cell's mass past CELL_MAX, and one past
-# 2**53, at the highest threshold allowed.
+# The calling thread places the groups at even places of a row's groups and
+# a helper thread those at odd places: no shape, one (the helper has none), a
+# repeated shape beside a deeper one (a lane that placed it at row 1 too
+# would flag fewer keys at this seed), and depths that leave an odd number of
+# shapes active. Widths that divide a wider one are folded from its cells:
+# 6 and 4 from 12, a repeated width, width 1, and a key past 2**53 whose
+# cell is folded. A shape holding only the keys over the threshold places no
+# further row: every key over it, and width 3 settled after row 0 while
+# width 5 still clears key 5 in row 2. Cells are compared unclamped: one
+# cell's mass past CELL_MAX, and one past 2**53, at the highest threshold
+# allowed.
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32), case=flagging_cases())
 @example(seed=3, case=([(3, CELL_MAX + 1), (2**40, 2**62), (9, 1)], CELL_MAX - 1,
@@ -356,6 +364,12 @@ PAIRS = [(3, 700), (2**40 + 3, 900), (5, 2), (3, 1)]
 @example(seed=1, case=(PAIRS, 600, [SketchDims(3, 1)] * 3 + [SketchDims(3, 2)]))
 @example(seed=4, case=(PAIRS, 600, [SketchDims(3, 1), SketchDims(2, 2), SketchDims(5, 2),
                                     SketchDims(2, 3)]))
+@example(seed=1, case=(PAIRS, 600, DIVIDING))
+@example(seed=2, case=(PAIRS, 1, [SketchDims(10, 2), SketchDims(10, 3), SketchDims(5, 3)]))
+@example(seed=3, case=([(3, CELL_MAX + 1), (2**40, 2**62), (9, 1), (10, 2)], CELL_MAX - 1,
+                       [SketchDims(1, 2), SketchDims(7, 2), SketchDims(14, 1)]))
+@example(seed=1, case=([(3, 700), (4, 601), (2**40, 900)], 600, [SketchDims(1, 3), DIVIDING[0]]))
+@example(seed=7, case=(SETTLING, 600, [SketchDims(3, 3), SketchDims(5, 3)]))
 def test_flagged_by_dims_matches_a_fresh_sketch_per_shape(seed, case):
     pairs, threshold, dims_list = case
     keys = np.array([key for key, _ in pairs], dtype=np.uint64)
@@ -366,6 +380,39 @@ def test_flagged_by_dims_matches_a_fresh_sketch_per_shape(seed, case):
         sketch = CountMinSketch(dims, seed=seed)
         sketch.add_counts(keys, counts)
         assert np.array_equal(bits, np.packbits(sketch.estimate_many(keys) > threshold))
+
+
+def reductions(monkeypatch, keys, counts, dims_list, threshold, seed=0) -> tuple[int, int]:
+    """The numbers of row hashes and of array column reductions that
+    flagged_by_dims makes."""
+    row_hash, column, made = cms._row_hash, cms._column, [0, 0]
+
+    def counted_row_hash(*args):
+        made[0] += 1
+        return row_hash(*args)
+
+    def counted_column(h, width, out=None):
+        made[1] += isinstance(h, np.ndarray)
+        return column(h, width, out)
+
+    monkeypatch.setattr(cms, "_row_hash", counted_row_hash)
+    monkeypatch.setattr(cms, "_column", counted_column)
+    flagged_by_dims(keys, counts, dims_list, threshold, seed=seed)
+    return tuple(made)
+
+
+def test_a_dividing_width_is_folded_and_a_settled_shape_stops(monkeypatch):
+    # No key's count is over 2, and cells of at most 2 at a width of at most
+    # 12 hold at most 24 of the 50 keys, so no shape settles: widths 12 and 5
+    # are binned in row 0 and 12 in row 1, and 6 and 4 are folded from 12.
+    keys = np.arange(50)
+    assert reductions(monkeypatch, keys, np.full(50, 1), DIVIDING, 2) == (2, 3)
+    # Every key is over the threshold, so every shape is settled at the start.
+    assert reductions(monkeypatch, keys, np.full(50, 3), DIVIDING, 2) == (0, 0)
+    # Width 3 is settled after row 0, width 5 is placed in all three rows.
+    keys, counts = (np.array(column, dtype=np.uint64) for column in zip(*SETTLING))
+    assert reductions(monkeypatch, keys, counts, [SketchDims(3, 3), SketchDims(5, 3)], 600,
+                      seed=7) == (3, 4)
 
 
 EDGE_HASHES = [0, 1, 2**30 - 1, 2**30, HASH_PRIME - 1]
@@ -397,7 +444,8 @@ def test_column_is_the_remainder(hashes, width):
 
 @pytest.mark.parametrize("failing", [1, 0], ids=["helper-lane", "calling-lane"])
 def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, failing):
-    keys, counts = np.arange(50), np.full(50, 3)
+    # No key is over the threshold and every cell is, so every row is placed.
+    keys, counts = np.arange(50), np.full(50, 1)
     dims_list = [SketchDims(7, 2), SketchDims(11, 2), SketchDims(13, 1)]
     threads = threading.active_count()
     flagged_by_dims(keys, counts, dims_list, 2, seed=1)
@@ -405,7 +453,8 @@ def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, faili
     column = cms._column
 
     def failing_column(h, width, out=None):
-        if width == dims_list[failing].width:
+        # Only a lane reduces an array; the grouping reduces ints.
+        if width == dims_list[failing].width and isinstance(h, np.ndarray):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
         return column(h, width, out)
 
@@ -434,7 +483,7 @@ def test_a_failing_helper_lane_is_raised_in_its_row(monkeypatch, failing_row):
     monkeypatch.setattr(cms, "_place", failing_place)
     monkeypatch.setattr(cms, "_row_hash", counted_row_hash)
     with pytest.raises(MemoryError, match="8.00 TiB"):
-        flagged_by_dims(np.arange(50), np.full(50, 3), [SketchDims(7, 4), SketchDims(11, 4)], 2)
+        flagged_by_dims(np.arange(50), np.full(50, 1), [SketchDims(7, 4), SketchDims(11, 4)], 2)
     assert len(hashed) == failing_row + 1
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xtrsim import experiment
 from xtrsim.cache import EidPrefix
 from xtrsim.cli import main
 from xtrsim.cms import CELL_MAX, CountMinSketch, SketchDims
@@ -31,7 +33,7 @@ from xtrsim.experiment import (
     sweep_csv,
     sweep_schedule,
 )
-from xtrsim.workloads import PopulationProfile, gen_miss_counts
+from xtrsim.workloads import PopulationProfile, Stream, gen_miss_counts
 from xtrsim.xtr import XtrConfig
 
 SMALL_SWEEP = SweepConfig(n_nodes=(400,), attacker_fractions=(0.1,),
@@ -273,6 +275,20 @@ def test_run_attack_pairs_arms_on_identical_traffic():
         # The limiter only ever removes admissions.
         assert (on.metrics.map_requests_sent.attacker
                 <= off.metrics.map_requests_sent.attacker)
+
+
+def test_run_attack_frees_each_seeds_stream_before_it_generates_the_next(monkeypatch):
+    # A stream kept while the next one is built adds its size to the peak.
+    generate, live = experiment.gen_dos_stream, []
+
+    def counting(*args, **kwargs):
+        gc.collect()
+        live.append(sum(type(obj) is Stream for obj in gc.get_objects()))
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "gen_dos_stream", counting)
+    run_attack(TINY_DOS, seeds=(1, 2, 3))
+    assert live[1:] == [0, 0]
 
 
 def test_run_attack_scan_arms_are_cache_policies():

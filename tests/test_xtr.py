@@ -265,6 +265,26 @@ def test_an_infinite_time_in_run_is_refused_before_a_reply_or_expiry_moves():
         assert x.metrics.map_replies_received.total == x.metrics.pending_timeouts.total == 0
 
 
+def test_a_reply_at_a_time_the_clock_refuses_moves_nothing():
+    # deliver_reply once consumed the request and counted the reply, and only
+    # then did the cache's install refuse the time.
+    for t in ("x", math.nan, math.inf, -1.0):
+        x = Xtr(XtrConfig(record_cache_trace=True))
+        x.step(0.0, 1, 3, "legit")
+        entry = x.pending[3]
+        before = x.metrics.as_row(), list(x.cache.trace)
+        with pytest.raises(ValueError, match="^cache time must be finite and not go back"):
+            x.deliver_reply(entry, t)
+        assert (x.metrics.as_row(), x.cache.trace) == before and x.pending[3] is entry
+        # A stale reply is refused too, before it is counted.
+        x.pending.consume(entry)
+        with pytest.raises(ValueError, match="^cache time must be finite and not go back"):
+            x.deliver_reply(entry, t)
+        assert x.metrics.stale_replies == 0
+    x.deliver_reply(entry, 0.04)
+    assert x.metrics.stale_replies == 1
+
+
 def test_a_stream_whose_columns_differ_in_length_is_refused_before_anything_moves():
     # zip once dropped the packets past the shortest column without a word.
     for lengths, columns in (("3, 3, 2, 3", ([0.0, 0.5, 1.0], [1, 1, 1], [2, 3], [LEGIT] * 3)),
