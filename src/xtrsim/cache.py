@@ -7,9 +7,9 @@ last aging, where `now // age_interval` grows, so hit attribution equals that
 of a cache aged eagerly at each such boundary, whatever calls came before. A
 lookup that misses changes nothing.
 
-Cache time never goes back: lookup, install and age raise ValueError
-for a `now` earlier than the latest one the cache has seen, NaN, infinity, or
-a time that does not compare with a float, and leave the cache unchanged.
+Cache time never goes back: lookup, install and age raise ValueError, and
+leave the cache unchanged, for a `now` earlier than the latest one the cache
+has seen, NaN, infinity, an int past the largest float, or a non-number.
 
 One index, prefix length -> address -> entry with the longest length first,
 holds the entries. The eviction order is the total order (last_used,
@@ -37,6 +37,7 @@ _FULL_MASK = (1 << ADDRESS_BITS) - 1
 # _MASKS[n] keeps the top n address bits of a /n prefix.
 _MASKS = tuple(_FULL_MASK ^ ((1 << (ADDRESS_BITS - n)) - 1) for n in range(ADDRESS_BITS + 1))
 POLICIES, AGE_MODES = ("lru", "lfu-aging"), ("halve", "zero")
+LATEST_TIME = math.nextafter(math.inf, 0.0)  # the largest float: the clock's last time
 
 
 def check_address(value: object, name: str) -> None:
@@ -68,6 +69,13 @@ def check_choice(name: str, value: object, allowed: Collection) -> None:
         raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
+def check_type(name: str, value: object, cls: type) -> None:
+    """Refuse anything but an instance of `cls` itself (a subclass is another
+    class); the value is named by its type, as its repr can be huge."""
+    if type(value) is not cls:
+        raise ValueError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def window_index(now: float, period: float) -> int:
     """Index of the window of length `period`, aligned to time zero, that holds `now`;
     a ValueError when the quotient is not finite, as at a subnormal period."""
@@ -79,8 +87,8 @@ def window_index(now: float, period: float) -> int:
 
 def refuse_time(now: object) -> NoReturn:
     """Raise the error for a time that does not compare or add with a float,
-    or for a float time that is NaN or infinite."""
-    if isinstance(now, float):
+    or for a number that is NaN, infinite or too large for a float."""
+    if isinstance(now, (int, float)):
         raise ValueError(f"time must be finite, got {now!r}") from None
     raise ValueError(f"time must be a number, got {now!r}") from None
 
@@ -231,7 +239,7 @@ class MapCache:
         """Move the router's one clock to `now`, or refuse a time that goes back
         or is not a finite number with a ValueError."""
         try:
-            if self._clock <= now < math.inf:  # False for NaN and infinity
+            if self._clock <= now <= LATEST_TIME:  # False for NaN, infinity and a larger int
                 self._clock = now
                 return
         except TypeError:  # a time that does not compare with a float
@@ -306,8 +314,8 @@ class MapCache:
         or None. Raises ValueError if `prefix` is not an EidPrefix or is
         already present, or if `locators` is not a non-empty iterable.
         """
-        if type(prefix) is not EidPrefix:
-            raise ValueError(f"prefix must be an EidPrefix, got {prefix!r}")
+        if type(prefix) is not EidPrefix:  # check_type's test, inline: once per reply
+            check_type("prefix", prefix, EidPrefix)
         address, prefix_len = prefix
         if address in self._by_len.get(prefix_len, ()):
             raise ValueError(f"{prefix} is already cached")

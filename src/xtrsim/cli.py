@@ -80,7 +80,7 @@ def _convert(default, text: str, key: str):
 def _apply_overrides(config, mapping: dict[str, str], prefix: str, *,
                      frozen_keys: tuple[str, ...] = ()):
     """Overlay `<prefix>.<field>=value` entries onto a config dataclass."""
-    known = {f.name: getattr(config, f.name) for f in fields(config)}
+    known = {f.name: getattr(config, f.name) for f in fields(config) if f.init}
     updates = {}
     for key, text in mapping.items():
         section, _, name = key.partition(".")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import check_count
+from .cache import check_count, check_type
 
 # Modulus of the per-row hash (b + sum a_i*x_i) mod p over 30-bit limbs x_i.
 # With a 31-bit Mersenne prime every term a_i*x_i plus a reduced partial sum
@@ -223,9 +223,9 @@ def _groups(shapes: list[tuple[int, int]]) -> list[_Group]:
     return sorted(groups)
 
 
-def _place(h: np.ndarray, row: int, groups: list[_Group],
+def _place(h: np.ndarray, groups: list[_Group],
            weights: np.ndarray, threshold: int, flagged: list[np.ndarray]) -> None:
-    """One lane's share of row `row`, whose hashes are h: each shape of each
+    """One lane's share of the row whose hashes are h: each shape of each
     group keeps flagged only the keys whose cell of the row, at the shape's
     width, is above threshold."""
     # One result and one work array serve all the lane's shapes: a fresh 4 MB
@@ -289,11 +289,9 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
     check_count("threshold", threshold, 0)
     check_reachable(threshold)
     check_count("seed", seed, 0)
-    if type(dims_list) is not list:
-        raise ValueError(f"dims_list must be a list of SketchDims, got {dims_list!r}")
-    for dims in dims_list:
-        if type(dims) is not SketchDims:
-            raise ValueError(f"dims_list must hold only SketchDims, got {dims!r}")
+    check_type("dims_list", dims_list, list)
+    for i, dims in enumerate(dims_list):
+        check_type(f"dims_list[{i}]", dims, SketchDims)
     keys, counts = np.asarray(keys), np.asarray(counts)
     if keys.ndim != 1 or keys.shape != counts.shape:
         raise ValueError(f"keys and counts must be 1-D arrays of one length, got shapes "
@@ -310,8 +308,8 @@ def flagged_by_dims(keys: np.ndarray, counts: np.ndarray, dims_list: list[Sketch
                 break
             groups = _groups(shapes)
             h = _row_hash(*_row_coefficients(seed, row), limbs).astype(np.uint32)
-            placed = helper.submit(_place, h, row, groups[1::2], weights, threshold, flagged)
-            _place(h, row, groups[0::2], weights, threshold, flagged)
+            placed = helper.submit(_place, h, groups[1::2], weights, threshold, flagged)
+            _place(h, groups[0::2], weights, threshold, flagged)
             placed.result()
     return flagged
 
@@ -325,8 +323,7 @@ class CountMinSketch:
     """
 
     def __init__(self, dims: SketchDims, *, seed: int = 0):
-        if type(dims) is not SketchDims:
-            raise ValueError(f"dims must be a SketchDims, got {dims!r}")
+        check_type("dims", dims, SketchDims)
         self.dims = dims
         self._cells = np.zeros((dims.depth, dims.width), dtype=np.uint16)
         # Scalar updates read and write the same cells through a flat

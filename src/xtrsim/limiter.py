@@ -8,9 +8,10 @@ reset when that index grows. Nothing decays within a window.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cache import TumblingWindow, check_choice, check_count, check_positive, refuse_time
+from .cache import (TumblingWindow, check_choice, check_count, check_positive, check_type,
+                    refuse_time)
 from .cms import CountMinSketch, SketchDims, check_reachable
 
 
@@ -36,19 +37,17 @@ class LimiterConfig:
     period: float = 1.0
     backend: str = "exact"
     sketch_dims: SketchDims | None = None
-    # Single-valued: deleting them would move every config_hash.
-    sketch_params: None = None
-    cell_width_bytes: int = 2
-    strict_threshold: bool = True
+    # Fixed, not settings: kept only because config_hash reads the repr.
+    sketch_params: None = field(default=None, init=False)
+    cell_width_bytes: int = field(default=2, init=False)
+    strict_threshold: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         check_count("threshold", self.threshold, 1)
         check_positive("period", self.period)
-        for name, allowed in (("backend", BACKENDS), ("sketch_params", (None,)),
-                              ("cell_width_bytes", (2,)), ("strict_threshold", (True,))):
-            check_choice(name, getattr(self, name), allowed)
-        if self.sketch_dims is not None and type(self.sketch_dims) is not SketchDims:
-            raise ValueError(f"sketch_dims must be a SketchDims, got {self.sketch_dims!r}")
+        check_choice("backend", self.backend, BACKENDS)
+        if self.sketch_dims is not None:
+            check_type("sketch_dims", self.sketch_dims, SketchDims)
         if self.backend == "cms":
             if self.sketch_dims is None:
                 raise ValueError("cms backend needs sketch_dims")
@@ -77,8 +76,7 @@ class SourceRateLimiter:
     """
 
     def __init__(self, config: LimiterConfig, *, seed: int = 0):
-        if type(config) is not LimiterConfig:
-            raise ValueError(f"config must be a LimiterConfig, got {config!r}")
+        check_type("config", config, LimiterConfig)
         self._limit = config.threshold  # flag above
         self._window = TumblingWindow(config.period)
         self._counts = _ExactCounts() if config.backend == "exact" else CountMinSketch(

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cache import EidPrefix, check_address, check_choice, check_count, check_positive
+from .cache import EidPrefix, check_address, check_choice, check_count, check_positive, check_type
 
 # Disjoint corners of the 128-bit overlay space, so generated sources and
 # destinations can never shadow one another.
@@ -183,9 +183,8 @@ class ScanProfile:
     def __post_init__(self) -> None:
         if type(self.prefix_list) is not tuple or not self.prefix_list:
             raise ValueError(f"prefix_list must be a non-empty tuple, got {self.prefix_list!r}")
-        for prefix in self.prefix_list:
-            if type(prefix) is not EidPrefix:
-                raise ValueError(f"prefix_list must hold only EidPrefix, got {prefix!r}")
+        for i, prefix in enumerate(self.prefix_list):
+            check_type(f"prefix_list[{i}]", prefix, EidPrefix)
         check_choice("reshuffle_each_pass", self.reshuffle_each_pass, (True, False))
         check_positive("packet_rate", self.packet_rate)
         check_positive("duration", self.duration)

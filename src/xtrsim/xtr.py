@@ -16,8 +16,9 @@ import random
 from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, fields
 
-from .cache import (AGE_MODES, POLICIES, EidPrefix, MapCache, check_address, check_choice,
-                    check_count, check_positive, refuse_time, window_index)
+from .cache import (AGE_MODES, LATEST_TIME, POLICIES, EidPrefix, MapCache, check_address,
+                    check_choice, check_count, check_positive, check_type, refuse_time,
+                    window_index)
 from .limiter import Decision, DestRateLimiter, LimiterConfig, SourceRateLimiter
 from .workloads import ROLES, Stream
 
@@ -123,7 +124,7 @@ class PendingRequestTable(OrderedDict):
             raise ValueError("pending table full")
         try:
             deadline = now + self.timeout
-        except TypeError:  # a time that does not add to a float
+        except (TypeError, OverflowError):  # a time that does not add to a float
             refuse_time(now)
         if not deadline < math.inf:  # NaN, which would stall every later expiry, or infinity
             refuse_time(now)
@@ -161,26 +162,24 @@ class XtrConfig:
     limiter: LimiterConfig = field(default_factory=LimiterConfig)
     dest_budget: int = 10_000
     dest_period: float = 1.0
-    dest_mode: str = "shared"
+    dest_mode: str = field(default="shared", init=False)  # not a setting, nor are the last two
     pending_capacity: int = 4096
     reply_latency: float = 0.040
     pending_timeout: float | None = None  # defaults to 3x reply_latency
     reply_loss: float = 0.0
     record_cache_trace: bool = False
-    reply_prefix_for: None = None
-    source_key: None = None
+    reply_prefix_for: None = field(default=None, init=False)
+    source_key: None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        # All checked whatever the policy; the last three are pinned for config_hash's bytes.
+        # All checked whatever the policy; the init=False fields stay for config_hash's bytes.
         for name, allowed in (("cache_policy", POLICIES), ("age_mode", AGE_MODES),
                               ("source_limiter_enabled", (True, False)),
-                              ("record_cache_trace", (True, False)), ("dest_mode", ("shared",)),
-                              ("reply_prefix_for", (None,)), ("source_key", (None,))):
+                              ("record_cache_trace", (True, False))):
             check_choice(name, getattr(self, name), allowed)
         for name, low in (("cache_capacity", 1), ("pending_capacity", 1), ("dest_budget", 0)):
             check_count(name, getattr(self, name), low)
-        if type(self.limiter) is not LimiterConfig:
-            raise ValueError(f"limiter must be a LimiterConfig, got {self.limiter!r}")
+        check_type("limiter", self.limiter, LimiterConfig)
         if type(self.reply_loss) not in (int, float) or not 0.0 <= self.reply_loss < 1.0:
             raise ValueError(f"reply_loss must be in [0, 1), got {self.reply_loss!r}")
         for name in ("reply_latency", "dest_period", "effective_pending_timeout", "age_interval"):
@@ -195,8 +194,7 @@ class Xtr:
     """One simulated xTR: map-cache, limiters, pending table, reply scheduling."""
 
     def __init__(self, config: XtrConfig, *, seed: int = 0):
-        if type(config) is not XtrConfig:
-            raise ValueError(f"config must be an XtrConfig, got {config!r}")
+        check_type("config", config, XtrConfig)
         check_count("seed", seed, 0)
         self.config = config
         self.metrics = XtrMetrics()
@@ -302,8 +300,7 @@ class Xtr:
         Each packet goes through one call of `self.step`, looked up once, so
         a wrapper of `step` on the class or the instance sees every packet.
         """
-        if type(stream) is not Stream:
-            raise ValueError(f"stream must be a Stream, got {type(stream).__name__}")
+        check_type("stream", stream, Stream)
         replies, pending = self._reply_queue, self.pending
         step = self.step
         columns = (stream.times, stream.srcs, stream.dsts, stream.roles)
@@ -320,8 +317,8 @@ class Xtr:
             except TypeError:  # a time that does not compare with a float: nothing
                 due = False  # is due, and the clock in `step` refuses it
             if due:
-                if now == math.inf:  # every reply and request is due at it, and
-                    # the clock would refuse it only after they all moved
+                if not now <= LATEST_TIME:  # every reply and request is due at it,
+                    # and the clock would refuse it only after they all moved
                     raise ValueError(f"packet time must be finite, got {now!r}")
                 if replies and replies[0][0] <= now:
                     self._deliver_due_replies(now)

@@ -304,7 +304,7 @@ def test_only_an_eid_prefix_is_installed_or_found():
     # A plain pair, even one equal to A or with bits below its length, is no
     # prefix: refused before the clock or any entry moves, and never found.
     for other in ((0xA, 128), (3, 7), 5, "x", None):
-        with pytest.raises(ValueError, match="^prefix must be an EidPrefix, got "):
+        with pytest.raises(ValueError, match="^prefix must be of type EidPrefix, got "):
             cache.install(other, (1,), 2.0)
         assert (impl_state(cache), cache.trace) == before
         assert other not in cache and cache.get(other) is None

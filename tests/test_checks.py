@@ -1,4 +1,4 @@
-"""The four rules in `cache` that check a value, and every config and entry
+"""The five rules in `cache` that check a value, and every config and entry
 point that uses them: a bad value is a ValueError that names it."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from xtrsim.cache import (EidPrefix, MapCache, TumblingWindow, check_address, check_choice,
-                          check_count, check_positive)
+                          check_count, check_positive, check_type)
 from xtrsim.cms import CountMinSketch, SketchDims, SketchParams, flagged_by_dims
 from xtrsim.experiment import AttackConfig, SweepConfig, config_hash, dos_defaults, run_attack
 from xtrsim.limiter import DestRateLimiter, LimiterConfig, SourceRateLimiter
@@ -64,6 +64,23 @@ def test_check_choice_takes_only_an_allowed_value_of_its_type():
             check_choice(name, value, allowed)
 
 
+def test_check_type_takes_only_an_instance_of_the_class_itself():
+    check_type("dims", SketchDims(8, 2), SketchDims)
+    check_type("dims_list", [], list)
+
+    class Dims(list):
+        pass
+
+    # A subclass is another class; a value is named by its type, not its repr,
+    # which for a stream or an array can be huge.
+    for bad, named in ((Dims(), "Dims"), (None, "NoneType"), ((), "tuple"),
+                       (np.zeros(3), "ndarray")):
+        with pytest.raises(ValueError, match=f"^dims_list must be of type list, got {named}$"):
+            check_type("dims_list", bad, list)
+    with pytest.raises(ValueError, match="^n must be of type int, got bool$"):
+        check_type("n", True, int)
+
+
 # ------------------------------------------------- every field of every config
 
 # One valid instance of each config and profile; each field is replaced in turn.
@@ -111,8 +128,39 @@ def test_a_pinned_field_of_another_type_is_refused_so_the_hash_holds():
     # np.str_("shared") == "shared", but its repr is np.str_('shared'): the
     # same router under another config_hash.
     assert config_hash(XtrConfig()) == "0830e136a83d"
-    with pytest.raises(ValueError, match=r"^dest_mode must be 'shared', got np.str_\('shared'\)$"):
+    with pytest.raises(TypeError, match=r"unexpected keyword argument 'dest_mode'$"):
         XtrConfig(dest_mode=np.str_("shared"))
+
+
+# Fields that take one value: config_hash reads them in the repr, so they
+# stay there, but no constructor, replace() or CLI key can set them.
+FIXED = {XtrConfig: ("dest_mode", "reply_prefix_for", "source_key"),
+         LimiterConfig: ("sketch_params", "cell_width_bytes", "strict_threshold")}
+
+
+def test_the_fixed_fields_stay_in_the_repr_but_are_no_settings():
+    assert repr(XtrConfig()) == (
+        "XtrConfig(cache_capacity=1024, cache_policy='lru', age_interval=5.0, age_mode='halve', "
+        "source_limiter_enabled=True, limiter=LimiterConfig(threshold=1000, period=1.0, "
+        "backend='exact', sketch_dims=None, sketch_params=None, cell_width_bytes=2, "
+        "strict_threshold=True), dest_budget=10000, dest_period=1.0, dest_mode='shared', "
+        "pending_capacity=4096, reply_latency=0.04, pending_timeout=None, reply_loss=0.0, "
+        "record_cache_trace=False, reply_prefix_for=None, source_key=None)")
+    cms = LimiterConfig(backend="cms", sketch_dims=SketchDims(1000, 4))
+    assert repr(cms) == (
+        "LimiterConfig(threshold=1000, period=1.0, backend='cms', sketch_dims=SketchDims("
+        "width=1000, depth=4), sketch_params=None, cell_width_bytes=2, strict_threshold=True)")
+    assert config_hash(XtrConfig(limiter=cms)) == "ea4340f69c60"
+    assert {cls: tuple(f.name for f in fields(cls) if not f.init) for cls in FIXED} == FIXED
+    assert [sum(f.init for f in fields(cls)) for cls in FIXED] == [13, 4]
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls, names in FIXED.items()
+                                       for name in names])
+def test_replace_refuses_a_fixed_field_naming_it(cls, name):
+    config = cls()
+    with pytest.raises(ValueError, match=f"^field {name} is declared with init=False"):
+        replace(config, **{name: getattr(config, name)})
 
 
 # ------------------------------------------- direct calls that raised another type
@@ -163,14 +211,14 @@ DIRECT_CALLS = {
     "run_attack-seeds-int": (lambda: run_attack(dos_defaults(), seeds=5), "seeds"),
     # Each once raised AttributeError or TypeError, or was taken as is; each is
     # checked once, where the object enters, and no packet is checked again.
-    "Xtr-config-None": (lambda: Xtr(None), "^config must be an XtrConfig, got None$"),
+    "Xtr-config-None": (lambda: Xtr(None), "^config must be of type XtrConfig, got NoneType$"),
     "Xtr-seed-str": (lambda: Xtr(XtrConfig(), seed="x"), "^seed must be an int, got 'x'$"),
     "run-stream-None": (lambda: Xtr(XtrConfig()).run(None),
-                        "^stream must be a Stream, got NoneType$"),
+                        "^stream must be of type Stream, got NoneType$"),
     "SourceRateLimiter-config-None": (lambda: SourceRateLimiter(None),
-                                      "^config must be a LimiterConfig, got None$"),
+                                      "^config must be of type LimiterConfig, got NoneType$"),
     "CountMinSketch-dims-None": (lambda: CountMinSketch(None),
-                                 "^dims must be a SketchDims, got None$"),
+                                 "^dims must be of type SketchDims, got NoneType$"),
     "scan_prefixes-count-str": (lambda: scan_prefixes("3"), "^count must be an int, got '3'$"),
     # Each once raised UFuncTypeError, AttributeError or TypeError, or was
     # taken as is; each is refused before the sweep's lanes start.
@@ -183,9 +231,9 @@ DIRECT_CALLS = {
     "flagged_by_dims-seed-negative": (lambda: flag(seed=-1), "^seed must be >= 0, got -1$"),
     "flagged_by_dims-seed-str": (lambda: flag(seed="x"), "^seed must be an int, got 'x'$"),
     "flagged_by_dims-dims_list-None": (lambda: flag(dims_list=None),
-                                       "^dims_list must be a list of SketchDims, got None$"),
+                                       "^dims_list must be of type list, got NoneType$"),
     "flagged_by_dims-dims_list-tuple": (lambda: flag(dims_list=[(8, 1)]),
-                                        r"^dims_list must hold only SketchDims, got \(8, 1\)$"),
+                                        r"^dims_list\[0\] must be of type SketchDims, got tuple$"),
     "flagged_by_dims-counts-float": (lambda: flag(counts=np.array([1.5, 2.0])),
                                      "^counts must be an integer array, got dtype float64$"),
     "flagged_by_dims-counts-short": (lambda: flag(counts=np.array([1])),
@@ -197,7 +245,7 @@ DIRECT_CALLS = {
         "^counts must be an integer array, got dtype float64$"),
     "ScanProfile-prefix_list-int": (
         lambda: gen_scan_stream(ScanProfile((1, 2), 1.0, 1.0), BackgroundProfile(1, 1)),
-        "^prefix_list must hold only EidPrefix, got 1$"),
+        r"^prefix_list\[0\] must be of type EidPrefix, got int$"),
     # Each once raised TypeError or AttributeError, or took a role that names
     # no Tally field; each is refused by the comparison or sum it already made.
     "consume-now-str": (lambda: DestRateLimiter(5, 1.0).consume("x"),
@@ -214,6 +262,9 @@ DIRECT_CALLS = {
                        "^time must be finite, got nan$"),
     "insert-now-inf": (lambda: table().insert(1, math.inf, "legit"),
                        "^time must be finite, got inf$"),
+    # Once an OverflowError: an int past the largest float does not add to one.
+    "insert-now-past-float": (lambda: table().insert(1, 10**400, "legit"),
+                              "^time must be finite, got 1000"),
     "consume-now-nan": (lambda: DestRateLimiter(1, 1.0).consume(math.nan),
                         "^time nan has no finite window index at period 1.0$"),
     "on_miss-now-nan": (lambda: SourceRateLimiter(LimiterConfig()).on_miss(1, math.nan),

@@ -365,12 +365,13 @@ BAD_SETTINGS = {
                              "age_interval"),
     "limiter-period-nan": (["replay"], "limiter.period=nan", "period"),
     # Cells are uint16 and flag above the threshold: the width is no sweep key,
-    # and the limiter's pinned fields refuse any other value.
+    # and the limiter's fixed fields are no keys either.
     "sweep-cell-width": (["sweep"], "sweep.cell_width_bytes=1",
                          "unknown config key: sweep.cell_width_bytes"),
-    "limiter-cell-width": (["replay"], "limiter.cell_width_bytes=1", "cell_width_bytes must be 2"),
+    "limiter-cell-width": (["replay"], "limiter.cell_width_bytes=1",
+                           "unknown config key: limiter.cell_width_bytes"),
     "limiter-strict-threshold": (["replay"], "limiter.strict_threshold=false",
-                                 "strict_threshold must be True"),
+                                 "unknown config key: limiter.strict_threshold"),
     # A rate and duration each finite whose packet total is not.
     "attack-scan-total-overflow": (["attack", "scan"], "attack.duration=1e307", "duration"),
     "attack-bg-total-overflow": (["attack", "scan"], "attack.bg_rate=1e308", "bg_rate"),
@@ -425,10 +426,15 @@ BAD_SETTINGS = {
     "attack-limiter-w-past-the-hash": (["attack", "dos"], "attack.limiter_w=3000000000", "width"),
     "limiter-w-past-the-hash": (["replay"], "limiter.w=2147483648", "width"),
     "limiter-d": (["replay"], "limiter.d=0", "limiter.d"),
-    # Fields that take one value refuse any other.
+    # Fields that take one value are fixed, not keys: any value, their own too, fails.
     "xtr-dest-mode": (["replay"], "xtr.dest_mode=per_prefix", "dest_mode"),
     "xtr-source-key": (["replay"], "xtr.source_key=1", "source_key"),
     "limiter-sketch-params": (["replay"], "limiter.sketch_params=1", "sketch_params"),
+    **{f"fixed-{key}": (["replay"], f"{key}={value}", f"unknown config key: {key}")
+       for key, value in (("xtr.dest_mode", "shared"), ("xtr.reply_prefix_for", "none"),
+                          ("xtr.source_key", "none"), ("limiter.sketch_params", "none"),
+                          ("limiter.cell_width_bytes", "2"),
+                          ("limiter.strict_threshold", "true"))},
 }
 
 

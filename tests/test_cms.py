@@ -467,14 +467,17 @@ def test_a_failing_lane_raises_its_error_and_leaves_no_thread(monkeypatch, faili
 @pytest.mark.parametrize("failing_row", [0, 1, 2])
 def test_a_failing_helper_lane_is_raised_in_its_row(monkeypatch, failing_row):
     # The lanes run in lockstep: no row is hashed until both lanes placed the
-    # one before, so a failure stops the call in the row that raised it.
+    # one before, so a failure stops the call in the row that raised it. The
+    # helper is handed one placement per row, so its (r+1)-th is row r's.
     caller, place, row_hash = threading.get_ident(), cms._place, cms._row_hash
-    hashed = []
+    hashed, helped = [], []
 
-    def failing_place(h, row, *args):
-        if row == failing_row and threading.get_ident() != caller:
-            raise MemoryError("Unable to allocate 8.00 TiB for an array")
-        place(h, row, *args)
+    def failing_place(*args):
+        if threading.get_ident() != caller:
+            helped.append(1)
+            if len(helped) == failing_row + 1:
+                raise MemoryError("Unable to allocate 8.00 TiB for an array")
+        place(*args)
 
     def counted_row_hash(*args):
         hashed.append(1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -366,8 +367,8 @@ def test_only_workloads_roles_spells_a_role():
 
 # Cells are uint16 and a source is flagged above the threshold, whatever the
 # config. LimiterConfig keeps the two fields that once chose otherwise only
-# because config_hash reads its repr; its pinned check refuses any other
-# value. A cell-width parameter or a read of either field anywhere else
+# because config_hash reads its repr; they are init=False, so nothing sets
+# them. A cell-width parameter or a read of either field anywhere else
 # would be the retired option coming back.
 RETIRED_KNOBS = {"cell_width_bytes", "strict_threshold"}
 CELL_WIDTH_PARAM = re.compile(r"cell.*(width|bytes)|(width|bytes).*cell")
@@ -375,8 +376,7 @@ CELL_WIDTH_PARAM = re.compile(r"cell.*(width|bytes)|(width|bytes).*cell")
 
 def retired_knob_uses(source: str) -> list[str]:
     """Names and strings equal to a retired knob, and parameters named after a
-    cell width, by line, other than LimiterConfig's fields and the strings
-    naming them in its pinned check."""
+    cell width, by line, other than LimiterConfig's fields and strings in its body."""
     tree = ast.parse(source)
     allowed = set()
     for cls in ast.walk(tree):
@@ -462,9 +462,10 @@ def test_only_check_address_and_the_lookup_test_the_address_range():
 
 # Each kind of value has one rule in cache.py, whose message starts as below:
 # a bound spelled out by hand elsewhere, even with the rule's words, is a
-# second rule that can drift from it (the 37 such checks tested no type).
-RULE_WORDS = re.compile(r"must be (>= |finite and > 0|one of)")
-RULE_HOMES = {"cache.py": ("check_count", "check_positive")}
+# second rule that can drift from it (the 37 such checks tested no type). A
+# class named after "must be a" is a hand-written check_type (nine once were).
+RULE_WORDS = re.compile(r"must be (>= |finite and > 0|one of|of type |an? [A-Z])")
+RULE_HOMES = {"cache.py": ("check_count", "check_positive", "check_type")}
 
 
 def rule_words(source: str, homes: Collection[str] = ()) -> list[str]:
@@ -488,13 +489,86 @@ def test_rule_words_are_detected():
     assert len(rule_words(source)) == 4
     # Other bounds and words are not the rules'.
     assert rule_words('a = "counts must all be >= 1"\nb = "t must be finite and >= 0"\n'
-                      'c = "must be <= 5"\n') == []
+                      'c = "must be <= 5"\nd = "n must be an int"\n') == []
+
+
+def test_check_type_words_are_detected():
+    source = ('def check_type(name, value, cls):\n'
+              '    raise ValueError(f"{name} must be of type {cls.__name__}")\n'
+              'a = f"config must be an XtrConfig, got {config!r}"\n'
+              'b = f"stream must be a Stream, got {type(stream).__name__}"\n'
+              'c = "dims must be of type SketchDims"\n')
+    assert rule_words(source, ("check_type",)) == \
+        ["line 3: rule words", "line 4: rule words", "line 5: rule words"]
+    # A lower-case noun is no class: "a list of" and "a pair" are other checks' words.
+    assert rule_words('a = "must be a list of SketchDims"\nb = "must be a pair lo,hi"\n') == []
 
 
 def test_only_the_rules_spell_their_words():
     spelled = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
                if (found := rule_words(p.read_text(), RULE_HOMES.get(p.name, ())))}
     assert spelled == {}
+
+
+# A field with one allowed value is fixed, not checked: it is an init=False
+# field, which no constructor, replace() or CLI key can set. A check_choice
+# of one value is such a field kept settable.
+def one_value_choices(source: str, constants: dict[str, object] | None = None) -> list[str]:
+    """Calls of check_choice, by line, whose `allowed` holds one value: a
+    literal, a name bound to one in `constants`, or a loop variable bound to
+    one in a row of a literal the loop runs over."""
+    constants = constants or {}
+    found = []
+
+    def sizes(node: ast.AST | None, rows: dict[str, list[ast.AST]]) -> list[int]:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return [len(node.elts)]
+        if isinstance(node, ast.Name) and node.id in rows:
+            return [size for row in rows[node.id] for size in sizes(row, {})]
+        value = constants.get(name_of(node))
+        return [len(value)] if isinstance(value, (tuple, list, set, frozenset, dict)) else []
+
+    def visit(node: ast.AST, rows: dict[str, list[ast.AST]]) -> None:
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Tuple) \
+                and isinstance(node.iter, (ast.Tuple, ast.List)):
+            names = [name_of(target) for target in node.target.elts]
+            literal = [row.elts for row in node.iter.elts
+                       if isinstance(row, ast.Tuple) and len(row.elts) == len(names)]
+            rows = {**rows, **{name: [row[i] for row in literal] for i, name in enumerate(names)}}
+        if isinstance(node, ast.Call) and name_of(node.func) == "check_choice":
+            allowed = node.args[2] if len(node.args) > 2 else next(
+                (k.value for k in node.keywords if k.arg == "allowed"), None)
+            if 1 in sizes(allowed, rows):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, rows)
+
+    visit(ast.parse(source), {})
+    return [f"line {line}: one value" for line in found]
+
+
+def test_one_value_choices_are_detected():
+    # The form the six fixed fields once took, beside a literal, a keyword and a constant.
+    source = ('for name, allowed in (("cache_policy", POLICIES), ("dest_mode", ("shared",)),\n'
+              '                      ("source_key", (None,))):\n'
+              '    check_choice(name, getattr(self, name), allowed)\n'
+              'check_choice("width", self.width, (2,))\n'
+              'cache.check_choice("flag", flag, allowed=[True])\n'
+              'check_choice("mode", mode, ONLY)\n')
+    assert one_value_choices(source, {"ONLY": ("x",), "POLICIES": ("lru", "lfu-aging")}) == [
+        "line 3: one value", "line 4: one value", "line 5: one value", "line 6: one value"]
+    # Two or more values, and a name nothing binds, are a choice.
+    assert one_value_choices('for name, allowed in (("a", (1, 2)), ("b", POLICIES)):\n'
+                             '    check_choice(name, 1, allowed)\n'
+                             'check_choice("c", c, (True, False))\ncheck_choice("d", d, X)\n',
+                             {"POLICIES": ("lru", "lfu-aging")}) == []
+
+
+def test_no_choice_allows_one_value():
+    choices = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+               if (found := one_value_choices(p.read_text(), vars(
+                   importlib.import_module(f"xtrsim.{p.stem}"))))}
+    assert choices == {}
 
 
 # Every table the package writes is formatted by experiment.csv_text: the four

@@ -115,9 +115,9 @@ def test_cms_backend_requires_sizing():
         LimiterConfig(backend="cms")
     # A SketchDims, or None under the exact backend: a plain pair once passed.
     for backend in ("exact", "cms"):
-        with pytest.raises(ValueError, match=r"^sketch_dims must be a SketchDims, got \(1000, 4\)$"):
+        with pytest.raises(ValueError, match=r"^sketch_dims must be of type SketchDims, got tuple$"):
             LimiterConfig(backend=backend, sketch_dims=(1000, 4))
-    with pytest.raises(ValueError, match="sketch_params"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'sketch_params'$"):
         LimiterConfig(sketch_params=SketchParams(0.01, 0.5))
     with pytest.raises(ValueError):
         LimiterConfig(backend="bloom")
@@ -150,7 +150,7 @@ def test_the_cell_width_and_threshold_rule_are_pinned():
                          ("cell_width_bytes", 2.0), ("strict_threshold", False),
                          ("strict_threshold", 1)):
         for backend in ("exact", "cms"):
-            with pytest.raises(ValueError, match=f"^{field} must be "):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'$"):
                 LimiterConfig(backend=backend, sketch_dims=dims, **{field: value})
 
 

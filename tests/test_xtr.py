@@ -265,6 +265,32 @@ def test_an_infinite_time_in_run_is_refused_before_a_reply_or_expiry_moves():
         assert x.metrics.map_replies_received.total == x.metrics.pending_timeouts.total == 0
 
 
+def test_an_int_time_past_the_largest_float_is_refused_before_the_router_moves():
+    # Such a time once passed the clock's `< inf` test: it moved packets_in and
+    # cache_misses before the limiter's window index refused it, and left the
+    # clock there, so every later packet was refused as going back.
+    x = Xtr(XtrConfig())
+    before = x.metrics.as_row()
+    with pytest.raises(ValueError, match="^cache time must be finite and not go back: 1000"):
+        x.step(10**400, 1, 2, LEGIT)
+    assert x.metrics.as_row() == before
+    assert fate(x, 1.0, 1, 3) == "map_requests_sent"
+
+
+def test_an_int_time_past_the_largest_float_in_run_moves_no_reply_or_expiry():
+    # run once tested only `now == inf`, so such a time delivered every reply
+    # in flight and expired every pending request before anything refused it.
+    times = [0.0, 0.0, 0.0, 10**400]
+    x, alone = (Xtr(XtrConfig(reply_loss=0.5), seed=1) for _ in range(2))
+    for t, dst in zip(times[:3], (3, 4, 5)):
+        alone.step(t, 1, dst, LEGIT)
+    with pytest.raises(ValueError, match="^packet time must be finite, got 1000"):
+        x.run(Stream(times, [1] * 4, [3, 4, 5, 6], [LEGIT] * 4))
+    assert x.metrics.as_row() == alone.metrics.as_row()
+    assert x.metrics.packets_in.total == 3
+    assert x.metrics.map_replies_received.total == x.metrics.pending_timeouts.total == 0
+
+
 def test_a_reply_at_a_time_the_clock_refuses_moves_nothing():
     # deliver_reply once consumed the request and counted the reply, and only
     # then did the cache's install refuse the time.
@@ -427,9 +453,11 @@ def test_config_validation_and_timeout_default():
                 XtrConfig(**{name: bad})
     # The cache settings are checked under lru too, which never reads the aging ones.
     for name, bad in (("cache_capacity", 0), ("pending_capacity", 0), ("dest_budget", -1),
-                      ("dest_mode", "per_prefix"), ("cache_policy", "lfu"), ("age_mode", "decay")):
+                      ("cache_policy", "lfu"), ("age_mode", "decay")):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             XtrConfig(**{name: bad})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'dest_mode'$"):
+        XtrConfig(dest_mode="per_prefix")
     assert XtrConfig(dest_budget=0).dest_budget == 0
     assert XtrConfig(reply_latency=0.05).effective_pending_timeout == pytest.approx(0.15)
     assert XtrConfig(pending_timeout=0.2).effective_pending_timeout == 0.2
