@@ -4,19 +4,24 @@ The sweep measures how the sketch-backed per-source limiter's false-positive
 rate falls as the sketch grows, against populations where a known subset of
 sources generates heavy miss counts. Attack scenarios run the full router
 model twice per seed (defense on/off) so the effect of the defense is a
-paired comparison on identical traffic.
+paired comparison on identical traffic; the two arms of a seed run at once,
+the undefended one in a forked child process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import astuple, dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cache import AGE_MODES, POLICIES, check_choice, check_count, check_positive, window_index
+from .cache import (AGE_MODES, POLICIES, check_choice, check_count, check_positive, check_type,
+                    window_index)
 from .cms import MAX_WIDTH, SketchDims, check_reachable, flagged_by_dims
 from .limiter import BACKENDS, LimiterConfig
 from .workloads import (ATTACKER_TIMINGS, DOS_STRATEGY_BASES, PopulationProfile,
@@ -50,8 +55,9 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_nodes", "attacker_fractions", "seeds"):
-            if type(values := getattr(self, name)) is not tuple or not values:
-                raise ValueError(f"{name} must be non-empty and a tuple, got {values!r}")
+            check_type(name, values := getattr(self, name), tuple)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
         for name, low in (("n_nodes", 1), ("seeds", 0)):
             for value in getattr(self, name):
                 check_count(name, value, low)
@@ -290,8 +296,47 @@ def config_hash(config: object) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
 
 
+def _both_arms(arm: Callable[[bool], XtrMetrics]) -> tuple[XtrMetrics, XtrMetrics]:
+    """`arm(True)` run here and `arm(False)` in a forked child at the same time.
+
+    The child runs only `Xtr.run`, `pickle.dumps` and `os.write`, so it takes no
+    lock another thread could hold, and it leaves by `os._exit`: no atexit
+    handler, no flush of an inherited buffer. Its failure, or its silence, is a
+    `ValueError` here; a raise in this process's arm kills and reaps it first.
+    """
+    if not hasattr(os, "fork"):
+        return arm(True), arm(False)
+    read_fd, write_fd = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, arm(False))
+            except Exception as exc:  # sent to the caller, which raises it
+                reply = (False, f"{type(exc).__name__}: {exc}")
+            os.write(write_fd, pickle.dumps(reply))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            defended, data = arm(True), pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not data:
+        raise ValueError(f"the undefended arm's process exited with {code} and sent nothing")
+    ok, undefended = pickle.loads(data)
+    if not ok:
+        raise ValueError(f"the undefended arm failed: {undefended}")
+    return defended, undefended
+
+
 def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> list[AttackRun]:
-    """Run the scenario defended and undefended on identical traffic per seed."""
+    """Run the scenario defended and undefended on identical traffic per seed:
+    the defended arm here, the undefended one at once in a child (`_both_arms`)."""
     if type(seeds) not in (tuple, list) or not seeds:
         raise ValueError(f"seeds must be non-empty and a tuple or list, got {seeds!r}")
     for seed in seeds:
@@ -301,9 +346,11 @@ def run_attack(config: AttackConfig, seeds: Sequence[int] = DEFAULT_SEEDS) -> li
     runs = []
     for seed in seeds:
         stream = _attack_stream(config, seed)
-        for defended, label in ((True, on_label), (False, off_label)):
-            xtr = Xtr(_attack_xtr_config(config, defended=defended), seed=seed)
-            metrics = xtr.run(stream)
+
+        def arm(defended: bool) -> XtrMetrics:
+            return Xtr(_attack_xtr_config(config, defended=defended), seed=seed).run(stream)
+
+        for label, metrics in zip((on_label, off_label), _both_arms(arm)):
             runs.append(AttackRun(
                 scenario=config.scenario, defense=label, seed=seed, config_hash=digest,
                 metrics=metrics,

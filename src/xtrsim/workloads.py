@@ -181,8 +181,9 @@ class ScanProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.prefix_list) is not tuple or not self.prefix_list:
-            raise ValueError(f"prefix_list must be a non-empty tuple, got {self.prefix_list!r}")
+        check_type("prefix_list", self.prefix_list, tuple)
+        if not self.prefix_list:
+            raise ValueError("prefix_list must be non-empty")
         for i, prefix in enumerate(self.prefix_list):
             check_type(f"prefix_list[{i}]", prefix, EidPrefix)
         check_choice("reshuffle_each_pass", self.reshuffle_each_pass, (True, False))

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gc
 import importlib.util
+import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +36,7 @@ from xtrsim.experiment import (
     sweep_schedule,
 )
 from xtrsim.workloads import PopulationProfile, Stream, gen_miss_counts
-from xtrsim.xtr import XtrConfig
+from xtrsim.xtr import Xtr, XtrConfig
 
 SMALL_SWEEP = SweepConfig(n_nodes=(400,), attacker_fractions=(0.1,),
                           threshold=50, legit_miss_range=(1, 10),
@@ -56,13 +58,18 @@ def test_schedule_grows_width_linearly_and_depth_every_other_step():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ValueError, match="^n_nodes"):
+    with pytest.raises(ValueError, match="^n_nodes must be non-empty$"):
         SweepConfig(n_nodes=())
+    # Another class is named by its type: a long list's repr would be the whole list.
+    with pytest.raises(ValueError, match="^n_nodes must be of type tuple, got list$"):
+        SweepConfig(n_nodes=[400] * 10_000)
+    with pytest.raises(ValueError, match="^attacker_fractions must be of type tuple, got float$"):
+        SweepConfig(attacker_fractions=0.1)
     with pytest.raises(ValueError, match="^attacker_fractions"):
         SweepConfig(attacker_fractions=(1.5,))
     with pytest.raises(ValueError, match="^iterations must be >= 1"):
         SweepConfig(iterations=0)
-    with pytest.raises(ValueError, match="^seeds must be non-empty"):
+    with pytest.raises(ValueError, match="^seeds must be non-empty$"):
         SweepConfig(seeds=())
     with pytest.raises(ValueError, match="^seeds must be >= 0, got -1$"):
         SweepConfig(seeds=(1, -1))
@@ -302,6 +309,125 @@ def test_run_attack_scan_arms_are_cache_policies():
 def test_run_attack_rejects_empty_seeds():
     with pytest.raises(ValueError, match="^seeds must be non-empty"):
         run_attack(TINY_DOS, seeds=())
+
+
+# Each seed's undefended arm runs in a forked child while the defended arm
+# runs here; the child's metrics come back pickled through a pipe.
+SMALL_ATTACKS = {
+    "dos": TINY_DOS,
+    "overflow": replace(TINY_DOS, scenario="overflow", dest_budget=10**9, pending_capacity=20,
+                        reply_latency=0.04),
+    "scan": TINY_SCAN,
+}
+
+
+def serial_rows(config: AttackConfig, seeds) -> list[tuple[int, dict]]:
+    """Each seed's defended, then undefended, arm run one after the other here."""
+    rows = []
+    for seed in seeds:
+        stream = experiment._attack_stream(config, seed)
+        for defended in (True, False):
+            xtr = Xtr(experiment._attack_xtr_config(config, defended=defended), seed=seed)
+            rows.append((seed, xtr.run(stream).as_row()))
+    return rows
+
+
+def no_child_is_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def recording_arms(monkeypatch) -> list[bool]:
+    """Whether each `Xtr.run` this process makes has the source limiter or
+    the aging cache on, i.e. is a defended arm."""
+    arms, run = [], Xtr.run
+
+    def recording(self, stream):
+        arms.append(self.config.source_limiter_enabled or self.config.cache_policy == "lfu-aging")
+        return run(self, stream)
+
+    monkeypatch.setattr(Xtr, "run", recording)
+    return arms
+
+
+@pytest.mark.parametrize("scenario", SMALL_ATTACKS)
+def test_forked_arms_give_the_rows_of_a_serial_run(monkeypatch, scenario):
+    config = SMALL_ATTACKS[scenario]
+    arms = recording_arms(monkeypatch)
+    runs = run_attack(config, seeds=(1, 2))
+    assert arms == [True, True]  # the undefended arms ran in a child
+    assert [(run.seed, run.metrics.as_row()) for run in runs] == serial_rows(config, (1, 2))
+    assert runs[0].metrics != runs[1].metrics  # the two arms differ
+    if scenario == "overflow":
+        assert runs[0].overflow_events < runs[1].overflow_events
+    assert no_child_is_left()
+
+
+@pytest.mark.parametrize("scenario", SMALL_ATTACKS)
+def test_without_fork_both_arms_run_here_with_the_same_rows(monkeypatch, scenario):
+    config = SMALL_ATTACKS[scenario]
+    forked = attack_csv(run_attack(config, seeds=(1, 2)))
+    monkeypatch.delattr(os, "fork")
+    arms = recording_arms(monkeypatch)
+    assert attack_csv(run_attack(config, seeds=(1, 2))) == forked
+    assert arms == [True, False, True, False]
+
+
+def failing_undefended_run(monkeypatch, fail) -> None:
+    """Patch `Xtr.run` before the fork, so that the child's arm calls `fail`."""
+    run = Xtr.run
+
+    def patched(self, stream):
+        if not self.config.source_limiter_enabled:
+            fail()
+        return run(self, stream)
+
+    monkeypatch.setattr(Xtr, "run", patched)
+
+
+def test_a_memory_error_in_the_childs_arm_is_a_value_error_and_exits_1(tmp_path, capsys,
+                                                                        monkeypatch):
+    def fail():
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    failing_undefended_run(monkeypatch, fail)
+    message = "the undefended arm failed: MemoryError: Unable to allocate 8.00 TiB for an array"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_attack(TINY_DOS, seeds=(1,))
+    assert no_child_is_left()
+    out = tmp_path / "o"
+    assert main(["attack", "dos", "--out", str(out), "--seeds", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert no_child_is_left()
+
+
+def test_a_child_that_dies_without_a_reply_is_a_value_error(monkeypatch):
+    failing_undefended_run(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(ValueError, match="^the undefended arm's process exited with 3 and sent "
+                                         "nothing$"):
+        run_attack(TINY_DOS, seeds=(1,))
+    assert no_child_is_left()
+
+
+def test_a_raise_in_this_process_arm_kills_and_reaps_the_child(monkeypatch):
+    run = Xtr.run
+
+    def patched(self, stream):
+        if self.config.source_limiter_enabled:
+            raise ValueError("the defended arm broke")
+        time.sleep(60)  # the child's arm, which only the kill ends in time
+        return run(self, stream)
+
+    monkeypatch.setattr(Xtr, "run", patched)
+    began = time.perf_counter()
+    with pytest.raises(ValueError, match="^the defended arm broke$"):
+        run_attack(TINY_DOS, seeds=(1,))
+    assert time.perf_counter() - began < 30
+    assert no_child_is_left()
 
 
 def test_attack_csv_layout():

@@ -746,6 +746,45 @@ def test_the_helper_lane_calls_nothing_the_tracer_wraps():
     assert "_column" in calls["_place"] and not calls["_place"] & wrapped
 
 
+# The one second process is run_attack's: experiment._both_arms forks a child
+# for each seed's undefended arm, reaps it and is the child's only way out. A
+# fork anywhere else could copy a process while the sweep's helper lane holds
+# a lock, and an `os._exit` elsewhere would skip the caller's cleanup.
+PROCESS_CALLS = {"fork", "_exit", "waitpid"}
+PROCESS_HOMES = {"experiment.py": ("_both_arms",)}
+
+
+def process_calls(source: str, homes: Collection[str] = ()) -> list[str]:
+    """Uses of `os.fork`, `os._exit` and `os.waitpid`, imports of them
+    included, outside the functions named in `homes`, by line."""
+
+    def matches(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return name_of(node.value) == "os" and node.attr in PROCESS_CALLS
+        return isinstance(node, ast.ImportFrom) and node.module == "os" and \
+            any(alias.name in PROCESS_CALLS for alias in node.names)
+
+    return [f"line {line}: process call" for line in lines_outside(source, homes, matches)]
+
+
+def test_process_calls_are_detected():
+    source = ("def _both_arms(arm):\n    if os.fork() == 0:\n        os._exit(0)\n"
+              "    os.waitpid(pid, 0)\n"
+              "from os import fork\npid = os.fork()\nos._exit(1)\nf = os.waitpid\n")
+    assert process_calls(source, ("_both_arms",)) == \
+        [f"line {line}: process call" for line in (5, 6, 7, 8)]
+    assert len(process_calls(source)) == 7
+    # Other os calls, another module's fork and text in a string are not process calls.
+    assert process_calls("import os\nos.pipe()\nos.close(3)\nsocket.fork()\n"
+                         "from os import path\ns = 'os.fork()'\n") == []
+
+
+def test_only_both_arms_forks_exits_or_reaps_a_process():
+    calls = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if (found := process_calls(p.read_text(), PROCESS_HOMES.get(p.name, ())))}
+    assert calls == {}
+
+
 # The windows live in the limiters and the cache. The router's audit books
 # each admission under `window_index`, the number the source limiter's window
 # rolls on, and keeps no window of its own that could roll at another time.

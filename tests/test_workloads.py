@@ -220,8 +220,10 @@ def test_background_traffic_shape_and_popularity():
 
 
 def test_scan_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^prefix_list must be non-empty$"):
         ScanProfile((), packet_rate=1.0, duration=1.0)
+    with pytest.raises(ValueError, match="^prefix_list must be of type tuple, got list$"):
+        ScanProfile(list(scan_prefixes(2000)), packet_rate=1.0, duration=1.0)
     with pytest.raises(ValueError):
         ScanProfile(scan_prefixes(2), packet_rate=0.0, duration=1.0)
     for bad in (float("nan"), float("inf")):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtrsim.cache import EidPrefix
-from xtrsim.experiment import dos_defaults, overflow_defaults, run_attack
+from xtrsim.experiment import (_attack_stream, _attack_xtr_config, dos_defaults, overflow_defaults,
+                               run_attack)
 from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import ATTACKER, LEGIT, ROLES, PopulationProfile, Stream, gen_dos_stream
 from xtrsim.xtr import (
@@ -137,9 +139,13 @@ def test_only_an_installed_reply_builds_a_host_prefix(monkeypatch):
         lambda cls, address: calls.append(address) or host(cls, address)))
     config = replace(dos_defaults(), n_legit=20, n_attackers=2, attacker_miss_range=(300, 600),
                      dest_budget=300)
-    runs = run_attack(config, seeds=(1,))  # one defended and one undefended run
-    assert len(calls) == sum(run.metrics.map_replies_received.total for run in runs)
-    for m in (run.metrics for run in runs):
+    # Both arms run here: run_attack would run the undefended one in a child,
+    # whose calls this process cannot count.
+    stream = _attack_stream(config, 1)
+    metrics = [Xtr(_attack_xtr_config(config, defended=defended), seed=1).run(stream)
+               for defended in (True, False)]
+    assert len(calls) == sum(m.map_replies_received.total for m in metrics)
+    for m in metrics:
         assert 0 < m.map_replies_received.total < m.cache_misses.total
 
 
@@ -626,6 +632,7 @@ def test_every_expire_due_call_removes_a_request(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(PendingRequestTable, "expire_due", recording)
+    monkeypatch.delattr(os, "fork")  # both arms in this process, where the calls are seen
     run_attack(dos_defaults(), seeds=(1,))
     run_attack(overflow_defaults(), seeds=(1,))
     assert results == []  # every request of these runs is answered in time
