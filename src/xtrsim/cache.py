@@ -142,7 +142,7 @@ class EidPrefix(tuple):
             raise ValueError(f"prefix_len must be an int in [0, 128], got {prefix_len!r}")
         check_address(address, "address")
         if address & ~_MASKS[prefix_len]:
-            raise ValueError(f"address {address:#x} has bits below /{prefix_len}")
+            raise ValueError(f"address {hex(address)} has bits below /{prefix_len}")
         return tuple.__new__(cls, (address, prefix_len))
 
     def __getnewargs__(self) -> tuple[int, int]:
@@ -171,7 +171,7 @@ class EidPrefix(tuple):
         return (address & _MASKS[self[1]]) == self[0]
 
     def __str__(self) -> str:
-        return f"{self[0]:#x}/{self[1]}"
+        return f"{hex(self[0])}/{self[1]}"
 
 
 @dataclass(slots=True)
@@ -271,14 +271,14 @@ class MapCache:
                 break
         else:
             if self._record_trace:
-                self.trace.append(f"{now} lookup {dst:#x} miss -")
+                self.trace.append(f"{now} lookup {hex(dst)} miss -")
             return None
         if self._aging is not None and now >= self._aging.next_start:
             self._catch_up_aging(now)
         entry.hit_count += 1
         entry.last_used = now
         if self._record_trace:
-            self.trace.append(f"{now} lookup {dst:#x} hit -")
+            self.trace.append(f"{now} lookup {hex(dst)} hit -")
         return entry.locators
 
     def _evict(self) -> EidPrefix:
@@ -336,9 +336,9 @@ class MapCache:
             self._by_len = dict(sorted({**self._by_len, prefix_len: bucket}.items(),
                                        reverse=True))
         bucket[address] = entry
-        if self._record_trace:
-            self.trace.append(
-                f"{now} install {prefix} installed {evicted if evicted is not None else '-'}")
+        if self._record_trace:  # str(prefix)'s text, written inline: this runs once per reply
+            gone = "-" if evicted is None else f"{hex(evicted[0])}/{evicted[1]}"
+            self.trace.append(f"{now} install {hex(address)}/{prefix_len} installed {gone}")
         return evicted
 
     def age(self, now: float) -> None:

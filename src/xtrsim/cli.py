@@ -31,6 +31,11 @@ from .workloads import read_trace
 from .xtr import Xtr, XtrConfig
 
 
+# Cache trace lines joined into one string at a time on export: a string per
+# chunk, not one per line, and never one of the whole trace.
+_TRACE_CHUNK_LINES = 2**12
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors are configuration errors
         raise ValueError(message)
@@ -157,9 +162,9 @@ def _replay_configs(mapping: dict[str, str]) -> XtrConfig:
 def _replay(trace: str, config: XtrConfig, seed: int) -> Xtr:
     """Run the trace file through a fresh router and return the router.
 
-    `read_trace` parses the open file line by line, so neither the trace's
-    text nor a list of its lines is ever held. The stream is freed when this
-    returns, before the cache trace is written.
+    `read_trace` parses the open file a block of lines at a time, so neither
+    the trace's text nor a list of all its lines is ever held. The stream is
+    freed when this returns, before the cache trace is written.
     """
     try:
         with Path(trace).open("rb") as lines:
@@ -179,7 +184,9 @@ def _cmd_replay(args) -> int:
     out = Path(args.out)
     print(_write(out / "replay_metrics.csv", (replay_csv(seed, config, xtr.metrics),)))
     if config.record_cache_trace:
-        print(_write(out / "cache_trace.txt", (f"{line}\n" for line in xtr.cache.trace)))
+        trace, size = xtr.cache.trace, _TRACE_CHUNK_LINES
+        chunks = ("\n".join(trace[i:i + size]) + "\n" for i in range(0, len(trace), size))
+        print(_write(out / "cache_trace.txt", chunks))
     return 0
 
 

@@ -8,7 +8,9 @@ are simulated seconds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Iterable
 
 import numpy as np
@@ -262,27 +264,48 @@ def gen_scan_stream(scan: ScanProfile, background: BackgroundProfile) -> Stream:
 
 def write_trace(stream: Stream) -> str:
     """Serialize a stream as one 'ts src dst role' line per packet."""
-    return "".join(f"{time!r} {src:#x} {dst:#x} {role}\n" for time, src, dst, role
+    return "".join(f"{time!r} {hex(src)} {hex(dst)} {role}\n" for time, src, dst, role
                    in zip(stream.times, stream.srcs, stream.dsts, stream.roles))
 
 
-# Maps each role to its `ROLES` object, so a read trace holds two role strings.
+# Map each role, as text and as bytes, to its `ROLES` object, so a read trace
+# holds two role strings.
 _INTERNED_ROLES = {role: role for role in ROLES}
+_ROLE_BY_TOKEN = {role.encode(): role for role in ROLES}
+# Lines `read_trace` parses at a time; the most it holds, and the most it
+# reads past a bad line.
+_BLOCK_LINES = 2**14
 
 
-def read_trace(lines: Iterable[bytes]) -> Stream:
-    """Parse the UTF-8 'ts src dst role' lines of write_trace; '#' lines are comments.
+def _block_columns(block: list[bytes], last: float) -> tuple[list, list, list, list] | None:
+    """The four columns of a block of lines that are each one packet, in time
+    order from `last`; None when any line is not, so it needs `_parse_lines`."""
+    # "|" parses as no field, so where every fifth token is the "|" joined
+    # between two lines, each line has exactly four fields.
+    tokens = b" | ".join(block).split()
+    if len(tokens) != 5 * len(block) - 1 or tokens[4::5].count(b"|") != len(block) - 1:
+        return None  # a line with other than four fields, a comment or a blank
+    try:
+        times = list(map(float, tokens[0::5]))
+        srcs = list(map(int, tokens[1::5], repeat(0)))
+        dsts = list(map(int, tokens[2::5], repeat(0)))
+        roles = list(map(_ROLE_BY_TOKEN.__getitem__, tokens[3::5]))
+        for column, name in ((srcs, "src"), (dsts, "dst")):
+            check_address(min(column), name)
+            check_address(max(column), name)
+    except (ValueError, KeyError):  # a field that does not parse, or an address out
+        return None  # of range: `_parse_lines` names the line
+    # Each time is compared with the one before, so a NaN anywhere fails this.
+    if not (all(map(operator.le, chain((last,), times), times)) and times[-1] < math.inf):
+        return None
+    return times, srcs, dsts, roles
 
-    `lines` is any iterable of byte lines, such as a file opened in binary
-    mode, so the trace is read one line at a time. A bad line raises
-    ValueError that names it: bytes that are not UTF-8, a wrong field count,
-    a timestamp that is not finite, is negative or goes back, an address
-    outside [0, 2**128), or an unknown role.
-    """
-    stream = Stream([], [], [], [])
+
+def _parse_lines(block: list[bytes], first_lineno: int, last: float, stream: Stream) -> None:
+    """Append the block's packets to `stream` one line at a time, from time
+    `last`; a bad line raises ValueError that names it by its line number."""
     times, srcs, dsts, roles = stream.times, stream.srcs, stream.dsts, stream.roles
-    last = 0.0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(block, start=first_lineno):
         try:
             line = raw.decode()
             parts = line.split()  # splits on the whitespace that strip() would strip
@@ -308,4 +331,29 @@ def read_trace(lines: Iterable[bytes]) -> Stream:
         srcs.append(src)
         dsts.append(dst)
         roles.append(role)
+
+
+def read_trace(lines: Iterable[bytes]) -> Stream:
+    """Parse the UTF-8 'ts src dst role' lines of write_trace; '#' lines are comments.
+
+    `lines` is any iterable of byte lines, such as a file opened in binary
+    mode. It is read `_BLOCK_LINES` lines at a time: a block whose lines are
+    all packets is parsed a column at a time, and any other block a line at
+    a time. A bad line raises ValueError that names it: bytes that are not
+    UTF-8, a wrong field count, a timestamp that is not finite, is negative
+    or goes back, an address outside [0, 2**128), or an unknown role.
+    """
+    stream = Stream([], [], [], [])
+    columns = (stream.times, stream.srcs, stream.dsts, stream.roles)
+    lines = iter(lines)
+    lineno = 0
+    while block := list(islice(lines, _BLOCK_LINES)):
+        last = stream.times[-1] if stream.times else 0.0
+        parsed = _block_columns(block, last)
+        if parsed is None:
+            _parse_lines(block, lineno + 1, last, stream)
+        else:
+            for column, part in zip(columns, parsed):
+                column.extend(part)
+        lineno += len(block)
     return stream

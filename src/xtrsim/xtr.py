@@ -119,7 +119,7 @@ class PendingRequestTable(OrderedDict):
         if role not in ROLES:
             check_choice("role", role, ROLES)  # raises: the role names no Tally field
         if address in self:
-            raise ValueError(f"{address:#x} is already pending")
+            raise ValueError(f"{hex(address)} is already pending")
         if self.is_full:
             raise ValueError("pending table full")
         try:

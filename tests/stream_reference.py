@@ -70,9 +70,11 @@ def gen_scan_stream(scan, background):
 
 
 def read_trace(text):
+    # Lines end at "\n" alone, as a file's lines do: str.splitlines would also
+    # end one at "\x1c" or U+0085, which str.split takes as whitespace.
     events = []
     last = 0.0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue

@@ -159,6 +159,48 @@ def test_unwritable_cache_trace_fails_with_2_without_traceback(tmp_path):
     assert "Traceback" not in err
 
 
+def replay_with_cache_trace(monkeypatch, lines: list[str]):
+    """Make the router that `replay` runs end with `lines` as its cache trace."""
+    run = cli._replay
+
+    def replay(trace, config, seed):
+        xtr = run(trace, config, seed)
+        xtr.cache.trace[:] = lines
+        return xtr
+
+    monkeypatch.setattr(cli, "_replay", replay)
+
+
+@pytest.mark.parametrize("count", [0, 1, cli._TRACE_CHUNK_LINES, cli._TRACE_CHUNK_LINES + 1])
+def test_the_cache_trace_is_written_in_chunks_as_a_line_at_a_time(tmp_path, monkeypatch, count):
+    lines = [f"{i} lookup {hex(i)} miss -" for i in range(count)]
+    replay_with_cache_trace(monkeypatch, lines)
+    trace, _ = make_trace(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(["replay", trace, "--config", write_conf(tmp_path, REPLAY_CONF),
+                    "--out", str(out)]) == (0, "")
+    assert (out / "cache_trace.txt").read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+
+
+def test_a_cache_trace_write_that_fails_midway_exits_2_with_one_error_line(tmp_path, monkeypatch):
+    class FullDisk(io.StringIO):  # takes the first piece, then fails as a full disk does
+        def write(self, text: str) -> int:
+            if self.tell():
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    open_path = Path.open
+    monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: FullDisk()
+                        if path.name == "cache_trace.txt" else open_path(path, *args, **kwargs))
+    replay_with_cache_trace(monkeypatch, ["0.5 lookup 0x1 miss -"] * (cli._TRACE_CHUNK_LINES + 1))
+    trace, _ = make_trace(tmp_path)
+    code, err = run_cli(["replay", trace, "--config", write_conf(tmp_path, REPLAY_CONF),
+                         "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert err.endswith("cache_trace.txt: [Errno 28] No space left on device\n")
+
+
 def traced_peak(argv: list[str]) -> int:
     """Bytes of Python heap that one `main` call holds at its peak, above its start."""
     tracemalloc.start()

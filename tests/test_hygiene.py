@@ -810,3 +810,43 @@ def test_window_uses_are_detected():
 
 def test_the_router_keeps_no_window_of_its_own():
     assert window_uses((PACKAGE / "xtr.py").read_text()) == []
+
+
+# Hex text has one form, the builtin `hex()`: the trace file, the cache trace
+# and the error messages write an address alike, and on the cache trace's
+# line per packet the builtin is the cheaper call. It writes what the `#x`
+# spec writes for every int >= 0.
+HEX_SPEC = re.compile(r"#.*[xX]$")
+
+
+def hex_specs(source: str) -> list[str]:
+    """Format specs with `#` and a hex type, in f-strings and `format` calls, by line."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            spec = "".join(str(part.value) for part in node.format_spec.values
+                           if isinstance(part, ast.Constant))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "format" and len(node.args) == 2
+              and isinstance(node.args[1], ast.Constant)):
+            spec = str(node.args[1].value)
+        else:
+            continue
+        if HEX_SPEC.search(spec):
+            lines.append(node.lineno)
+    return [f"line {line}: #x" for line in sorted(lines)]
+
+
+def test_hex_specs_are_detected():
+    source = ('a = f"{dst:#x}"\nb = f"{p[0]:#034x}/{p[1]}"\nc = format(v, "#X")\n'
+              'd = f"{now} {v:>#20x} miss"\n')
+    assert hex_specs(source) == [f"line {line}: #x" for line in (1, 2, 3, 4)]
+    # The builtin, other specs and the words in a string are not the spec.
+    assert hex_specs('a = f"{hex(dst)}"\nb = f"{v:x}"\nc = f"{t!r} {n:08d}"\n'
+                     'd = format(v, "x")\ne = "{:#x}"\n') == []
+
+
+def test_hex_text_is_written_only_by_the_builtin():
+    specs = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if (found := hex_specs(p.read_text()))}
+    assert specs == {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stream_reference
+from xtrsim import workloads
 from xtrsim.workloads import (
     ATTACKER,
     ATTACKER_TIMINGS,
@@ -268,6 +270,12 @@ def test_trace_reader_rejects_malformed_lines():
     with pytest.raises(ValueError, match="^trace line 1: role must be 'legit' or 'attacker', "
                                          "got 'eavesdropper'$"):
         read_trace([b"0.5 0x2 0x30 eavesdropper\n"])
+    # Four fields a line on average, each where a packet's field would be.
+    with pytest.raises(ValueError, match="^trace line 2: expected 'ts src dst role', "
+                                         "got '0.6 0x2 0x30'$"):
+        read_trace([b"0.5 0x2 0x30 legit\n", b"0.6 0x2 0x30\n", b"legit 0.7 0x2 0x30 legit\n"])
+    with pytest.raises(ValueError, match="^trace line 3: expected"):
+        read_trace([b"0.5 0x2 0x30 legit\n", b"\n", b"0.6 0x2 0x30 legit 0.7 0x2 0x30 legit"])
 
 
 def test_every_role_is_one_of_the_two_role_objects():
@@ -348,3 +356,106 @@ def test_a_trace_with_repeated_times_keeps_its_order(packets, comment):
     stream = read_trace(text.encode().splitlines(keepends=True))
     assert rows(stream) == packets == stream_reference.read_trace(text)
     assert write_trace(stream) == text.removeprefix(comment)
+
+
+# ------------------------------------------------------- a block at a time
+
+@functools.cache
+def packet_lines() -> tuple[bytes, ...]:
+    """Four blocks of trace lines in time order, as write_trace writes them."""
+    return tuple(f"{i / 1024!r} {hex(i % 6)} {hex((0xD0 << 120) + i)} {ROLES[i % 3 == 0]}\n"
+                 .encode() for i in range(4 * workloads._BLOCK_LINES))
+
+
+# Lines a trace may hold besides its packets, each read as str.split reads
+# it: the separators are whitespace to str.split but not to bytes.split.
+SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003"]
+QUIRKS = ("comment", "blank", "crlf", "no newline", "separator")
+# Each bad line, and the error today's line-at-a-time reader gives for it.
+BAD_LINES = {
+    "three fields": (b"9.0 0x1 0x2\n", "expected 'ts src dst role', got '9.0 0x1 0x2'"),
+    "five fields": (b"9.0 0x1 0x2 legit 7\n",
+                    "expected 'ts src dst role', got '9.0 0x1 0x2 legit 7'"),
+    "nan time": (b"nan 0x1 0x2 legit\n", "timestamp must be finite and >= 0, got nan"),
+    "infinite time": (b"inf 0x1 0x2 legit\n", "timestamp must be finite and >= 0, got inf"),
+    "negative time": (b"-1.0 0x1 0x2 legit\n", "timestamp must be finite and >= 0, got -1.0"),
+    "backward time": (b"0.0 0x1 0x2 legit\n", "timestamp 0.0 is before the previous {last}"),
+    "negative address": (b"9.0 -0x1 0x2 legit\n",
+                         "src -1 is not an integer in the 128-bit range"),
+    "address past 128 bits": (f"9.0 0x1 {hex(1 << 128)} legit\n".encode(),
+                              f"dst {1 << 128} is not an integer in the 128-bit range"),
+    "unknown role": (b"9.0 0x1 0x2 eavesdropper\n",
+                     "role must be 'legit' or 'attacker', got 'eavesdropper'"),
+    "not UTF-8": (b"9.0 0x1 0x\xff legit\n",
+                  "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+}
+
+
+def with_quirk(line: bytes, quirk: str, separator: str) -> list[bytes]:
+    if quirk == "comment":
+        return [b"# a comment\n", line]
+    if quirk == "blank":
+        return [b"  \n", line]
+    if quirk == "crlf":
+        return [line.replace(b"\n", b"\r\n")]
+    if quirk == "no newline":
+        return [line.removesuffix(b"\n")]
+    return [line.replace(b" ", separator.encode(), 1)]
+
+
+@st.composite
+def blocked_traces(draw):
+    """A count of packet lines that fills 1-3 blocks, quirks at some of them,
+    and maybe one bad line's kind and index in a block after the first."""
+    block = workloads._BLOCK_LINES
+    blocks = draw(st.integers(1, 3))
+    count = draw(st.integers((blocks - 1) * block + 1, blocks * block))
+    quirk = st.tuples(st.integers(0, count - 1), st.sampled_from(QUIRKS),
+                      st.sampled_from(SEPARATORS))
+    quirks = draw(st.lists(quirk, max_size=6))
+    total = count + sum(kind in ("comment", "blank") for _, kind, _ in quirks)
+    if total <= block or draw(st.booleans()):
+        return count, quirks, None, None
+    return count, quirks, draw(st.sampled_from(sorted(BAD_LINES))), draw(st.integers(block,
+                                                                                     total - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=blocked_traces())
+def test_a_trace_read_a_block_at_a_time_reads_as_line_by_line(case):
+    count, quirks, bad, index = case
+    lines = list(packet_lines()[:count])
+    for at, kind, separator in sorted(quirks, reverse=True):
+        lines[at:at + 1] = with_quirk(lines[at], kind, separator)
+    if bad is not None:
+        lines[index], message = BAD_LINES[bad]
+    text = b"\n".join(line.removesuffix(b"\n") for line in lines)
+    if bad is None:
+        assert rows(read_trace(lines)) == stream_reference.read_trace(text.decode())
+        return
+    if bad == "backward time":
+        last = next(float(parts[0]) for line in reversed(lines[:index])
+                    if (parts := line.decode().split()) and not parts[0].startswith("#"))
+        message = message.format(last=last)
+    with pytest.raises(ValueError) as error:
+        read_trace(lines)
+    assert str(error.value) == f"trace line {index + 1}: {message}"
+    if bad != "not UTF-8":  # the reference reads text
+        with pytest.raises(ValueError, match=f"^trace line {index + 1}: "):
+            stream_reference.read_trace(text.decode())
+
+
+def test_read_trace_pulls_at_most_one_block_past_the_last_line_it_accepts():
+    block = workloads._BLOCK_LINES
+    bad = 2 * block + 5  # in the third block
+    pulled = 0
+
+    def counted_lines():
+        nonlocal pulled
+        for i, line in enumerate(packet_lines()):
+            pulled += 1
+            yield b"9.0 0x1 0x2\n" if i == bad else line
+
+    with pytest.raises(ValueError, match=f"^trace line {bad + 1}: expected 'ts src dst role'"):
+        read_trace(counted_lines())
+    assert pulled <= bad + block
