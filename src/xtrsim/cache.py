@@ -264,7 +264,13 @@ class MapCache:
         # check_address's predicate, inline since this runs once per packet.
         if type(dst) is not int or not 0 <= dst <= _FULL_MASK:
             check_address(dst, "address")
-        self.advance_clock(now)
+        # advance_clock's test, inline likewise; it is called only to raise.
+        try:
+            if not self._clock <= now <= LATEST_TIME:
+                self.advance_clock(now)
+        except TypeError:  # a time that does not compare with a float
+            self.advance_clock(now)
+        self._clock = now
         for prefix_len, bucket in self._by_len.items():
             entry = bucket.get(dst & _MASKS[prefix_len])
             if entry is not None:

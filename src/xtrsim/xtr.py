@@ -24,6 +24,9 @@ from .workloads import ROLES, Stream
 
 
 _DROP = Decision.DROP  # bound once: on Python 3.11 a lookup on an Enum class is slow
+# The fates of a packet that misses the cache; `XtrMetrics.cache_misses` is their sum.
+_MISS_FATES = ("map_requests_sent", "dropped_by_source_limiter", "dropped_by_dest_limiter",
+               "suppressed_while_pending", "nonce_table_overflows")
 
 
 @dataclass
@@ -40,9 +43,10 @@ class Tally:
 
 @dataclass
 class XtrMetrics:
-    packets_in: Tally = field(default_factory=Tally)
+    """A packet moves one counter, its fate's; `packets_in` and `cache_misses`
+    are sums of the fates, derived on each read."""
+
     cache_hits: Tally = field(default_factory=Tally)
-    cache_misses: Tally = field(default_factory=Tally)
     map_requests_sent: Tally = field(default_factory=Tally)
     dropped_by_source_limiter: Tally = field(default_factory=Tally)
     dropped_by_dest_limiter: Tally = field(default_factory=Tally)
@@ -53,16 +57,28 @@ class XtrMetrics:
     pending_timeouts: Tally = field(default_factory=Tally)
     stale_replies: int = 0
 
+    @property
+    def cache_misses(self) -> Tally:
+        fates = [getattr(self, name) for name in _MISS_FATES]
+        return Tally(sum(t.legit for t in fates), sum(t.attacker for t in fates))
+
+    @property
+    def packets_in(self) -> Tally:
+        hits, misses = self.cache_hits, self.cache_misses
+        return Tally(hits.legit + misses.legit, hits.attacker + misses.attacker)
+
     def as_row(self) -> dict[str, int]:
-        """Flat column -> value view in a stable order, for CSV export."""
+        """Flat column -> value view in a stable order, for CSV export; the two
+        sums keep their columns, before and after `cache_hits`."""
         row: dict[str, int] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        hits, *rest = (f.name for f in fields(self))
+        for name in ("packets_in", hits, "cache_misses", *rest):
+            value = getattr(self, name)
             if isinstance(value, Tally):
-                row[f"{f.name}_total"] = value.total
-                row.update((f"{f.name}_{role}", getattr(value, role)) for role in ROLES)
+                row[f"{name}_total"] = value.total
+                row.update((f"{name}_{role}", getattr(value, role)) for role in ROLES)
             else:
-                row[f.name] = value
+                row[name] = value
         return row
 
     def admission_ratio(self, role: str) -> float:
@@ -219,6 +235,14 @@ class Xtr:
         # order and a FIFO pops them exactly as a (due, send sequence) heap
         # would; PendingRequestTable's expiry relies on the same fact.
         self._reply_queue: deque[tuple[float, _Pending]] = deque()
+        # Whether a pending request can expire at or before the reply queue's
+        # head. While no reply is lost and each request's reply is due strictly
+        # before its deadline, every pending request's reply is queued and no
+        # request is due before the queue's head, so `run` and the delivery do
+        # not probe the table. Only `step` fills the router's table, and it sets
+        # this the first time a reply is due at or past its request's deadline
+        # (at a send time of 2**60, 40 ms and 120 ms later round to one float).
+        self._expiry_can_lead = self._reply_loss > 0.0
 
     def _expire_pending(self, now: float) -> None:
         timeouts = self.metrics.pending_timeouts.__dict__
@@ -242,10 +266,10 @@ class Xtr:
             self.metrics.evictions.__dict__[entry.role] += 1
 
     def _deliver_due_replies(self, upto: float) -> None:
-        replies, pending = self._reply_queue, self.pending
+        replies, pending, can_lead = self._reply_queue, self.pending, self._expiry_can_lead
         while replies and replies[0][0] <= upto:
             reply_time, entry = replies.popleft()
-            if pending and next(iter(pending.values())).deadline <= reply_time:
+            if can_lead and pending and next(iter(pending.values())).deadline <= reply_time:
                 self._expire_pending(reply_time)
             self.deliver_reply(entry, reply_time)
 
@@ -256,21 +280,15 @@ class Xtr:
         a time that goes back or is not a finite number (the cache's clock is
         the router's) raise ValueError before the cache or any counter moves.
         `src` is not checked."""
+        if role not in ROLES:
+            check_choice("role", role, ROLES)  # raises: the role names no Tally field
         metrics = self.metrics
-        packets_in = metrics.packets_in.__dict__
-        try:
-            packets = packets_in[role]
-        except (KeyError, TypeError):  # TypeError: a role that cannot be hashed
-            check_choice("role", role, ROLES)  # raises: each of ROLES is a key
-        hit = self.cache.lookup(dst, now) is not None
-        packets_in[role] = packets + 1
-
-        if hit:
+        if self.cache.lookup(dst, now) is not None:
             metrics.cache_hits.__dict__[role] += 1
             return
-        metrics.cache_misses.__dict__[role] += 1
 
-        if dst in self.pending:
+        pending = self.pending
+        if dst in pending:
             metrics.suppressed_while_pending.__dict__[role] += 1
             return
 
@@ -282,21 +300,25 @@ class Xtr:
             metrics.dropped_by_dest_limiter.__dict__[role] += 1
             return
 
-        if self.pending.is_full:
+        if len(pending) >= pending.capacity:
             metrics.nonce_table_overflows.__dict__[role] += 1
             return
 
-        entry = self.pending.insert(dst, now, role)
+        entry = pending.insert(dst, now, role)
         metrics.map_requests_sent.__dict__[role] += 1
         self.admitted_by_source_period[(src, window_index(now, self.config.limiter.period))] += 1
         if self._reply_loss == 0.0 or self._loss_rng.random() >= self._reply_loss:
-            self._reply_queue.append((now + self._reply_latency, entry))
+            due = now + self._reply_latency
+            if not due < entry.deadline:
+                self._expiry_can_lead = True
+            self._reply_queue.append((due, entry))
 
     def run(self, stream: Stream) -> XtrMetrics:
         """Drive the xTR through a whole stream, interleaving scheduled replies.
 
         Replies and expiries are processed only when the head of the reply
         queue or of the pending table is due; before that they change nothing.
+        The table's head is tested only once an expiry can lead the replies.
         Each packet goes through one call of `self.step`, looked up once, so
         a wrapper of `step` on the class or the instance sees every packet.
         """
@@ -313,7 +335,8 @@ class Xtr:
         for now, src, dst, role in zip(*columns):
             try:
                 due = (replies and replies[0][0] <= now
-                       or pending and next(iter(pending.values())).deadline <= now)
+                       or self._expiry_can_lead and pending
+                       and next(iter(pending.values())).deadline <= now)
             except TypeError:  # a time that does not compare with a float: nothing
                 due = False  # is due, and the clock in `step` refuses it
             if due:
@@ -322,7 +345,8 @@ class Xtr:
                     raise ValueError(f"packet time must be finite, got {now!r}")
                 if replies and replies[0][0] <= now:
                     self._deliver_due_replies(now)
-                if pending and next(iter(pending.values())).deadline <= now:
+                if (self._expiry_can_lead and pending
+                        and next(iter(pending.values())).deadline <= now):
                     self._expire_pending(now)
             step(now, src, dst, role)
         # Drain replies already in flight past the last packet.

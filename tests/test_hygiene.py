@@ -460,6 +460,43 @@ def test_only_check_address_and_the_lookup_test_the_address_range():
     assert tests == {}
 
 
+# The clock's rule is MapCache.advance_clock: a time at most LATEST_TIME and not
+# before the clock. MapCache.lookup keeps that test inline, as it runs once per
+# packet, and calls advance_clock only to raise; Xtr.run refuses a time past it
+# before a due reply or expiry moves. A fourth copy could drift from the rule.
+LATEST_TIME_HOMES = {"cache.py": ("advance_clock", "lookup"), "xtr.py": ("run",)}
+
+
+def latest_time_tests(source: str, homes: Collection[str] = ()) -> list[str]:
+    """Comparisons with `LATEST_TIME` outside the functions named in `homes`, by line."""
+
+    def matches(node: ast.AST) -> bool:
+        return isinstance(node, ast.Compare) and any(
+            name_of(side) == "LATEST_TIME" for side in (node.left, *node.comparators))
+
+    return [f"line {line}: clock bound" for line in lines_outside(source, homes, matches)]
+
+
+def test_latest_time_tests_are_detected():
+    source = ("def advance_clock(self, now):\n    if self._clock <= now <= LATEST_TIME:\n"
+              "        return\n"
+              "a = now > LATEST_TIME\nb = LATEST_TIME >= now or now < 0\n"
+              "c = t < cache.LATEST_TIME\n")
+    assert latest_time_tests(source, ("advance_clock",)) == \
+        ["line 4: clock bound", "line 5: clock bound", "line 6: clock bound"]
+    assert len(latest_time_tests(source)) == 4
+    # Defining, importing or passing the bound, and text in a string, are no tests.
+    assert latest_time_tests("LATEST_TIME = math.nextafter(math.inf, 0.0)\n"
+                             "from .cache import LATEST_TIME\nf(LATEST_TIME)\n"
+                             "s = 'now <= LATEST_TIME'\n") == []
+
+
+def test_only_the_clock_the_lookup_and_run_compare_with_the_latest_time():
+    tests = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+             if (found := latest_time_tests(p.read_text(), LATEST_TIME_HOMES.get(p.name, ())))}
+    assert tests == {}
+
+
 # Each kind of value has one rule in cache.py, whose message starts as below:
 # a bound spelled out by hand elsewhere, even with the rule's words, is a
 # second rule that can drift from it (the 37 such checks tested no type). A

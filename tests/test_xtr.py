@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtrsim.cache import EidPrefix
+from xtrsim.cms import SketchDims
 from xtrsim.experiment import (_attack_stream, _attack_xtr_config, dos_defaults, overflow_defaults,
                                run_attack)
 from xtrsim.limiter import LimiterConfig
 from xtrsim.workloads import ATTACKER, LEGIT, ROLES, PopulationProfile, Stream, gen_dos_stream
 from xtrsim.xtr import (
     PendingRequestTable,
+    Tally,
     Xtr,
     XtrConfig,
     XtrMetrics,
@@ -214,6 +216,17 @@ def test_an_unknown_role_is_refused_before_the_router_moves():
         assert x.cache.trace == []
         assert x.metrics.as_row() == before
     assert fate(x, 0.4, 1, 2, "legit") == "map_requests_sent"
+
+
+def test_a_source_the_sketch_refuses_moves_no_counter():
+    # packets_in and cache_misses, now sums of the fates, once moved before the
+    # sketch refused the key; the lookup's clock and trace line still move first.
+    x = Xtr(mk_config(source_limiter_enabled=True, record_cache_trace=True,
+                      limiter=LimiterConfig(backend="cms", sketch_dims=SketchDims(100, 2))))
+    before = x.metrics.as_row()
+    with pytest.raises(ValueError, match=r"^key must be in \[0, 2\*\*150\), got -1$"):
+        x.step(0.5, -1, 2, LEGIT)
+    assert x.metrics.as_row() == before and x.cache.trace == ["0.5 lookup 0x2 miss -"]
 
 
 def test_time_regression_raises():
@@ -485,20 +498,48 @@ def test_config_is_frozen_so_its_checks_cannot_be_skipped():
 
 def test_metrics_row_and_ratios():
     m = XtrMetrics()
-    m.packets_in.legit = 4
     m.cache_hits.legit = 3
+    m.suppressed_while_pending.legit = 1
     m.map_requests_sent.attacker = 2
     m.dropped_by_source_limiter.attacker = 6
     row = m.as_row()
-    assert row["packets_in_total"] == 4
+    assert row["packets_in_total"] == 12
     assert row["packets_in_legit"] == 4
-    assert row["packets_in_attacker"] == 0
+    assert row["packets_in_attacker"] == 8
+    assert (row["cache_misses_legit"], row["cache_misses_attacker"]) == (1, 8)
     assert row["map_requests_sent_attacker"] == 2
     assert row["stale_replies"] == 0
     assert m.admission_ratio(ATTACKER) == pytest.approx(0.25)
     assert m.admission_ratio(LEGIT) == 1.0  # nothing asked for admission
     assert m.hit_rate(LEGIT) == pytest.approx(0.75)
     assert m.hit_rate(ATTACKER) == 0.0
+
+
+def test_the_row_keeps_its_columns_and_the_sums_are_read_only():
+    # packets_in and cache_misses are derived from the fates, in their old places.
+    assert list(XtrMetrics().as_row()) == [
+        "packets_in_total", "packets_in_legit", "packets_in_attacker",
+        "cache_hits_total", "cache_hits_legit", "cache_hits_attacker",
+        "cache_misses_total", "cache_misses_legit", "cache_misses_attacker",
+        "map_requests_sent_total", "map_requests_sent_legit", "map_requests_sent_attacker",
+        "dropped_by_source_limiter_total", "dropped_by_source_limiter_legit",
+        "dropped_by_source_limiter_attacker",
+        "dropped_by_dest_limiter_total", "dropped_by_dest_limiter_legit",
+        "dropped_by_dest_limiter_attacker",
+        "suppressed_while_pending_total", "suppressed_while_pending_legit",
+        "suppressed_while_pending_attacker",
+        "nonce_table_overflows_total", "nonce_table_overflows_legit",
+        "nonce_table_overflows_attacker",
+        "map_replies_received_total", "map_replies_received_legit",
+        "map_replies_received_attacker",
+        "evictions_total", "evictions_legit", "evictions_attacker",
+        "pending_timeouts_total", "pending_timeouts_legit", "pending_timeouts_attacker",
+        "stale_replies"]
+    m = XtrMetrics()
+    for name in ("packets_in", "cache_misses"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, Tally(1, 0))
+    assert m.as_row() == XtrMetrics().as_row()
 
 
 def test_accounting_identities_on_a_mixed_stream():
@@ -592,7 +633,10 @@ def reference_run(x: Xtr, packets: Stream) -> XtrMetrics:
 
 @st.composite
 def router_streams(draw):
-    """A config with a tiny pending table and a stream with repeated timestamps."""
+    """A config with a tiny pending table and a stream with repeated timestamps.
+
+    At a base time of 2**60 every packet has one time, and each reply's due time
+    rounds onto its request's deadline, whatever the timeout."""
     latency = draw(st.sampled_from([0.01, 0.02, 0.04]))
     timeout = draw(st.sampled_from([latency / 2, latency, 1.5 * latency, 4 * latency]))
     config = mk_config(cache_capacity=draw(st.integers(1, 4)),
@@ -606,7 +650,9 @@ def router_streams(draw):
                        record_cache_trace=True)
     packet = st.tuples(st.integers(0, 30), st.integers(1, 3), st.integers(0, 6), st.booleans())
     rows = sorted(draw(st.lists(packet, min_size=1, max_size=60)))
-    packets = stream(*(pkt(tick / 100, src, 0xD00 + dst, "attacker" if attacker else "legit")
+    base = draw(st.sampled_from([0.0, 2.0**60]))
+    packets = stream(*(pkt(base + tick / 100, src, 0xD00 + dst,
+                           "attacker" if attacker else "legit")
                        for tick, src, dst, attacker in rows))
     return config, packets, draw(st.integers(0, 3))
 
